@@ -144,8 +144,14 @@ def init_factor(seed: int, mode: int, rows: int, rank: int) -> np.ndarray:
 
 
 def _eps_from_terms(alpha: float, beta: float, gamma: float) -> float:
+    radicand = alpha - 2.0 * beta + gamma
+    # max(0.0, nan) is 0.0, which would report a perfect fit
+    if not np.isfinite(radicand):
+        raise ValueError(
+            f"error term is not finite: alpha={alpha}, beta={beta}, gamma={gamma}"
+        )
     # the radicand is a difference of nearly equal numbers near convergence
-    return float(np.sqrt(max(0.0, alpha - 2.0 * beta + gamma) / alpha))
+    return float(np.sqrt(max(0.0, radicand) / alpha))
 
 
 def relative_error(alpha, mttkrp_n, h_n_unnormalized, s_n, g_n, lam) -> float:
@@ -341,6 +347,10 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
     with _clock(rt, "Error"):
         alpha_local = rt.x_local.norm_squared()
     alpha = rt.all_reduce(alpha_local)
+    if not np.isfinite(alpha):
+        raise ValueError(
+            "tensor has non-finite entries, or its squared norm overflows float64"
+        )
     if alpha <= 0.0:
         raise ValueError("zero tensor has no relative error")
 
@@ -370,7 +380,7 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
     errors = [eps0]
     report.errors = errors
     report.row_wall[-1] = time.perf_counter() - wall0
-    report.row_words[-1] = rt.counters.total_words()
+    words_done = report.row_words[-1] = rt.counters.total_words()
 
     prev_owned = prev_shared = prev_lam = None
     m_last = hhat_last = s_last = None
@@ -439,7 +449,9 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
             )
 
         report.row_wall[-1] = time.perf_counter() - wall0
-        report.row_words[-1] = rt.counters.total_words() - sum(report.row_words[:-1])
+        words_total = rt.counters.total_words()
+        report.row_words[-1] = words_total - words_done
+        words_done = words_total
         if eps <= cfg.tol:
             converged = True
             break

@@ -7,7 +7,9 @@ flat mode-1-fastest layout.  Factor matrices are written as order-2 files.
 
 from __future__ import annotations
 
+import os
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,29 +52,36 @@ def write_matrix(path, h: np.ndarray):
 
 
 def read_tensor(path) -> DenseTensor:
+    """Read a tensor file; the payload is read straight into the one
+    float64 array the returned tensor holds."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEAD.size:
-        raise TruncatedFileError(f"{path}: file ends inside the header")
-    magic, version, order = _HEAD.unpack_from(raw)
-    if magic != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise TensorFileError(f"{path}: unsupported format version {version}")
-    dims_end = _HEAD.size + 8 * order
-    if len(raw) < dims_end:
-        raise TruncatedFileError(f"{path}: file ends inside the dims block")
-    dims = struct.unpack_from(f"<{order}Q", raw, _HEAD.size)
-    payload = raw[dims_end:]
-    if len(payload) % 8 != 0:
-        raise TruncatedFileError(f"{path}: payload ends mid-value")
-    values = np.frombuffer(payload, dtype="<f8")
-    expect = int(np.prod(dims))
-    if values.size != expect:
-        raise PayloadMismatchError(
-            f"{path}: header promises {expect} values, payload holds {values.size}"
-        )
-    return DenseTensor(dims, values.astype(np.float64))
+        head = fh.read(_HEAD.size)
+        if len(head) < _HEAD.size:
+            raise TruncatedFileError(f"{path}: file ends inside the header")
+        magic, version, order = _HEAD.unpack(head)
+        if magic != MAGIC:
+            raise BadMagicError(f"{path}: bad magic {magic!r}")
+        if version != VERSION:
+            raise TensorFileError(f"{path}: unsupported format version {version}")
+        dims_raw = fh.read(8 * order)
+        if len(dims_raw) < 8 * order:
+            raise TruncatedFileError(f"{path}: file ends inside the dims block")
+        dims = struct.unpack(f"<{order}Q", dims_raw)
+        payload_bytes = os.fstat(fh.fileno()).st_size - (_HEAD.size + 8 * order)
+        if payload_bytes % 8 != 0:
+            raise TruncatedFileError(f"{path}: payload ends mid-value")
+        expect = int(np.prod(dims))
+        if payload_bytes // 8 != expect:
+            raise PayloadMismatchError(
+                f"{path}: header promises {expect} values, "
+                f"payload holds {payload_bytes // 8}"
+            )
+        values = np.empty(expect)
+        if fh.readinto(values) != values.nbytes:
+            raise TruncatedFileError(f"{path}: file shrank while being read")
+    if sys.byteorder != "little":
+        values.byteswap(inplace=True)  # the file holds little-endian <f8
+    return DenseTensor(dims, values)
 
 
 def read_matrix(path) -> np.ndarray:

@@ -15,6 +15,7 @@ line up with matricization columns without any permutation.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,6 +156,10 @@ def hadamard_grams_excluding(grams, exclude: int) -> np.ndarray:
     return out
 
 
+# einsum index letters for the tensor modes; "r" is reserved for the rank
+_MODE_LETTERS = "".join(c for c in string.ascii_letters if c != "r")
+
+
 def naive_mttkrp(x: DenseTensor, factors, mode: int) -> np.ndarray:
     """MTTKRP in ``mode`` by direct summation over all other indices.
 
@@ -162,6 +167,16 @@ def naive_mttkrp(x: DenseTensor, factors, mode: int) -> np.ndarray:
     other factors' (i_m, r) entries.  Implemented as a single einsum over
     the dense array; independent of both the matricization-based and
     dimension-tree code paths, so it serves as their oracle.
+
+    The driver calls it for the error of the initial model and for every
+    mode under ``use_dimtree=False``.  The initial error is deliberately
+    not a dimension-tree call: each outer iteration runs exactly two
+    partial MTTKRPs and a zero-iteration run runs none, and the tree's
+    counters report exactly that.
+
+    einsum sees the tensor as a C-order array indexed a[i_N, ..., i_1],
+    which is the flat buffer itself; an F-order view would make einsum's
+    GEMM step copy the whole tensor.  Orders up to 51 are supported.
     """
     hs = list(factors.factors) if isinstance(factors, FactorSet) else list(factors)
     n = x.order
@@ -172,11 +187,11 @@ def naive_mttkrp(x: DenseTensor, factors, mode: int) -> np.ndarray:
             raise ValueError(
                 f"factor {m} has {h.shape[0]} rows, tensor dim is {x.dims[m]}"
             )
-    letters = "abcdefghijklm"
-    if n > len(letters):
+    if n > len(_MODE_LETTERS):
         raise ValueError("tensor order too large for naive path")
-    terms = [letters[:n]]
-    operands = [x.as_array()]
+    letters = _MODE_LETTERS[:n]
+    terms = [letters[::-1]]
+    operands = [x.data.reshape(x.dims[::-1])]
     for m in range(n):
         if m != mode:
             terms.append(letters[m] + "r")

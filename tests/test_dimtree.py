@@ -84,6 +84,18 @@ class TestPartialMttkrp:
         x = DenseTensor((4, 5, 6))
         assert partial_mttkrp_flops(x, 3) == 2 * 120 * 3
 
+    def test_both_sides_match_naive_mttkrp(self):
+        # with one retained mode, the temporary is that mode's MTTKRP
+        rng = np.random.default_rng(11)
+        dims, r = (5, 3, 4, 6), 3
+        x = DenseTensor(dims, rng.standard_normal(int(np.prod(dims))))
+        hs = [rng.standard_normal((d, r)) for d in dims]
+        left = partial_mttkrp(x, khatri_rao(hs[1:]), "left", DimTreePlan(dims, r, split=1))
+        right = partial_mttkrp(x, khatri_rao(hs[:3]), "right", DimTreePlan(dims, r, split=3))
+        for temp, mode in ((left, 0), (right, 3)):
+            want = naive_mttkrp(x, hs, mode)
+            assert np.allclose(temp.as_matrix(), want, rtol=0, atol=1e-12)
+
 
 class TestMultiTtv:
     def test_zeros(self):

@@ -198,6 +198,23 @@ class TestSequentialDriver:
         with pytest.raises(RuntimeError, match="iteration 1, mode 1"):
             nncp_sequential(x, RunConfig(rank=2, algorithm="bpp", max_iters=2, tol=0.0))
 
+    def test_order_fourteen_runs(self):
+        x, _ = generate_synthetic(SyntheticSpec((2,) * 14, 2, seed=5))
+        rep = nncp_sequential(x, RunConfig(rank=2, algorithm="hals", max_iters=3, tol=0.0))
+        assert len(rep.errors) == 4
+        assert np.all(np.isfinite(rep.errors))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_entry_rejected(self, bad):
+        x, _ = generate_synthetic(SyntheticSpec((4, 4, 4), 2, seed=1))
+        x.data[5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            nncp_sequential(x, RunConfig(rank=2, algorithm="mu", max_iters=2, tol=0.0))
+
+    def test_non_finite_error_term_raises(self):
+        with pytest.raises(ValueError, match="not finite"):
+            driver_mod._eps_from_terms(1.0, np.nan, 1.0)
+
     def test_zero_tensor_rejected(self):
         with pytest.raises(ValueError, match="zero tensor"):
             nncp_sequential(DenseTensor((3, 3)), RunConfig(rank=1, algorithm="ucp", max_iters=1))
@@ -299,6 +316,14 @@ class TestParallelDriver:
         assert calls["hals"] > calls["bpp"]
         assert calls["admm"] > calls["bpp"]
         assert calls["nes"] > calls["bpp"]
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_entry_rejected(self, bad):
+        x, _ = generate_synthetic(SyntheticSpec((4, 4, 4), 2, seed=1))
+        x.data[5] = bad
+        cfg = RunConfig(rank=2, algorithm="mu", max_iters=2, tol=0.0, grid=(2, 1, 1))
+        with pytest.raises(ValueError, match="non-finite"):
+            nncp_parallel(x, cfg)
 
     def test_worker_reports_agree_on_errors(self):
         x, _ = generate_synthetic(SyntheticSpec((4, 4, 4), 2, seed=16))

@@ -1,5 +1,6 @@
 import csv
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,6 +81,19 @@ class TestTensorFile:
         path.write_bytes(header + struct.pack("<1d", 1.0))
         with pytest.raises(TensorFileError):
             read_tensor(path)
+
+    def test_read_holds_one_copy_of_the_payload(self, tmp_path):
+        x = DenseTensor((64, 64, 32), np.random.default_rng(2).random(64 * 64 * 32))
+        path = tmp_path / "x.bin"
+        write_tensor(path, x)
+        tracemalloc.start()
+        try:
+            back = read_tensor(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.data, x.data)
+        assert peak <= 1.2 * x.data.nbytes
 
     def test_error_types_are_distinct(self):
         assert not issubclass(BadMagicError, TruncatedFileError)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -188,6 +190,28 @@ class TestNaiveMttkrp:
                 fast = naive_mttkrp(x, hs, mode)
                 slow = loop_mttkrp(x, hs, mode)
                 assert np.allclose(fast, slow, rtol=0, atol=1e-12)
+
+    def test_order_fourteen_against_loop_oracle(self):
+        rng = np.random.default_rng(4)
+        dims = (2,) * 14
+        x = DenseTensor(dims, rng.random(2**14))
+        hs = [rng.random((2, 2)) for _ in dims]
+        for mode in (0, 13):
+            fast = naive_mttkrp(x, hs, mode)
+            slow = loop_mttkrp(x, hs, mode)
+            assert np.allclose(fast, slow, rtol=1e-12, atol=0)
+
+    def test_last_mode_does_not_copy_the_tensor(self):
+        rng = np.random.default_rng(5)
+        x = DenseTensor((48, 48, 48), rng.random(48**3))
+        hs = [rng.random((48, 4)) for _ in range(3)]
+        tracemalloc.start()
+        try:
+            naive_mttkrp(x, hs, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.data.nbytes / 2
 
 
 class TestNormsAndInnerProducts:
