@@ -9,7 +9,6 @@ with communication accounting.
 from .dimtree import (
     DimTreeContext,
     DimTreePlan,
-    TempTensor,
     choose_split_mode,
     multi_ttv,
     partial_mttkrp,
@@ -55,7 +54,6 @@ from .updaters import (
     bpp_update,
     hals_update,
     mu_update,
-    nesterov_outer_accelerate,
     nesterov_update,
     ucp_update,
 )

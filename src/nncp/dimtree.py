@@ -3,13 +3,14 @@
 The root of the tree splits the modes into a leading block {1..S} and a
 trailing block {S+1..N}.  Each block is produced by a single partial MTTKRP
 (one GEMM against the zero-copy matricization), and the per-mode MTTKRP
-results are then peeled off the block temporaries by multi-TTV steps (R
-independent matvecs).  Only two partial MTTKRPs run per sweep, no matter how
-many modes the tensor has.
+results are then peeled off the block temporaries by multi-TTV steps, each
+one batched matmul over the R rank blocks.  Only two partial MTTKRPs run per
+sweep, no matter how many modes the tensor has.
 
-Temporaries store the retained-mode indices fastest and the rank index
-slowest, so the r-th rank block is a contiguous slice and its leading-mode
-unfolding is again a zero-copy column-major view.
+Temporaries are plain ``(retained..., R)`` arrays in F order: the retained
+indices vary fastest and the rank index slowest, so the r-th rank block is
+a contiguous slice and the ``(R, rest, lead)`` C-order view that a multi-TTV
+works on needs no copy.
 """
 
 from __future__ import annotations
@@ -22,91 +23,48 @@ import numpy as np
 from .tensor_ops import DenseTensor, khatri_rao
 
 
-def choose_split_mode(dims, strict: bool = False) -> int:
+def choose_split_mode(dims) -> int:
     """Number of leading modes kept on the left side of the root split.
 
-    Returns the smallest S with prod(dims[:S]) >= prod(dims[S:]) (strictly
-    greater when ``strict``), capped to N-1 so both sides are nonempty.
+    Returns the smallest S with prod(dims[:S]) >= prod(dims[S:]), capped to
+    N-1 so both sides are nonempty.
     """
     n = len(dims)
     if n < 2:
         raise ValueError("need at least 2 modes")
     for s in range(1, n):
-        left = int(np.prod(dims[:s]))
-        right = int(np.prod(dims[s:]))
-        if left > right or (not strict and left == right):
+        if int(np.prod(dims[:s])) >= int(np.prod(dims[s:])):
             return s
     return n - 1
 
 
 @dataclass(frozen=True)
 class DimTreePlan:
-    """Immutable split choice and buffer sizing for one tensor/rank pair."""
+    """Immutable split choice for one tensor/rank pair."""
 
     dims: tuple
     rank: int
     split: int
 
     @classmethod
-    def create(cls, dims, rank: int, strict_split: bool = False) -> "DimTreePlan":
+    def create(cls, dims, rank: int) -> "DimTreePlan":
         dims = tuple(int(d) for d in dims)
-        return cls(dims=dims, rank=int(rank), split=choose_split_mode(dims, strict_split))
+        return cls(dims=dims, rank=int(rank), split=choose_split_mode(dims))
 
     @property
     def order(self) -> int:
         return len(self.dims)
 
-    @property
-    def left_buffer_elems(self) -> int:
-        return int(np.prod(self.dims[: self.split])) * self.rank
 
-    @property
-    def right_buffer_elems(self) -> int:
-        return int(np.prod(self.dims[self.split :])) * self.rank
-
-
-class TempTensor:
-    """Partial-MTTKRP temporary: retained modes fastest, rank slowest."""
-
-    __slots__ = ("retained_dims", "rank", "data")
-
-    def __init__(self, retained_dims, rank, data):
-        self.retained_dims = tuple(int(d) for d in retained_dims)
-        self.rank = int(rank)
-        self.data = data
-        expect = int(np.prod(self.retained_dims)) * self.rank
-        if data.size != expect:
-            raise ValueError(f"temp data length {data.size}, expected {expect}")
-
-    @property
-    def block_size(self) -> int:
-        return int(np.prod(self.retained_dims))
-
-    def block(self, r: int) -> np.ndarray:
-        """Contiguous slice holding rank block r."""
-        b = self.block_size
-        return self.data[r * b : (r + 1) * b]
-
-    def block_unfold1(self, r: int) -> np.ndarray:
-        """Zero-copy leading-mode unfolding of block r."""
-        lead = self.retained_dims[0]
-        return self.block(r).reshape((lead, -1), order="F")
-
-    def as_matrix(self) -> np.ndarray:
-        """(I, R) view when a single mode is retained."""
-        if len(self.retained_dims) != 1:
-            raise ValueError("as_matrix needs a single retained mode")
-        return self.data.reshape((self.retained_dims[0], self.rank), order="F")
-
-
-def partial_mttkrp(x: DenseTensor, krp: np.ndarray, side: str, plan: DimTreePlan) -> TempTensor:
+def partial_mttkrp(x: DenseTensor, krp: np.ndarray, side: str, plan: DimTreePlan) -> np.ndarray:
     """Contract one side of the root split against a Khatri-Rao product.
 
     ``side='left'`` retains modes 1..S and contracts the trailing modes
     (T = X_(1:S) @ krp); ``side='right'`` retains modes S+1..N and contracts
-    the leading ones (T = X_(1:S)^T @ krp).  One GEMM either way.  The left
-    GEMM computes T^T, whose C-order buffer already has the rank index
-    slowest, so the large left result needs no re-layout copy.
+    the leading ones (T = X_(1:S)^T @ krp).  One GEMM either way; the result
+    is a ``(retained..., R)`` F-order array.  The left GEMM computes T^T,
+    whose C-order buffer already has the rank index slowest, so the large
+    left result needs no re-layout copy.
     """
     s = plan.split
     mat = x.unfold_leading(s)
@@ -130,7 +88,7 @@ def partial_mttkrp(x: DenseTensor, krp: np.ndarray, side: str, plan: DimTreePlan
         retained = x.dims[s:]
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return TempTensor(retained, krp.shape[1], out_t.ravel())
+    return out_t.ravel().reshape(retained + (krp.shape[1],), order="F")
 
 
 def partial_mttkrp_flops(x: DenseTensor, rank: int) -> int:
@@ -138,61 +96,42 @@ def partial_mttkrp_flops(x: DenseTensor, rank: int) -> int:
     return 2 * x.size * rank
 
 
-def multi_ttv(temp: TempTensor, coeff: np.ndarray, side: str = None) -> TempTensor:
-    """Contract one retained mode of ``temp``, rank block by rank block.
+def multi_ttv(temp: np.ndarray, coeff: np.ndarray, side: str) -> np.ndarray:
+    """Contract one retained mode of ``temp``, all rank blocks in one matmul.
 
-    ``side='leading'`` contracts the leading retained mode with coeff column
-    r per block (transposed matvec); ``side='trailing'`` contracts all the
-    other retained modes with a KRP column per block (plain matvec).  With
-    ``side=None`` the side is inferred from coeff's row count, preferring
-    'trailing' when both interpretations fit.
+    ``temp`` is a ``(retained..., R)`` F-order temporary.  ``side='leading'``
+    contracts the leading retained mode with coeff column r per rank block;
+    ``side='trailing'`` contracts all the other retained modes with a KRP
+    column per rank block.  The result is again ``(retained..., R)`` F-order.
     """
-    if len(temp.retained_dims) < 2:
+    retained, rank = temp.shape[:-1], temp.shape[-1]
+    if len(retained) < 2:
         raise ValueError("multi_ttv needs at least two retained modes")
-    if coeff.shape[1] != temp.rank:
-        raise ValueError(f"coeff has {coeff.shape[1]} columns, rank is {temp.rank}")
-    lead = temp.retained_dims[0]
-    rest = int(np.prod(temp.retained_dims[1:]))
-    if side is None:
-        if coeff.shape[0] == rest:
-            side = "trailing"
-        elif coeff.shape[0] == lead:
-            side = "leading"
-        else:
-            raise ValueError(
-                f"coeff rows {coeff.shape[0]} match neither leading {lead} nor trailing {rest}"
-            )
+    if coeff.shape[1] != rank:
+        raise ValueError(f"coeff has {coeff.shape[1]} columns, rank is {rank}")
+    lead = retained[0]
+    rest = int(np.prod(retained[1:]))
+    # rank block r is blocks[r].T, the (lead, rest) leading-mode unfolding
+    blocks = temp.T.reshape(rank, rest, lead)
     if side == "trailing":
         if coeff.shape[0] != rest:
             raise ValueError(f"coeff rows {coeff.shape[0]}, trailing dim is {rest}")
-        out = np.empty(lead * temp.rank)
-        result = TempTensor(temp.retained_dims[:1], temp.rank, out)
-        for r in range(temp.rank):
-            result.block(r)[:] = temp.block_unfold1(r) @ coeff[:, r]
-    elif side == "leading":
+        return (coeff.T[:, None, :] @ blocks)[:, 0, :].T
+    if side == "leading":
         if coeff.shape[0] != lead:
             raise ValueError(f"coeff rows {coeff.shape[0]}, leading dim is {lead}")
-        out = np.empty(rest * temp.rank)
-        result = TempTensor(temp.retained_dims[1:], temp.rank, out)
-        for r in range(temp.rank):
-            result.block(r)[:] = temp.block_unfold1(r).T @ coeff[:, r]
-    else:
-        raise ValueError(f"side must be 'leading', 'trailing' or None, got {side!r}")
-    return result
-
-
-def multi_ttv_flops(temp: TempTensor) -> int:
-    """A multi-TTV touches each element of the input temporary once."""
-    return temp.block_size * temp.rank
+        out = (blocks @ coeff.T[:, :, None])[:, :, 0]
+        return out.T.reshape(retained[1:] + (rank,), order="F")
+    raise ValueError(f"side must be 'leading' or 'trailing', got {side!r}")
 
 
 class DimTreeContext:
-    """Mutable per-sweep state: live temporaries, counters, mode ordering.
+    """Mutable per-sweep state: live temporary, counters, mode ordering.
 
     One context per execution context (the plan itself is shareable).  Modes
     must be requested in ascending order within a sweep started by
-    ``begin_iteration``; the stored temporaries embed factor snapshots taken
-    when they were formed, which is exactly what alternating updates need.
+    ``begin_iteration``; the stored temporary embeds factor snapshots taken
+    when it was formed, which is exactly what alternating updates need.
     """
 
     def __init__(self, plan: DimTreePlan, recorder=None):
@@ -202,14 +141,12 @@ class DimTreeContext:
         self.ttv_calls = 0
         self.flops_partial = 0
         self.flops_ttv = 0
-        self._left = None
-        self._right = None
+        self._temp = None
         self._expected = None
 
     def begin_iteration(self):
-        """Invalidate temporaries and restart the mode sequence."""
-        self._left = None
-        self._right = None
+        """Invalidate the temporary and restart the mode sequence."""
+        self._temp = None
         self._expected = 0
 
     def _record(self, category: str, elapsed: float):
@@ -235,11 +172,12 @@ class DimTreeContext:
         out = multi_ttv(temp, coeff, side)
         self._record("MultiTTV", time.perf_counter() - t0)
         self.ttv_calls += 1
-        self.flops_ttv += multi_ttv_flops(temp)
+        # a multi-TTV touches each element of the input temporary once
+        self.flops_ttv += temp.size
         return out
 
     def mttkrp(self, x: DenseTensor, factors, mode: int) -> np.ndarray:
-        """MTTKRP result for ``mode``, reusing this sweep's temporaries."""
+        """MTTKRP result for ``mode``, reusing this sweep's temporary."""
         n = self.plan.order
         s = self.plan.split
         if x.dims != self.plan.dims:
@@ -252,42 +190,21 @@ class DimTreeContext:
             )
         hs = list(factors.factors) if hasattr(factors, "factors") else list(factors)
 
-        if mode == 0:
-            root = self._partial(x, self._krp(hs[s:]), "left")
-            if s == 1:
-                result = root.as_matrix()
-            else:
-                self._left = root
-                result = self._ttv(root, self._krp(hs[1:s]), "trailing").as_matrix()
-        elif mode < s:
-            if self._left is None:
-                raise RuntimeError(f"stale cache: no left temporary for mode {mode}")
-            if mode < s - 1:
-                self._left = self._ttv(self._left, hs[mode - 1], "leading")
-                result = self._ttv(
-                    self._left, self._krp(hs[mode + 1 : s]), "trailing"
-                ).as_matrix()
-            else:
-                result = self._ttv(self._left, hs[mode - 1], "leading").as_matrix()
-                self._left = None
-        elif mode == s:
-            root = self._partial(x, self._krp(hs[:s]), "right")
-            if s == n - 1:
-                result = root.as_matrix()
-            else:
-                self._right = root
-                result = self._ttv(root, self._krp(hs[s + 1 :]), "trailing").as_matrix()
+        # peel the side holding ``mode``: modes lo..hi-1 share one temporary
+        lo, hi, side = (0, s, "left") if mode < s else (s, n, "right")
+        if mode == lo:
+            other = hs[s:] if side == "left" else hs[:s]
+            temp = self._partial(x, self._krp(other), side)
         else:
-            if self._right is None:
-                raise RuntimeError(f"stale cache: no right temporary for mode {mode}")
-            if mode < n - 1:
-                self._right = self._ttv(self._right, hs[mode - 1], "leading")
-                result = self._ttv(
-                    self._right, self._krp(hs[mode + 1 :]), "trailing"
-                ).as_matrix()
-            else:
-                result = self._ttv(self._right, hs[mode - 1], "leading").as_matrix()
-                self._right = None
+            if self._temp is None:
+                raise RuntimeError(f"stale cache: no {side} temporary for mode {mode}")
+            temp = self._ttv(self._temp, hs[mode - 1], "leading")
+        if mode == hi - 1:
+            result = temp
+            self._temp = None
+        else:
+            self._temp = temp
+            result = self._ttv(temp, self._krp(hs[mode + 1 : hi]), "trailing")
 
         self._expected = mode + 1 if mode + 1 < n else None
         return np.ascontiguousarray(result)
@@ -305,4 +222,4 @@ class DimTreeContext:
         temp = self._partial(x, self._krp(hs[:s]), "right")
         for m in range(s, n - 1):
             temp = self._ttv(temp, hs[m], "leading")
-        return np.ascontiguousarray(temp.as_matrix())
+        return np.ascontiguousarray(temp)

@@ -81,7 +81,6 @@ class RunConfig:
     seed: int = 0
     grid: tuple = None
     use_dimtree: bool = True
-    strict_split: bool = False
     initial_factors: FactorSet = None
 
     def validate(self, order: int):
@@ -126,12 +125,11 @@ class RunReport:
         self.row_wall.append(0.0)
 
 
-def record_category(report: RunReport, category: str, elapsed: float, words: int = 0):
+def record_category(report: RunReport, category: str, elapsed: float):
     """Accumulate one timed event into the report's current row."""
     if category not in CATEGORIES:
         raise ValueError(f"unknown category {category!r}")
     report.rows[-1][category] += elapsed
-    report.row_words[-1] += words
 
 
 def init_factor(seed: int, mode: int, rows: int, rank: int) -> np.ndarray:
@@ -186,7 +184,7 @@ def _make_updater(cfg: RunConfig, order: int):
             return admm_update(inputs, states[mode], hook)
         return nesterov_update(inputs, states[mode], hook)
 
-    return update, states
+    return update
 
 
 class _SequentialRuntime:
@@ -200,8 +198,8 @@ class _SequentialRuntime:
         self.counters = CommCounters()
         self.report = RunReport()
 
-    def record(self, category, elapsed, words=0):
-        record_category(self.report, category, elapsed, words)
+    def record(self, category, elapsed):
+        record_category(self.report, category, elapsed)
 
     def owned_rows(self, mode) -> slice:
         return slice(0, self.dims[mode])
@@ -230,7 +228,7 @@ class _WorkerRuntime:
         self.worker = worker
         self.counters = worker.counters
         self.report = RunReport()
-        worker.recorder = lambda cat, dt: record_category(self.report, cat, dt)
+        worker.recorder = self.record
         grid = worker.grid
         self.groups = [
             grid.slice_group(n, worker.coord[n]) for n in range(len(grid.shape))
@@ -251,8 +249,8 @@ class _WorkerRuntime:
             self._owned_rows.append(slice(s.start + local.start, s.start + local.stop))
             self.owned_parts.append(parts)
 
-    def record(self, category, elapsed, words=0):
-        record_category(self.report, category, elapsed, words)
+    def record(self, category, elapsed):
+        record_category(self.report, category, elapsed)
 
     def owned_rows(self, mode) -> slice:
         return self._owned_rows[mode]
@@ -339,7 +337,7 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
     order = len(global_dims)
     rank = cfg.rank
     report = rt.report
-    update, _ = _make_updater(cfg, order)
+    update = _make_updater(cfg, order)
 
     # -- initialization ----------------------------------------------------
     report.begin_row()
@@ -365,7 +363,7 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
 
     ctx = None
     if cfg.use_dimtree:
-        plan = DimTreePlan.create(rt.dims, rank, cfg.strict_split)
+        plan = DimTreePlan.create(rt.dims, rank)
         ctx = DimTreeContext(plan, recorder=rt.record)
         report.split_mode = plan.split
 

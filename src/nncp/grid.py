@@ -1,11 +1,10 @@
 """Simulated distributed runtime over an N-dimensional worker grid.
 
 Workers are threads running the same program (SPMD) and interacting only
-through blocking collectives -- All-Reduce, All-Gather, Reduce-Scatter --
-plus point-to-point mailboxes.  Reductions always combine contributions in
-ascending rank order, so results are bitwise deterministic regardless of
-scheduling.  Word counters track the communication volume of every
-collective; no latency model is simulated.
+through blocking collectives -- All-Reduce, All-Gather, Reduce-Scatter.
+Reductions always combine contributions in ascending rank order, so results
+are bitwise deterministic regardless of scheduling.  Word counters track the
+communication volume of every collective; no latency model is simulated.
 
 Rank linearization follows the tensor layout: rank = p_1 + P_1 p_2 + ...
 with the mode-1 coordinate varying fastest.  The mode-n slice of a worker
@@ -14,7 +13,6 @@ is the set of workers sharing its n-th coordinate (P/P_n of them).
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 from dataclasses import dataclass, field
@@ -176,7 +174,6 @@ class Grid:
         re-raised in the caller.
         """
         workers = [Worker(rank, self) for rank in range(self.total)]
-        self._workers = workers
         results = [None] * self.total
         failures = [None] * self.total
 
@@ -212,31 +209,10 @@ class Worker:
         self.coord = grid.coord_of(rank)
         self.counters = CommCounters()
         self.recorder = None
-        self.mailbox = queue.Queue()
-        self._pending = []
 
     def _record(self, category: str, elapsed: float):
         if self.recorder is not None:
             self.recorder(category, elapsed)
-
-    # -- point-to-point plumbing ------------------------------------------
-
-    def send(self, dst: int, payload):
-        self.grid._workers[dst].mailbox.put((self.rank, payload))
-
-    def recv(self, src: int = None):
-        if src is not None:
-            for k, (s, p) in enumerate(self._pending):
-                if s == src:
-                    self._pending.pop(k)
-                    return p
-        while True:
-            s, p = self.mailbox.get()
-            if src is None or s == src:
-                return p
-            self._pending.append((s, p))
-
-    # -- collectives -------------------------------------------------------
 
     def all_reduce(self, group: Group, local, op: str = "sum"):
         """Elementwise reduction in ascending rank order, same result for

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .tensor_ops import FactorSet
 
 ADMM_INNER_CAP = 5
 NESTEROV_INNER_CAP = 20
@@ -290,21 +289,3 @@ def nesterov_update(
     state.last_inner_iters = steps
     return x
 
-
-def nesterov_outer_accelerate(model_prev, model_cur, iteration: int, error_fn):
-    """Extrapolated candidate H_i + s_i (H_i - H_{i-1}), kept only if better.
-
-    s_i = i^(1/N).  The candidate (factors and weights) is clamped at zero
-    to stay feasible; it replaces the current model only when error_fn
-    reports a strictly lower relative error.
-    """
-    step = float(iteration) ** (1.0 / model_cur.order)
-    factors = [
-        np.maximum(hc + step * (hc - hp), 0.0)
-        for hp, hc in zip(model_prev.factors, model_cur.factors)
-    ]
-    lam = np.maximum(model_cur.lam + step * (model_cur.lam - model_prev.lam), 0.0)
-    candidate = FactorSet(factors, lam)
-    if error_fn(candidate) < error_fn(model_cur):
-        return candidate, True
-    return model_cur, False

@@ -5,14 +5,13 @@ from nncp import (
     DenseTensor,
     DimTreeContext,
     DimTreePlan,
-    TempTensor,
     choose_split_mode,
     khatri_rao,
     multi_ttv,
     naive_mttkrp,
     partial_mttkrp,
 )
-from nncp.dimtree import multi_ttv_flops, partial_mttkrp_flops
+from nncp.dimtree import partial_mttkrp_flops
 
 
 class TestChooseSplitMode:
@@ -24,7 +23,6 @@ class TestChooseSplitMode:
 
     def test_even_order_cube(self):
         assert choose_split_mode([384, 384, 384, 384]) == 2
-        assert choose_split_mode([384, 384, 384, 384], strict=True) == 3
 
     def test_two_modes(self):
         assert choose_split_mode([5, 3]) == 1
@@ -36,10 +34,12 @@ class TestChooseSplitMode:
 
 class TestPlan:
     def test_buffer_sizes(self):
-        plan = DimTreePlan.create((4, 5, 3, 2), rank=3)
+        dims = (4, 5, 3, 2)
+        plan = DimTreePlan.create(dims, rank=3)
         assert plan.split == 2
-        assert plan.left_buffer_elems == 4 * 5 * 3
-        assert plan.right_buffer_elems == 3 * 2 * 3
+        x = DenseTensor(dims)
+        assert partial_mttkrp(x, np.ones((6, 3)), "left", plan).shape == (4, 5, 3)
+        assert partial_mttkrp(x, np.ones((20, 3)), "right", plan).shape == (3, 2, 3)
 
 
 class TestPartialMttkrp:
@@ -47,30 +47,32 @@ class TestPartialMttkrp:
         plan = DimTreePlan.create((2, 2, 2), 1)
         x = DenseTensor((2, 2, 2))
         t = partial_mttkrp(x, np.ones((2, 1)), "left", plan)
-        assert np.array_equal(t.data, np.zeros(4 * 1))
+        assert np.array_equal(t, np.zeros((2, 2, 1)))
 
     def test_left_row_sums(self):
         # S=1 forced by a plan over dims where split lands at 1
         plan = DimTreePlan.create((8, 2, 2), 1)
         x = DenseTensor((8, 2, 2), np.arange(1.0, 33.0))
         t = partial_mttkrp(x, np.ones((4, 1)), "left", plan)
-        assert np.array_equal(t.data, x.unfold_leading(1).sum(axis=1))
+        assert np.array_equal(t[:, 0], x.unfold_leading(1).sum(axis=1))
 
     def test_hand_example_2x2x2(self):
         # split=1 view of the 2x2x2 tensor: left result = row sums
         x = DenseTensor((2, 2, 2), np.arange(1.0, 9.0))
         plan = DimTreePlan((2, 2, 2), 1, split=1)
         t = partial_mttkrp(x, np.ones((4, 1)), "left", plan)
-        assert np.array_equal(t.data, np.array([16.0, 20.0]))
+        assert np.array_equal(t, np.array([[16.0], [20.0]]))
 
     def test_rank_one_ones_contraction(self):
         dims = (3, 2, 2, 2)
         x = DenseTensor(dims, np.ones(24))
         plan = DimTreePlan.create(dims, 2)
         left = partial_mttkrp(x, np.ones((4, 2)), "left", plan)
-        assert np.allclose(left.data, 4.0)
+        assert left.shape == (3, 2, 2)
+        assert np.allclose(left, 4.0)
         right = partial_mttkrp(x, np.ones((6, 2)), "right", plan)
-        assert np.allclose(right.data, 6.0)
+        assert right.shape == (2, 2, 2)
+        assert np.allclose(right, 6.0)
 
     def test_shape_mismatch(self):
         plan = DimTreePlan.create((2, 2, 2), 1)
@@ -94,72 +96,84 @@ class TestPartialMttkrp:
         right = partial_mttkrp(x, khatri_rao(hs[:3]), "right", DimTreePlan(dims, r, split=3))
         for temp, mode in ((left, 0), (right, 3)):
             want = naive_mttkrp(x, hs, mode)
-            assert np.allclose(temp.as_matrix(), want, rtol=0, atol=1e-12)
+            assert np.allclose(temp, want, rtol=0, atol=1e-12)
+
+
+def unfold1(temp, r):
+    """Leading-mode unfolding of rank block r of a (retained..., R) array."""
+    return temp[..., r].reshape(temp.shape[0], -1, order="F")
 
 
 class TestMultiTtv:
     def test_zeros(self):
-        t = TempTensor((2, 3), 2, np.zeros(12))
-        out = multi_ttv(t, np.ones((3, 2)))
-        assert np.array_equal(out.as_matrix(), np.zeros((2, 2)))
+        t = np.zeros((2, 3, 2))
+        out = multi_ttv(t, np.ones((3, 2)), "trailing")
+        assert np.array_equal(out, np.zeros((2, 2)))
 
     def test_hand_matvec(self):
         # single rank block [[1,2],[3,4]] against column [1,1]
-        t = TempTensor((2, 2), 1, np.array([1.0, 3.0, 2.0, 4.0]))
-        out = multi_ttv(t, np.ones((2, 1)))
-        assert np.array_equal(out.as_matrix(), np.array([[3.0], [7.0]]))
+        t = np.array([1.0, 3.0, 2.0, 4.0]).reshape((2, 2, 1), order="F")
+        out = multi_ttv(t, np.ones((2, 1)), "trailing")
+        assert np.array_equal(out, np.array([[3.0], [7.0]]))
 
     def test_ones_give_row_sums(self):
         rng = np.random.default_rng(0)
         data = rng.standard_normal(2 * 3 * 2)
-        t = TempTensor((2, 3), 2, data.copy())
-        out = multi_ttv(t, np.ones((3, 2)), side="trailing")
+        t = data.reshape((2, 3, 2), order="F")
+        out = multi_ttv(t, np.ones((3, 2)), "trailing")
         for r in range(2):
-            assert np.allclose(out.as_matrix()[:, r], t.block_unfold1(r).sum(axis=1))
+            assert np.allclose(out[:, r], unfold1(t, r).sum(axis=1))
 
     def test_leading_contraction(self):
         rng = np.random.default_rng(1)
-        t = TempTensor((3, 2, 2), 2, rng.standard_normal(24))
+        t = rng.standard_normal(24).reshape((3, 2, 2, 2), order="F")
         coeff = rng.standard_normal((3, 2))
-        out = multi_ttv(t, coeff, side="leading")
-        assert out.retained_dims == (2, 2)
+        out = multi_ttv(t, coeff, "leading")
+        assert out.shape == (2, 2, 2)
+        assert out.flags.f_contiguous
         for r in range(2):
-            expect = t.block_unfold1(r).T @ coeff[:, r]
-            assert np.allclose(out.block(r), expect)
+            expect = unfold1(t, r).T @ coeff[:, r]
+            assert np.allclose(out[..., r].ravel(order="F"), expect)
 
     def test_shape_errors(self):
-        t = TempTensor((2, 3), 1, np.zeros(6))
+        t = np.zeros((2, 3, 1))
         with pytest.raises(ValueError):
-            multi_ttv(t, np.ones((4, 1)))
+            multi_ttv(t, np.ones((4, 1)), "trailing")
         with pytest.raises(ValueError):
-            multi_ttv(t, np.ones((3, 2)))  # rank mismatch
-        single = TempTensor((4,), 1, np.zeros(4))
+            multi_ttv(t, np.ones((4, 1)), "leading")
         with pytest.raises(ValueError):
-            multi_ttv(single, np.ones((4, 1)))
+            multi_ttv(t, np.ones((3, 2)), "trailing")  # rank mismatch
+        with pytest.raises(ValueError):
+            multi_ttv(t, np.ones((3, 1)), "middle")
+        single = np.zeros((4, 1))
+        with pytest.raises(ValueError):
+            multi_ttv(single, np.ones((4, 1)), "trailing")
 
     def test_flop_count(self):
-        t = TempTensor((2, 3), 4, np.zeros(24))
-        assert multi_ttv_flops(t) == 24
+        t = np.zeros((2, 3, 4))
+        ctx = DimTreeContext(DimTreePlan.create((2, 3), 4))
+        ctx._ttv(t, np.ones((3, 4)), "trailing")
+        assert ctx.flops_ttv == 24
 
 
-class TestTempTensorLayout:
-    def test_block_contiguity(self):
+class TestTemporaryLayout:
+    def test_left_result_layout(self):
         rng = np.random.default_rng(2)
-        dims, r = (3, 2, 4), 3
-        data = rng.standard_normal(int(np.prod(dims)) * r)
-        t = TempTensor(dims, r, data)
-        full = data.reshape(dims + (r,), order="F")
+        dims, r = (3, 2, 4, 5), 3
+        x = DenseTensor(dims, rng.standard_normal(int(np.prod(dims))))
+        plan = DimTreePlan(dims, r, split=3)
+        krp = rng.standard_normal((5, r))
+        t = partial_mttkrp(x, krp, "left", plan)
+        assert t.shape == dims[:3] + (r,)
+        assert t.flags.f_contiguous
+        direct = x.unfold_leading(3) @ krp
         for k in range(r):
-            block = t.block(k)
-            assert block.base is data or np.shares_memory(block, data)
-            assert np.array_equal(block.reshape(dims, order="F"), full[..., k])
-            assert np.array_equal(
-                t.block_unfold1(k), full[..., k].reshape(3, -1, order="F")
-            )
+            assert np.allclose(t[..., k].ravel(order="F"), direct[:, k], rtol=0, atol=1e-12)
+            assert t[..., k].flags.f_contiguous
 
 
-def tree_all_modes(x, hs, rank, strict=False):
-    ctx = DimTreeContext(DimTreePlan.create(x.dims, rank, strict))
+def tree_all_modes(x, hs, rank):
+    ctx = DimTreeContext(DimTreePlan.create(x.dims, rank))
     ctx.begin_iteration()
     return ctx, [ctx.mttkrp(x, hs, n) for n in range(x.order)]
 
@@ -197,6 +211,20 @@ class TestDimTreeMttkrp:
                 oracle = naive_mttkrp(x, hs, mode)
                 scale = max(np.abs(oracle).max(), 1e-30)
                 assert np.abs(results[mode] - oracle).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("split", [1, 2, 3, 4])
+    def test_every_split_of_order_five(self, split):
+        # split 1 and 4 make the root itself a mode's result on one side
+        rng = np.random.default_rng(20 + split)
+        dims, r = (3, 4, 2, 5, 3), 3
+        x = DenseTensor(dims, rng.standard_normal(int(np.prod(dims))))
+        hs = [rng.standard_normal((d, r)) for d in dims]
+        ctx = DimTreeContext(DimTreePlan(dims, r, split=split))
+        ctx.begin_iteration()
+        for mode in range(5):
+            got = ctx.mttkrp(x, hs, mode)
+            assert np.allclose(got, naive_mttkrp(x, hs, mode), rtol=0, atol=1e-12)
+        assert ctx.partial_calls == 2
 
     @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
     def test_two_partials_per_iteration(self, order):
@@ -280,4 +308,4 @@ class TestDimTreeMttkrp:
         k = khatri_rao(hs[plan.split :])
         t = partial_mttkrp(x, k, "left", plan)
         direct = x.unfold_leading(plan.split) @ k
-        assert np.allclose(t.data, direct.ravel(order="F"))
+        assert np.allclose(t.reshape(-1, 2, order="F"), direct)

@@ -245,30 +245,6 @@ class TestCollectives:
         assert snap["words_out"] == {"AllReduce": 5, "AllGather": 4, "ReduceScatter": 2}
 
 
-class TestPointToPoint:
-    def test_send_recv(self):
-        def fn(w):
-            if w.rank == 0:
-                w.send(1, {"payload": 42})
-                return None
-            return w.recv(src=0)
-
-        out = Grid((2,)).run(fn)
-        assert out[1] == {"payload": 42}
-
-    def test_recv_filters_by_source(self):
-        def fn(w):
-            if w.rank == 2:
-                a = w.recv(src=1)
-                b = w.recv(src=0)
-                return (a, b)
-            w.send(2, w.rank * 10)
-            return None
-
-        out = Grid((3,)).run(fn)
-        assert out[2] == (10, 0)
-
-
 class TestFailurePropagation:
     def test_worker_exception_reraised(self):
         def fn(w):

@@ -3,16 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nncp.driver as driver_mod
 from nncp import (
     BppCyclingError,
-    FactorSet,
+    DenseTensor,
+    RunConfig,
     UpdateInputs,
     UpdaterState,
     admm_update,
     bpp_update,
     hals_update,
     mu_update,
-    nesterov_outer_accelerate,
     nesterov_update,
     ucp_update,
 )
@@ -356,49 +357,88 @@ class TestNesterov:
 
 
 class TestOuterAcceleration:
-    def test_stationary_candidate_rejected(self):
-        hs = [np.ones((2, 1)), np.ones((3, 1))]
-        model = FactorSet([h.copy() for h in hs])
-        out, accepted = nesterov_outer_accelerate(
-            model, FactorSet([h.copy() for h in hs]), 1, lambda m: 0.5
-        )
-        assert not accepted
-        assert out.factors[0] is not None
+    """The NES outer extrapolation step, ``driver._nes_accelerate``."""
 
-    def test_overshoot_rejected(self):
-        prev = FactorSet([np.array([[1.0]]), np.array([[1.0]])])
-        cur = FactorSet([np.array([[2.0]]), np.array([[1.0]])])
-
-        def error_fn(m):
-            return abs(float(m.factors[0][0, 0]) - 2.0)  # optimum exactly at cur
-
-        out, accepted = nesterov_outer_accelerate(prev, cur, 1, error_fn)
-        assert not accepted
-        assert out is cur
-
-    def test_step_formula(self):
-        prev = FactorSet([np.full((2, 1), 1.0), np.full((2, 1), 1.0)])
-        cur = FactorSet([np.full((2, 1), 2.0), np.full((2, 1), 3.0)])
+    @staticmethod
+    def accelerate(monkeypatch, it, eps, cand_eps, owned, prev_owned, lam, prev_lam):
+        """Run one step on a sequential runtime whose model error is
+        ``cand_eps``; returns the step's result, the current model
+        (owned, shared, lam), the grams and the candidate."""
         seen = {}
 
-        def error_fn(m):
-            if m is not cur:
-                seen["candidate"] = [h.copy() for h in m.factors]
-                return 0.0
-            return 1.0
+        def model_error(rt, ctx, shared, owned, lam, alpha, use_naive):
+            seen.update(owned=owned, shared=shared, lam=lam)
+            return cand_eps
 
-        out, accepted = nesterov_outer_accelerate(prev, cur, 1, error_fn)
-        assert accepted
-        # s_1 = 1 for N=2: candidate = 2*cur - prev
-        assert np.allclose(seen["candidate"][0], 3.0)
-        assert np.allclose(seen["candidate"][1], 5.0)
+        monkeypatch.setattr(driver_mod, "_model_error", model_error)
+        cfg = RunConfig(rank=lam.size, algorithm="nes")
+        rt = driver_mod._SequentialRuntime(DenseTensor(tuple(len(h) for h in owned)), cfg)
+        rt.report.begin_row()
+        grams = [h.T @ h for h in owned]
+        shared, prev_shared = [h.copy() for h in owned], [h.copy() for h in prev_owned]
+        out = driver_mod._nes_accelerate(
+            rt, None, cfg, it, eps, 1.0, grams,
+            owned, shared, lam, prev_owned, prev_shared, prev_lam,
+        )
+        return out, (owned, shared, lam), grams, seen
 
-    def test_candidate_clamped_nonnegative(self):
-        prev = FactorSet([np.full((1, 1), 5.0), np.full((1, 1), 1.0)])
-        cur = FactorSet([np.full((1, 1), 1.0), np.full((1, 1), 1.0)])
-        out, accepted = nesterov_outer_accelerate(prev, cur, 1, lambda m: 0.0 if m is not cur else 1.0)
-        assert accepted
-        assert (out.factors[0] >= 0).all()
+    def test_stationary_candidate_rejected(self, monkeypatch):
+        # no change since the last iterate: the candidate is the current
+        # model, whose error is not strictly lower
+        owned = [np.ones((2, 1)), np.ones((3, 1))]
+        lam = np.ones(1)
+        out, current, grams, _ = self.accelerate(
+            monkeypatch, 1, 0.5, 0.5, owned, [h.copy() for h in owned], lam, lam.copy()
+        )
+        assert all(a is b for a, b in zip(out, current))
+        assert all(np.array_equal(g, h.T @ h) for g, h in zip(grams, owned))
+
+    def test_overshoot_rejected(self, monkeypatch):
+        owned = [np.array([[2.0]]), np.array([[1.0]])]
+        prev = [np.array([[1.0]]), np.array([[1.0]])]
+        lam = np.ones(1)
+        out, current, _, _ = self.accelerate(
+            monkeypatch, 1, 0.5, 0.7, owned, prev, lam, lam.copy()
+        )
+        assert all(a is b for a, b in zip(out, current))
+
+    def test_step_formula(self, monkeypatch):
+        # s_i = i^(1/N): 2.0 at N=3, i=8, so the candidate is 3*cur - 2*prev
+        owned = [np.full((2, 1), 2.0), np.full((3, 1), 3.0), np.full((2, 1), 1.0)]
+        prev = [np.full((2, 1), 1.0), np.full((3, 1), 1.0), np.full((2, 1), 1.0)]
+        _, _, _, seen = self.accelerate(
+            monkeypatch, 8, 0.5, 0.7, owned, prev, np.full(1, 2.0), np.full(1, 1.0)
+        )
+        for cand, want in zip(seen["owned"], (4.0, 7.0, 1.0)):
+            assert np.array_equal(cand, np.full(cand.shape, want))
+        for cand, own in zip(seen["shared"], seen["owned"]):
+            assert np.array_equal(cand, own)
+        assert np.array_equal(seen["lam"], np.full(1, 4.0))
+
+    def test_candidate_clamped_nonnegative(self, monkeypatch):
+        owned = [np.full((1, 1), 1.0), np.full((1, 1), 1.0)]
+        prev = [np.full((1, 1), 5.0), np.full((1, 1), 1.0)]
+        _, _, _, seen = self.accelerate(
+            monkeypatch, 1, 0.5, 0.7, owned, prev, np.ones(1), np.full(1, 3.0)
+        )
+        assert np.array_equal(seen["owned"][0], np.zeros((1, 1)))
+        assert np.array_equal(seen["shared"][0], np.zeros((1, 1)))
+        assert np.array_equal(seen["lam"], np.zeros(1))
+
+    def test_accepted_candidate_renormalized(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        owned = [rng.random((d, 3)) + 0.5 for d in (4, 3, 5)]
+        prev = [rng.random((d, 3)) for d in (4, 3, 5)]
+        (o, s, l), _, grams, seen = self.accelerate(
+            monkeypatch, 2, 0.5, 0.1, owned, prev, np.ones(3), np.full(3, 0.5)
+        )
+        norms = [np.linalg.norm(c, axis=0) for c in seen["owned"]]
+        for n in range(3):
+            assert np.allclose(np.linalg.norm(o[n], axis=0), 1.0, rtol=0, atol=1e-14)
+            assert np.allclose(o[n] * norms[n], seen["owned"][n], rtol=1e-14, atol=0)
+            assert np.array_equal(s[n], o[n])
+            assert np.array_equal(grams[n], o[n].T @ o[n])
+        assert np.allclose(l, seen["lam"] * np.prod(norms, axis=0), rtol=1e-14, atol=0)
 
 
 class TestDeterminism:
