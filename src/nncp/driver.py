@@ -9,7 +9,8 @@ weight vector; the relative error comes from the cached mode-N quantities
 via  err^2 = (alpha - 2 beta + gamma) / alpha  with alpha = ||X||^2,
 beta = <M_N, Hhat_N>, gamma = lam^T (S_N * G_N) lam.
 
-Timed regions cover local computation only; each collective books its own
+Every timed region books its self time: its wall time less what nested
+regions and collectives booked meanwhile.  Each collective books its own
 wall time, so the per-category columns never overlap.
 """
 
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import time
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,7 +177,7 @@ def _make_updater(cfg: RunConfig, order: int):
         if algo == "mu":
             return mu_update(inputs)
         if algo == "hals":
-            return hals_update(inputs, hook)
+            return hals_update(inputs)
         if algo == "bpp":
             return bpp_update(inputs)
         if algo == "admm":
@@ -274,11 +274,28 @@ class _WorkerRuntime:
         return self.all_reduce
 
 
-@contextmanager
-def _clock(rt, category):
-    t0 = time.perf_counter()
-    yield
-    rt.record(category, time.perf_counter() - t0)
+class _clock:
+    """Charge a region's self time to one category of the current row.
+
+    The region's wall time, less what nested clocks and collectives added
+    to the row meanwhile, so nested regions are never counted twice.  The
+    row sum is read inside the timed window, so its own cost is charged
+    too and the categories cover the row's wall time.
+    """
+
+    __slots__ = ("rt", "category", "t0", "base")
+
+    def __init__(self, rt, category):
+        self.rt = rt
+        self.category = category
+
+    def __enter__(self):
+        self.t0 = time.perf_counter()
+        self.base = sum(self.rt.report.rows[-1].values())
+
+    def __exit__(self, *exc):
+        nested = sum(self.rt.report.rows[-1].values()) - self.base
+        self.rt.record(self.category, time.perf_counter() - self.t0 - nested)
 
 
 def _initial_factors(rt, cfg: RunConfig, global_dims):
@@ -319,17 +336,12 @@ def _model_error(rt, ctx, shared, owned, lam, alpha, use_naive: bool):
     """
     mbar = _last_mode_mttkrp(rt, ctx, shared, use_naive)
     with _clock(rt, "Error"):
-        beta_local = matrix_inner_product(mbar, shared[-1] * lam)
-    beta = rt.all_reduce(beta_local)
-    grams = []
-    for h in owned:
-        with _clock(rt, "Gram"):
-            gbar = h.T @ h
-        grams.append(rt.all_reduce(gbar))
+        beta = rt.all_reduce(matrix_inner_product(mbar, shared[-1] * lam))
+    with _clock(rt, "Gram"):
+        grams = [rt.all_reduce(h.T @ h) for h in owned]
     with _clock(rt, "Error"):
         gamma = float(lam @ (np.prod(grams, axis=0) @ lam))
-        eps = _eps_from_terms(alpha, beta, gamma)
-    return eps
+        return _eps_from_terms(alpha, beta, gamma)
 
 
 def _run_spmd(rt, cfg: RunConfig, global_dims):
@@ -343,8 +355,7 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
     report.begin_row()
     wall0 = time.perf_counter()
     with _clock(rt, "Error"):
-        alpha_local = rt.x_local.norm_squared()
-    alpha = rt.all_reduce(alpha_local)
+        alpha = rt.all_reduce(rt.x_local.norm_squared())
     if not np.isfinite(alpha):
         raise ValueError(
             "tensor has non-finite entries, or its squared norm overflows float64"
@@ -356,10 +367,9 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
     grams = []
     for n in range(order):
         with _clock(rt, "Gram"):
-            gbar = owned[n].T @ owned[n]
-        g = rt.all_reduce(gbar)
-        grams.append(0.5 * (g + g.T))
-        shared[n] = rt.gather_to_slice(n, owned[n])
+            g = rt.all_reduce(owned[n].T @ owned[n])
+            grams.append(0.5 * (g + g.T))
+            shared[n] = rt.gather_to_slice(n, owned[n])
 
     ctx = None
     if cfg.use_dimtree:
@@ -370,9 +380,7 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
     # initial model error (out-of-band MTTKRP, not part of the tree sweep)
     mbar0 = _last_mode_mttkrp(rt, None, shared, use_naive=True)
     with _clock(rt, "Error"):
-        beta_local = matrix_inner_product(mbar0, shared[-1] * lam)
-    beta0 = rt.all_reduce(beta_local)
-    with _clock(rt, "Error"):
+        beta0 = rt.all_reduce(matrix_inner_product(mbar0, shared[-1] * lam))
         gamma0 = float(lam @ (np.prod(grams, axis=0) @ lam))
         eps0 = _eps_from_terms(alpha, beta0, gamma0)
     errors = [eps0]
@@ -395,47 +403,35 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
         if ctx is not None:
             ctx.begin_iteration()
         for n in range(order):
-            if ctx is not None:
-                mbar = ctx.mttkrp(rt.x_local, shared, n)
-            else:
-                with _clock(rt, "MTTKRP"):
+            with _clock(rt, "MTTKRP"):
+                if ctx is not None:
+                    mbar = ctx.mttkrp(rt.x_local, shared, n)
+                else:
                     mbar = naive_mttkrp(rt.x_local, shared, n)
-            m_owned = rt.scatter_to_owned(n, mbar)
+                m_owned = rt.scatter_to_owned(n, mbar)
             with _clock(rt, "Gram"):
                 s_n = hadamard_grams_excluding(grams, n)
-            try:
-                # stateful updaters communicate through the hook; keep that
-                # time out of the NNLS column by netting the AllReduce delta
-                ar0 = report.rows[-1]["AllReduce"]
-                t0 = time.perf_counter()
-                inputs = UpdateInputs(s_n, m_owned, owned[n] * lam)
-                hhat = update(n, inputs, rt.hook)
-                elapsed = time.perf_counter() - t0
-                rt.record("NNLS", elapsed - (report.rows[-1]["AllReduce"] - ar0))
-            except Exception as exc:
-                raise RuntimeError(
-                    f"NNLS update failed at iteration {it}, mode {n + 1}"
-                ) from exc
-            # column norms are global: reduce squared norms, then scale
             with _clock(rt, "NNLS"):
-                nsq_local = np.sum(hhat * hhat, axis=0)
-            nsq = rt.all_reduce(nsq_local)
-            with _clock(rt, "NNLS"):
-                w = np.sqrt(nsq)
+                try:
+                    inputs = UpdateInputs(s_n, m_owned, owned[n] * lam)
+                    hhat = update(n, inputs, rt.hook)
+                except Exception as exc:
+                    raise RuntimeError(
+                        f"NNLS update failed at iteration {it}, mode {n + 1}"
+                    ) from exc
+                # column norms are global: reduce squared norms, then scale
+                w = np.sqrt(rt.all_reduce(np.sum(hhat * hhat, axis=0)))
                 owned[n] = hhat / np.where(w > 0.0, w, 1.0)
                 lam = w
             with _clock(rt, "Gram"):
-                gbar = owned[n].T @ owned[n]
-            g = rt.all_reduce(gbar)
-            grams[n] = 0.5 * (g + g.T)
-            shared[n] = rt.gather_to_slice(n, owned[n])
+                g = rt.all_reduce(owned[n].T @ owned[n])
+                grams[n] = 0.5 * (g + g.T)
+                shared[n] = rt.gather_to_slice(n, owned[n])
             if n == order - 1:
                 m_last, hhat_last, s_last = m_owned, hhat, s_n
 
         with _clock(rt, "Error"):
-            beta_local = matrix_inner_product(m_last, hhat_last)
-        beta = rt.all_reduce(beta_local)
-        with _clock(rt, "Error"):
+            beta = rt.all_reduce(matrix_inner_product(m_last, hhat_last))
             gamma = float(lam @ ((s_last * grams[-1]) @ lam))
             eps = _eps_from_terms(alpha, beta, gamma)
         errors.append(eps)
@@ -486,19 +482,16 @@ def _nes_accelerate(
         return owned, shared, lam
     # accepted: renormalize columns globally and refresh the Gram matrices
     with _clock(rt, "Error"):
-        nsq_local = np.stack([np.sum(h * h, axis=0) for h in cand_owned])
-    nsq = rt.all_reduce(nsq_local)
-    with _clock(rt, "Error"):
+        nsq = rt.all_reduce(np.stack([np.sum(h * h, axis=0) for h in cand_owned]))
         w = np.sqrt(nsq)
         scale = np.where(w > 0.0, w, 1.0)
         owned = [h / scale[n] for n, h in enumerate(cand_owned)]
         shared = [h / scale[n] for n, h in enumerate(cand_shared)]
         lam = cand_lam * np.prod(w, axis=0)
-    for n in range(len(owned)):
-        with _clock(rt, "Gram"):
-            gbar = owned[n].T @ owned[n]
-        g = rt.all_reduce(gbar)
-        grams[n] = 0.5 * (g + g.T)
+    with _clock(rt, "Gram"):
+        for n, h in enumerate(owned):
+            g = rt.all_reduce(h.T @ h)
+            grams[n] = 0.5 * (g + g.T)
     return owned, shared, lam
 
 

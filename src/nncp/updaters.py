@@ -4,12 +4,12 @@ Every rule consumes the same two precomputed matrices: the Hadamard product
 of the other factors' Gram matrices S = A^T A (R x R) and the local rows of
 the MTTKRP result M (rows of A^T B transposed, I x R), plus the current
 local factor rows.  All rules operate on the factor-row layout (I x R), so
-the textbook column problem min_{x>=0} ||A x - b|| appears here one row of
-H at a time.
+the textbook column problem min_{x>=0} ||A x - b|| appears here once per
+row of H, and every rule solves all rows of one update together.
 
-A ``ReduceHook`` supplies global reductions for the quantities that need
-cross-worker agreement (column norms, stopping-rule norms, max-abs changes).
-In sequential runs the default hook is the identity.
+The iterative rules with a stopping test (ADMM, Nesterov) take a reduce
+hook for the norms that need cross-worker agreement; in sequential runs
+the default hook is the identity.
 """
 
 from __future__ import annotations
@@ -103,15 +103,14 @@ def mu_update(inp: UpdateInputs, eps: float = MU_EPSILON) -> np.ndarray:
     return h
 
 
-def hals_update(inp: UpdateInputs, hook=local_reduce) -> np.ndarray:
+def hals_update(inp: UpdateInputs) -> np.ndarray:
     """One Gauss-Seidel sweep over columns, latest values in every step.
 
     Column r gets the closed-form update [h_r + (m_r - H s_r)/S_rr]_+.
-    After each column the global squared norm is obtained through the hook
-    (the synchronization point of the row-distributed setting); a column
-    that collapses to zero keeps weight zero.  The returned matrix is the
-    raw sweep result; rescaling into unit columns happens in the driver's
-    normalization step, which reuses these norms' communication pattern.
+    Every step is row-local, so grid runs add no collective; a column that
+    collapses to zero keeps weight zero.  The returned matrix is the raw
+    sweep result; rescaling into unit columns happens in the driver's
+    normalization step.
     """
     s, m = inp.gram, inp.mttkrp_rows
     h = inp.current.copy()
@@ -123,54 +122,58 @@ def hals_update(inp: UpdateInputs, hook=local_reduce) -> np.ndarray:
         col = h[:, r] + (m[:, r] - h @ s[:, r]) / d
         np.maximum(col, 0.0, out=col)
         h[:, r] = col
-        hook(float(col @ col), "sum")
     return h
 
 
-def _bpp_single(s: np.ndarray, f: np.ndarray, column: int) -> np.ndarray:
-    """Exact NNLS min_{x>=0} 0.5 x^T S x - f^T x by block principal pivoting.
+def bpp_update(inp: UpdateInputs) -> np.ndarray:
+    """Exact NNLS of every factor row by block principal pivoting.
 
-    Full exchange of KKT-violating variables, falling back to the
-    largest-index single exchange after BPP_BACKUP_TRIES non-improving
-    swaps; hard cap of 5R iterations.
+    Row i solves min_{x>=0} 0.5 x^T S x - m_i^T x (Kim & Park 2011); all
+    rows pivot together.  Each round checks KKT on every row and exchanges
+    the violating variables of each unfinished row: all of them while the
+    violation count improves and for BPP_BACKUP_TRIES non-improving rounds
+    after that, otherwise only the largest violating index.  The unfinished
+    rows are then re-solved by one stacked solve, in which row i's matrix
+    is S with its non-passive rows and columns replaced by the identity.
+    A row still violating at its 5R+1st check raises BppCyclingError with
+    the lowest such row.
     """
-    r = s.shape[0]
-    passive = np.zeros(r, dtype=bool)
-    x = np.zeros(r)
-    y = -f.copy()
-    lowest = r + 1
-    backup = BPP_BACKUP_TRIES
+    s, m = inp.gram, inp.mttkrp_rows
+    n, r = m.shape
+    eye = np.eye(r)
+    passive = np.zeros((n, r), dtype=bool)
+    x = np.zeros((n, r))
+    y = -m
+    lowest = np.full(n, r + 1)
+    backup = np.full(n, BPP_BACKUP_TRIES)
     for _ in range(5 * r + 1):
         viol = (passive & (x < 0)) | (~passive & (y < 0))
-        nviol = int(np.count_nonzero(viol))
-        if nviol == 0:
+        nviol = np.count_nonzero(viol, axis=1)
+        todo = np.flatnonzero(nviol)
+        if todo.size == 0:
             return x
-        if nviol < lowest:
-            lowest = nviol
-            backup = BPP_BACKUP_TRIES
-            passive ^= viol
-        elif backup > 0:
-            backup -= 1
-            passive ^= viol
-        else:
-            last = np.max(np.nonzero(viol)[0])
-            passive[last] = not passive[last]
-        x = np.zeros(r)
-        y = np.zeros(r)
-        if passive.any():
-            x[passive] = np.linalg.solve(s[np.ix_(passive, passive)], f[passive])
-        if not passive.all():
-            y[~passive] = s[~passive][:, passive] @ x[passive] - f[~passive]
-    raise BppCyclingError(column)
-
-
-def bpp_update(inp: UpdateInputs) -> np.ndarray:
-    """Exact nonnegative solve, one small pivoting problem per factor row."""
-    s, m = inp.gram, inp.mttkrp_rows
-    out = np.empty_like(m)
-    for i in range(m.shape[0]):
-        out[i] = _bpp_single(s, m[i], i)
-    return out
+        flip = viol[todo]
+        count = nviol[todo]
+        improved = count < lowest[todo]
+        retry = ~improved & (backup[todo] > 0)
+        single = np.flatnonzero(~improved & ~retry)
+        lowest[todo[improved]] = count[improved]
+        backup[todo[improved]] = BPP_BACKUP_TRIES
+        backup[todo[retry]] -= 1
+        last = r - 1 - np.argmax(flip[single, ::-1], axis=1)
+        flip[single] = False
+        flip[single, last] = True
+        p = passive[todo] ^ flip
+        passive[todo] = p
+        mt = m[todo]
+        a = np.where(p[:, :, None] & p[:, None, :], s, eye)
+        xt = np.linalg.solve(a, np.where(p, mt, 0.0)[..., None])[..., 0]
+        xt[~p] = 0.0
+        yt = xt @ s - mt
+        yt[p] = 0.0
+        x[todo] = xt
+        y[todo] = yt
+    raise BppCyclingError(int(todo[0]))
 
 
 def default_admm_rho(gram: np.ndarray) -> float:

@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from nncp import (
     ucp_update,
 )
 from nncp.updaters import (
+    BPP_BACKUP_TRIES,
     MU_EPSILON,
     MU_INNER_STEPS,
     default_admm_rho,
@@ -155,27 +158,77 @@ class TestHals:
             assert (np.abs(grad * out[:, c]) <= 1e-10 * max(1.0, np.abs(m).max() ** 2)).all()
 
 
-def enumerate_nnls(s, f):
-    """2^R active-set enumeration oracle for min_{x>=0} .5 x'Sx - f'x."""
+def enumerate_nnls(s, m):
+    """2^R active-set enumeration oracle for min_{x>=0} .5 x'Sx - f'x, per row f of m.
+
+    Every passive set is solved at once, with S's non-passive rows and
+    columns replaced by the identity; S must be positive definite.
+    """
     r = s.shape[0]
-    best, best_obj = np.zeros(r), np.inf
-    for mask in range(1 << r):
-        passive = np.array([(mask >> i) & 1 == 1 for i in range(r)])
+    passive = (np.arange(1 << r)[:, None] >> np.arange(r)) & 1 == 1
+    a = np.where(passive[:, :, None] & passive[:, None, :], s, np.eye(r))
+    x = np.linalg.solve(a, np.where(passive[:, :, None], m.T, 0.0))  # (2^R, R, rows)
+    y = np.einsum("ij,kjn->kin", s, x) - m.T
+    feasible = ~(x < -1e-12).any(axis=1) & ~(y < -1e-10).any(axis=1)
+    obj = np.einsum("kin,kin->kn", x, 0.5 * (y - m.T))
+    obj[~feasible] = np.inf
+    best = np.argmin(obj, axis=0)
+    rows = np.arange(m.shape[0])
+    out = np.maximum(x[best, :, rows], 0.0)
+    out[~np.isfinite(obj[best, rows])] = 0.0
+    return out
+
+
+def bpp_rowwise(s, f, column, rules):
+    """Block principal pivoting of one row: the reference for bpp_update.
+
+    Counts the exchange rule of every pivot in ``rules``.
+    """
+    r = s.shape[0]
+    passive = np.zeros(r, dtype=bool)
+    x = np.zeros(r)
+    y = -f.copy()
+    lowest = r + 1
+    backup = BPP_BACKUP_TRIES
+    for _ in range(5 * r + 1):
+        viol = (passive & (x < 0)) | (~passive & (y < 0))
+        nviol = int(np.count_nonzero(viol))
+        if nviol == 0:
+            return x
+        if nviol < lowest:
+            rules["full"] += 1
+            lowest = nviol
+            backup = BPP_BACKUP_TRIES
+            passive ^= viol
+        elif backup > 0:
+            rules["backup"] += 1
+            backup -= 1
+            passive ^= viol
+        else:
+            rules["single"] += 1
+            last = np.max(np.nonzero(viol)[0])
+            passive[last] = not passive[last]
         x = np.zeros(r)
+        y = np.zeros(r)
         if passive.any():
-            try:
-                x[passive] = np.linalg.solve(s[np.ix_(passive, passive)], f[passive])
-            except np.linalg.LinAlgError:
-                continue
-        if (x < -1e-12).any():
-            continue
-        y = s @ x - f
-        if (y < -1e-10).any():
-            continue
-        obj = 0.5 * x @ s @ x - f @ x
-        if obj < best_obj:
-            best, best_obj = np.maximum(x, 0.0), obj
-    return best
+            x[passive] = np.linalg.solve(s[np.ix_(passive, passive)], f[passive])
+        if not passive.all():
+            y[~passive] = s[~passive][:, passive] @ x[passive] - f[~passive]
+    raise BppCyclingError(column)
+
+
+def count_stacked_solves(monkeypatch):
+    """Record the stack size of every stacked np.linalg.solve from now on."""
+    sizes = []
+    solve = np.linalg.solve
+
+    def counted(a, b):
+        if a.ndim == 3:
+            sizes.append(a.shape[0])
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return sizes
 
 
 class TestBpp:
@@ -197,9 +250,8 @@ class TestBpp:
             r = int(rng.integers(1, 5))
             s, m, _, _ = spd_instance(rng, r)
             out = bpp_update(UpdateInputs(s, m, np.zeros_like(m)))
+            assert np.allclose(out, enumerate_nnls(s, m), atol=1e-8)
             for i in range(m.shape[0]):
-                oracle = enumerate_nnls(s, m[i])
-                assert np.allclose(out[i], oracle, atol=1e-8)
                 y = s @ out[i] - m[i]
                 assert (out[i] >= 0).all()
                 assert (y >= -1e-10 * max(1.0, np.abs(m).max())).all()
@@ -211,6 +263,70 @@ class TestBpp:
         with pytest.raises(BppCyclingError) as info:
             bpp_update(UpdateInputs(s, m, np.zeros_like(m)))
         assert info.value.column == 1
+
+    def test_cycling_reports_first_cycling_row(self, monkeypatch):
+        # row 0 converges after one exchange, row 2 at once; rows 1 and 3 cycle
+        s = np.array([[1.0, -3.0], [-3.0, 1.0]])
+        m = np.array([[1.0, -5.0], [1.0, 1.0], [-1.0, -1.0], [2.0, 2.0]])
+        rules = collections.Counter()
+        bpp_rowwise(s, m[0], 0, rules)
+        bpp_rowwise(s, m[2], 2, rules)
+        for i in (1, 3):
+            with pytest.raises(BppCyclingError):
+                bpp_rowwise(s, m[i], i, rules)
+        sizes = count_stacked_solves(monkeypatch)
+        with pytest.raises(BppCyclingError) as info:
+            bpp_update(UpdateInputs(s, m, np.zeros_like(m)))
+        assert info.value.column == 1
+        # 5R+1 checks per cycling row, each followed by a solve
+        assert sum(sizes) == sum(rules.values()) == 1 + 2 * (5 * 2 + 1)
+
+    def test_matches_rowwise_reference(self, monkeypatch):
+        # eigenvalues 1 .. 10^-decay; m is scaled so that solutions stay O(1)
+        rng = np.random.default_rng(21)
+        rules = collections.Counter()
+        sizes = count_stacked_solves(monkeypatch)
+        for r in (1, 2, 3, 5, 8, 13, 16, 24, 32, 48):
+            for decay in (1, 3, 5):
+                q, _ = np.linalg.qr(rng.standard_normal((r, r)))
+                s = (q * np.logspace(0, -decay, r)) @ q.T
+                s = 0.5 * (s + s.T)
+                m = rng.standard_normal((int(rng.integers(1, 40)), r)) * 10.0**-decay
+                got = bpp_update(UpdateInputs(s, m, np.zeros_like(m)))
+                want = np.array([bpp_rowwise(s, f, i, rules) for i, f in enumerate(m)])
+                assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+        assert rules["backup"] > 0
+        assert rules["single"] > 0
+        # every row took the reference's pivots: one row solve per pivot
+        assert sum(sizes) == sum(rules.values())
+
+    def test_kkt_at_rank_48(self):
+        rng = np.random.default_rng(48)
+        a = rng.standard_normal((52, 48))
+        m = rng.standard_normal((30, 52)) @ a
+        s = a.T @ a
+        out = bpp_update(UpdateInputs(s, m, np.zeros_like(m)))
+        assert 0 < np.count_nonzero(out) < out.size
+        # the tolerances of the acceptance check against the oracle
+        for f, x in zip(m, out):
+            y = s @ x - f
+            scale = max(1.0, np.abs(f).max())
+            assert (x >= 0).all()
+            assert (y >= -1e-10 * scale).all()
+            assert (np.abs(x * y) <= 1e-10 * scale * scale).all()
+
+    @given(st.integers(1, 12), st.integers(1, 30), st.integers(0, 10**6))
+    @settings(max_examples=30, deadline=None)
+    def test_rows_match_oracle_and_solve_independently(self, r, rows, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((r + 4, r))
+        s = a.T @ a
+        m = rng.standard_normal((rows, r + 4)) @ a
+        out = bpp_update(UpdateInputs(s, m, np.zeros_like(m)))
+        assert np.allclose(out, enumerate_nnls(s, m), atol=1e-8)
+        for i in range(rows):
+            alone = bpp_update(UpdateInputs(s, m[i : i + 1], np.zeros((1, r))))[0]
+            assert np.abs(alone - out[i]).max() <= 1e-12 * max(1.0, np.abs(out[i]).max())
 
 
 class TestAdmm:
