@@ -38,7 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-6, help="relative-error stopping tolerance")
     p.add_argument("--seed", type=int, default=0, help="seed for factor initialization")
     p.add_argument("--grid", type=_int_list, help="simulated worker grid, e.g. 2,2,1")
-    p.add_argument("--no-dimtree", action="store_true", help="disable the dimension tree")
     p.add_argument("--output-prefix", default="nncp_run", help="prefix for output files")
     return p
 
@@ -95,7 +94,6 @@ def run_cli(argv=None) -> int:
         tol=args.tol,
         seed=args.seed,
         grid=args.grid,
-        use_dimtree=not args.no_dimtree,
     )
     try:
         if args.grid is not None:

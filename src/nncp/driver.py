@@ -80,7 +80,6 @@ class RunConfig:
     tol: float = 1e-6
     seed: int = 0
     grid: tuple = None
-    use_dimtree: bool = True
     initial_factors: FactorSet = None
 
     def validate(self, order: int):
@@ -107,6 +106,8 @@ class RunReport:
     Row 0 describes the initial model; row i the state after outer
     iteration i.  ``rows[i]`` maps each category to seconds, ``row_words``
     counts words moved by collectives, ``row_wall`` is the row's wall time.
+    Row 0's error reuses iteration 1's mode-1 MTTKRP, so row 1 books its
+    inner product and scalar All-Reduce; a 0-iteration run books them in row 0.
     """
 
     errors: list = field(default_factory=list)
@@ -319,35 +320,32 @@ def _initial_factors(rt, cfg: RunConfig, global_dims):
     return owned, shared, lam
 
 
-def _last_mode_mttkrp(rt, ctx, shared, use_naive: bool):
-    """Out-of-band mode-N MTTKRP on the local block (error evaluations)."""
-    last = len(shared) - 1
-    if ctx is not None and not use_naive:
-        return ctx.mttkrp_last_mode(rt.x_local, shared)
-    with _clock(rt, "MTTKRP"):
-        return naive_mttkrp(rt.x_local, shared, last)
+def _error_from_mttkrp(rt, mbar, h, lam, alpha, gamma):
+    """Relative error with beta = <M_n, H_n diag(lam)>: ``mbar`` is the local
+    mode-n MTTKRP before any Reduce-Scatter and ``h`` the slice-replicated
+    mode-n rows, so one scalar All-Reduce completes beta."""
+    with _clock(rt, "Error"):
+        beta = rt.all_reduce(matrix_inner_product(mbar, h * lam))
+        return _eps_from_terms(alpha, beta, gamma)
 
 
-def _model_error(rt, ctx, shared, owned, lam, alpha, use_naive: bool):
+def _model_error(rt, ctx, shared, owned, lam, alpha):
     """Relative error of an arbitrary (possibly unnormalized) model.
 
     Costs one extra MTTKRP; the inner product pairs local contributions
     with the slice-replicated rows, so no Reduce-Scatter is needed.
     """
-    mbar = _last_mode_mttkrp(rt, ctx, shared, use_naive)
-    with _clock(rt, "Error"):
-        beta = rt.all_reduce(matrix_inner_product(mbar, shared[-1] * lam))
     with _clock(rt, "Gram"):
         grams = [rt.all_reduce(h.T @ h) for h in owned]
     with _clock(rt, "Error"):
         gamma = float(lam @ (np.prod(grams, axis=0) @ lam))
-        return _eps_from_terms(alpha, beta, gamma)
+    mbar = ctx.mttkrp_last_mode(rt.x_local, shared)
+    return _error_from_mttkrp(rt, mbar, shared[-1], lam, alpha, gamma)
 
 
 def _run_spmd(rt, cfg: RunConfig, global_dims):
     """One worker's program; sequential execution is the P=1 special case."""
     order = len(global_dims)
-    rank = cfg.rank
     report = rt.report
     update = _make_updater(cfg, order)
 
@@ -360,7 +358,11 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
         raise ValueError(
             "tensor has non-finite entries, or its squared norm overflows float64"
         )
-    if alpha <= 0.0:
+    if alpha == 0.0:
+        # every worker sees alpha == 0 together, so the reduce is collective-safe
+        d = rt.x_local.data
+        if rt.all_reduce(max(float(d.max()), -float(d.min())), "max") > 0.0:
+            raise ValueError("tensor is nonzero but its squared norm underflows float64")
         raise ValueError("zero tensor has no relative error")
 
     owned, shared, lam = _initial_factors(rt, cfg, global_dims)
@@ -371,20 +373,19 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
             grams.append(0.5 * (g + g.T))
             shared[n] = rt.gather_to_slice(n, owned[n])
 
-    ctx = None
-    if cfg.use_dimtree:
-        plan = DimTreePlan.create(rt.dims, rank)
-        ctx = DimTreeContext(plan, recorder=rt.record)
-        report.split_mode = plan.split
+    plan = DimTreePlan.create(rt.dims, cfg.rank)
+    ctx = DimTreeContext(plan, recorder=rt.record)
+    report.split_mode = plan.split
 
-    # initial model error (out-of-band MTTKRP, not part of the tree sweep)
-    mbar0 = _last_mode_mttkrp(rt, None, shared, use_naive=True)
+    # initial model error: gamma from the set-up Grams; beta from iteration
+    # 1's mode-1 MTTKRP, or from an einsum MTTKRP when there is no iteration
     with _clock(rt, "Error"):
-        beta0 = rt.all_reduce(matrix_inner_product(mbar0, shared[-1] * lam))
         gamma0 = float(lam @ (np.prod(grams, axis=0) @ lam))
-        eps0 = _eps_from_terms(alpha, beta0, gamma0)
-    errors = [eps0]
-    report.errors = errors
+    errors = report.errors
+    if cfg.max_iters == 0:
+        with _clock(rt, "MTTKRP"):
+            mbar0 = naive_mttkrp(rt.x_local, shared, order - 1)
+        errors.append(_error_from_mttkrp(rt, mbar0, shared[-1], lam, alpha, gamma0))
     report.row_wall[-1] = time.perf_counter() - wall0
     words_done = report.row_words[-1] = rt.counters.total_words()
 
@@ -400,15 +401,14 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
             prev_owned = [h.copy() for h in owned]
             prev_shared = [h.copy() for h in shared]
             prev_lam = lam.copy()
-        if ctx is not None:
-            ctx.begin_iteration()
+        ctx.begin_iteration()
         for n in range(order):
             with _clock(rt, "MTTKRP"):
-                if ctx is not None:
-                    mbar = ctx.mttkrp(rt.x_local, shared, n)
-                else:
-                    mbar = naive_mttkrp(rt.x_local, shared, n)
+                mbar = ctx.mttkrp(rt.x_local, shared, n)
                 m_owned = rt.scatter_to_owned(n, mbar)
+            if it == 1 and n == 0:
+                # mbar was built from the initial factors of modes 2..N
+                errors.append(_error_from_mttkrp(rt, mbar, shared[0], lam, alpha, gamma0))
             with _clock(rt, "Gram"):
                 s_n = hadamard_grams_excluding(grams, n)
             with _clock(rt, "NNLS"):
@@ -451,7 +451,7 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
             break
 
     report.converged = converged
-    report.tree_partial_calls = ctx.partial_calls if ctx is not None else 0
+    report.tree_partial_calls = ctx.partial_calls
     return owned, lam
 
 
@@ -474,10 +474,7 @@ def _nes_accelerate(
             np.maximum(h + step * (h - hp), 0.0) for h, hp in zip(shared, prev_shared)
         ]
         cand_lam = np.maximum(lam + step * (lam - prev_lam), 0.0)
-    cand_eps = _model_error(
-        rt, ctx, cand_shared, cand_owned, cand_lam, alpha,
-        use_naive=not cfg.use_dimtree,
-    )
+    cand_eps = _model_error(rt, ctx, cand_shared, cand_owned, cand_lam, alpha)
     if not cand_eps < eps:
         return owned, shared, lam
     # accepted: renormalize columns globally and refresh the Gram matrices

@@ -75,8 +75,9 @@ class DenseTensor:
         return self.data.reshape((rows, cols), order="F")
 
     def norm_squared(self) -> float:
-        """Sum of squares of all entries."""
-        return float(np.dot(self.data, self.data))
+        """Sum of squares of all entries (inf when it overflows float64)."""
+        with np.errstate(over="ignore"):
+            return float(np.dot(self.data, self.data))
 
 
 @dataclass
@@ -168,11 +169,10 @@ def naive_mttkrp(x: DenseTensor, factors, mode: int) -> np.ndarray:
     the dense array; independent of both the matricization-based and
     dimension-tree code paths, so it serves as their oracle.
 
-    The driver calls it for the error of the initial model and for every
-    mode under ``use_dimtree=False``.  The initial error is deliberately
-    not a dimension-tree call: each outer iteration runs exactly two
-    partial MTTKRPs and a zero-iteration run runs none, and the tree's
-    counters report exactly that.
+    The driver calls it only for the initial error of a zero-iteration
+    run, which has no sweep to take that MTTKRP from and so still runs no
+    partial MTTKRP; every other run takes the initial error from iteration
+    1's mode-1 dimension-tree MTTKRP.
 
     einsum sees the tensor as a C-order array indexed a[i_N, ..., i_1],
     which is the flat buffer itself; an F-order view would make einsum's

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import nncp.driver as driver_mod
 from nncp import (
+    ALGORITHMS,
     DenseTensor,
     FactorSet,
     RunConfig,
@@ -157,16 +160,6 @@ class TestSequentialDriver:
             assert np.all((np.abs(norms - 1.0) < 1e-12) | (norms == 0.0))
         direct = np.linalg.norm(x.data - reconstruct(rep.model).data) / np.linalg.norm(x.data)
         assert abs(rep.errors[-1] - direct) <= 1e-8
-
-    def test_naive_toggle_matches_dimtree(self):
-        x, _ = generate_synthetic(SyntheticSpec((6, 5, 4), 2, seed=7))
-        base = RunConfig(rank=2, algorithm="mu", max_iters=10, tol=0.0, seed=3)
-        with_tree = nncp_sequential(x, base)
-        without = nncp_sequential(
-            x, RunConfig(rank=2, algorithm="mu", max_iters=10, tol=0.0, seed=3, use_dimtree=False)
-        )
-        assert np.allclose(with_tree.errors, without.errors, rtol=0, atol=1e-12)
-        assert without.tree_partial_calls == 0
 
     def test_tree_partial_call_accounting(self):
         x, _ = generate_synthetic(SyntheticSpec((6, 5, 4), 2, seed=8))
@@ -331,3 +324,73 @@ class TestParallelDriver:
         rep = nncp_parallel(x, cfg)
         assert len(rep.errors) == 5
         assert rep.split_mode is not None
+
+
+def solve(x, grid=None, **kw):
+    cfg = RunConfig(tol=0.0, seed=3, grid=grid, **kw)
+    return nncp_parallel(x, cfg) if grid else nncp_sequential(x, cfg)
+
+
+class TestInitialError:
+    """Row 0's error takes its MTTKRP from iteration 1's mode-1 step; only a
+    zero-iteration run evaluates it with a separate einsum MTTKRP."""
+
+    @pytest.mark.parametrize("iters, calls", [(0, 1), (1, 0), (3, 0)])
+    def test_einsum_mttkrp_only_without_iterations(self, monkeypatch, iters, calls):
+        seen = []
+
+        def counted(*args):
+            seen.append(args[2])
+            return naive_mttkrp(*args)
+
+        monkeypatch.setattr(driver_mod, "naive_mttkrp", counted)
+        x, _ = generate_synthetic(SyntheticSpec((6, 5, 4), 2, seed=7))
+        rep = solve(x, rank=2, algorithm="ucp", max_iters=iters)
+        assert seen == [x.order - 1] * calls  # the last mode: einsum copies no X
+        assert len(rep.errors) == iters + 1
+        assert rep.tree_partial_calls == 2 * iters
+
+    @pytest.mark.parametrize("grid", [None, (2, 1, 1)])
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_first_error_matches_zero_iteration_run(self, algo, grid):
+        x, _ = generate_synthetic(SyntheticSpec((7, 5, 6), 3, seed=17))
+        want = solve(x, grid, rank=3, algorithm=algo, max_iters=0).errors[0]
+        for iters in (1, 3):
+            got = solve(x, grid, rank=3, algorithm=algo, max_iters=iters).errors[0]
+            assert abs(got - want) <= 1e-14 * want
+
+    def test_scalar_all_reduce_moves_from_row_zero_to_row_one(self):
+        x, _ = generate_synthetic(SyntheticSpec((8, 8, 8), 2, seed=14))
+        grid = (2, 2, 2)
+        scalar = 2 * 8  # one word in and one out on each of the 8 workers
+        zero = solve(x, grid, rank=2, algorithm="ucp", max_iters=0).row_words
+        words = solve(x, grid, rank=2, algorithm="ucp", max_iters=3).row_words
+        assert words[0] == zero[0] - scalar
+        # rows 2 and 3 are plain sweeps; row 1 also completes row 0's error
+        assert words[1] == words[2] + scalar == words[3] + scalar
+        assert sum(words) == zero[0] + 3 * words[2]
+
+
+class TestExtremeScales:
+    """A finite, nonzero tensor whose squared norm leaves float64's range is
+    rejected with a message naming the cause."""
+
+    @staticmethod
+    def scaled(power):
+        x, _ = generate_synthetic(SyntheticSpec((6, 5, 4), 2, seed=1))
+        return DenseTensor(x.dims, x.data * 2.0**power)
+
+    @pytest.mark.parametrize("grid", [None, (2, 1, 1)])
+    def test_underflowing_norm_rejected(self, grid):
+        tiny = self.scaled(-600)
+        assert tiny.norm_squared() == 0.0 and tiny.data.max() > 0.0
+        with pytest.raises(ValueError, match="underflows float64"):
+            solve(tiny, grid, rank=2, algorithm="ucp", max_iters=2)
+
+    @pytest.mark.parametrize("grid", [None, (2, 1, 1)])
+    def test_overflowing_norm_rejected_without_warning(self, grid):
+        huge = self.scaled(600)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows float64"):
+                solve(huge, grid, rank=2, algorithm="ucp", max_iters=2)

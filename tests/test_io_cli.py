@@ -231,14 +231,6 @@ class TestCli:
         for a, b in zip(rows_s, rows_p):
             assert abs(float(a["relerr"]) - float(b["relerr"])) <= 1e-10
 
-    def test_no_dimtree_flag(self, tmp_path):
-        code, prefix = self.run(
-            tmp_path,
-            "--dims", "5,5,5", "--synthetic-rank", "2", "--rank", "2",
-            "--iters", "3", "--no-dimtree", "--tol", "0",
-        )
-        assert code == 0
-
     def test_words_column_zero_for_sequential(self, tmp_path):
         code, prefix = self.run(
             tmp_path,

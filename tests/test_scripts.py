@@ -1,0 +1,42 @@
+"""Smoke tests: the example scripts run end to end and print their tables."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_convergence_comparison():
+    lines = run_script("convergence_comparison.py", "--dims", "8,8,8", "--rank", "2", "--iters", "3")
+    header = next(i for i, line in enumerate(lines) if line.startswith("iteration"))
+    assert lines[header].split()[1:] == ["ucp", "mu", "hals", "bpp", "admm", "nes"]
+    table = lines[header + 1:]
+    # marks 0, 1 and 3 of the six error curves
+    assert [row.split()[0] for row in table] == ["0", "1", "3"]
+    assert all(len(row.split()) == 7 for row in table)
+
+
+def test_grid_sweep():
+    lines = run_script(
+        "grid_sweep.py", "--dims", "8,8,8", "--rank", "2", "--iters", "2",
+        "--grids", "1,1,1", "2,1,1",
+    )
+    assert lines[0].split()[:3] == ["grid", "relerr", "eps_dev"]
+    assert [row.split()[0] for row in lines[1:]] == ["1,1,1", "2,1,1"]
+    for row in lines[1:]:
+        dev = float(row.split()[2])
+        assert dev <= 1e-10

@@ -482,7 +482,7 @@ class TestOuterAcceleration:
         (owned, shared, lam), the grams and the candidate."""
         seen = {}
 
-        def model_error(rt, ctx, shared, owned, lam, alpha, use_naive):
+        def model_error(rt, ctx, shared, owned, lam, alpha):
             seen.update(owned=owned, shared=shared, lam=lam)
             return cand_eps
 
