@@ -11,7 +11,13 @@ import sys
 import numpy as np
 
 from .driver import ALGORITHMS, CATEGORIES, RunConfig, nncp_parallel, nncp_sequential
-from .tensor_io import SyntheticSpec, generate_synthetic, read_tensor, write_matrix
+from .tensor_io import (
+    SyntheticSpec,
+    TensorFileError,
+    generate_synthetic,
+    read_tensor,
+    write_matrix,
+)
 
 CSV_FIELDS = ("iter", "relerr") + CATEGORIES + ("other", "words_communicated")
 
@@ -80,7 +86,7 @@ def run_cli(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         x = _load_tensor(args, parser)
-    except OSError as exc:
+    except (OSError, TensorFileError) as exc:
         print(f"nncp: {exc}", file=sys.stderr)
         return 1
     if args.grid is not None and len(args.grid) != x.order:

@@ -193,7 +193,7 @@ class _SequentialRuntime:
 
     parallel = False
 
-    def __init__(self, x: DenseTensor, cfg: RunConfig):
+    def __init__(self, x: DenseTensor):
         self.x_local = x
         self.dims = x.dims
         self.counters = CommCounters()
@@ -225,7 +225,7 @@ class _WorkerRuntime:
 
     parallel = True
 
-    def __init__(self, worker: Worker, x: DenseTensor, cfg: RunConfig):
+    def __init__(self, worker: Worker, x: DenseTensor):
         self.worker = worker
         self.counters = worker.counters
         self.report = RunReport()
@@ -352,8 +352,17 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
     # -- initialization ----------------------------------------------------
     report.begin_row()
     wall0 = time.perf_counter()
+    # one pass over X gives ||X||^2 and, for the rules that fit a
+    # nonnegative model, min(X); ucp needs no minimum and keeps one dot
     with _clock(rt, "Error"):
-        alpha = rt.all_reduce(rt.x_local.norm_squared())
+        if cfg.algorithm == "ucp":
+            local_sq, low = rt.x_local.norm_squared(), 0.0
+        else:
+            local_sq, low = rt.x_local.norm_squared_and_min()
+        alpha = rt.all_reduce(local_sq)
+    if low < 0.0:
+        # each worker checks its own block, so this needs no collective
+        warnings.warn("tensor has negative entries; nonnegative model will not fit")
     if not np.isfinite(alpha):
         raise ValueError(
             "tensor has non-finite entries, or its squared norm overflows float64"
@@ -438,7 +447,7 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
 
         if cfg.algorithm == "nes":
             owned, shared, lam = _nes_accelerate(
-                rt, ctx, cfg, it, eps, alpha, grams,
+                rt, ctx, it, eps, alpha, grams,
                 owned, shared, lam, prev_owned, prev_shared, prev_lam,
             )
 
@@ -456,7 +465,7 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
 
 
 def _nes_accelerate(
-    rt, ctx, cfg, it, eps, alpha, grams,
+    rt, ctx, it, eps, alpha, grams,
     owned, shared, lam, prev_owned, prev_shared, prev_lam,
 ):
     """Outer extrapolation step; refreshes grams in place when accepted.
@@ -497,8 +506,7 @@ def nncp_sequential(x: DenseTensor, cfg: RunConfig) -> RunReport:
     cfg.validate(x.order)
     if cfg.grid is not None and int(np.prod(cfg.grid)) != 1:
         raise ValueError("sequential driver got a nontrivial grid; use nncp_parallel")
-    _warn_if_negative(x, cfg)
-    rt = _SequentialRuntime(x, cfg)
+    rt = _SequentialRuntime(x)
     owned, lam = _run_spmd(rt, cfg, x.dims)
     rt.report.model = FactorSet(owned, lam)
     rt.report.counters = rt.counters
@@ -517,11 +525,10 @@ def nncp_parallel(x: DenseTensor, cfg: RunConfig) -> RunReport:
                 f"grid dim {p} exceeds tensor dim {i} in mode {n + 1}; "
                 "every worker must hold a nonempty tensor block"
             )
-    _warn_if_negative(x, cfg)
     grid = Grid(cfg.grid)
 
     def program(worker):
-        rt = _WorkerRuntime(worker, x, cfg)
+        rt = _WorkerRuntime(worker, x)
         owned, lam = _run_spmd(rt, cfg, x.dims)
         rt.report.counters = rt.counters
         rows = [rt.owned_rows(n) for n in range(x.order)]
@@ -566,8 +573,3 @@ def _merge_reports(results, dims, rank) -> RunReport:
             factors[n][s] = h
     merged.model = FactorSet(factors, results[0][2])
     return merged
-
-
-def _warn_if_negative(x: DenseTensor, cfg: RunConfig):
-    if cfg.algorithm != "ucp" and float(x.data.min()) < 0.0:
-        warnings.warn("tensor has negative entries; nonnegative model will not fit")

@@ -3,13 +3,16 @@
 File format (little-endian throughout): magic "NNCP", u16 format version,
 u16 order N, N u64 dims, then prod(dims) float64 payload values in the
 flat mode-1-fastest layout.  Factor matrices are written as order-2 files.
+Files are read by mapping the payload copy-on-write and written by
+replacing the whole file; see ``read_tensor`` and ``write_tensor``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
+import secrets
 import struct
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,10 +44,25 @@ class PayloadMismatchError(TensorFileError):
 
 
 def write_tensor(path, x: DenseTensor):
-    with open(path, "wb") as fh:
-        fh.write(_HEAD.pack(MAGIC, VERSION, x.order))
-        fh.write(struct.pack(f"<{x.order}Q", *x.dims))
-        fh.write(x.data.astype("<f8", copy=False).tobytes())
+    """Write ``x`` to a sibling temporary file, then rename it over ``path``.
+
+    The rename leaves the old file's inode to any tensor still mapping it
+    (see ``read_tensor``), where an in-place rewrite would truncate the
+    mapped pages under it.  The payload goes out straight from the
+    tensor's buffer, with no intermediate copy on little-endian hosts.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.{secrets.token_hex(4)}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(_HEAD.pack(MAGIC, VERSION, x.order))
+            fh.write(struct.pack(f"<{x.order}Q", *x.dims))
+            fh.write(x.data.astype("<f8", copy=False))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def write_matrix(path, h: np.ndarray):
@@ -52,8 +70,16 @@ def write_matrix(path, h: np.ndarray):
 
 
 def read_tensor(path) -> DenseTensor:
-    """Read a tensor file; the payload is read straight into the one
-    float64 array the returned tensor holds."""
+    """Read a tensor file without copying its payload.
+
+    After the header and size checks, the payload is mapped copy-on-write:
+    the returned tensor holds a writable float64 array whose pages come
+    from the file, and writes to it stay private to this process.
+    ``write_tensor`` replaces a file rather than rewriting it, so tensors
+    read earlier keep their values.  The file must not be truncated in
+    place while a tensor read from it is alive: touching a page past the
+    new end of file raises SIGBUS and kills the process.
+    """
     with open(path, "rb") as fh:
         head = fh.read(_HEAD.size)
         if len(head) < _HEAD.size:
@@ -67,7 +93,8 @@ def read_tensor(path) -> DenseTensor:
         if len(dims_raw) < 8 * order:
             raise TruncatedFileError(f"{path}: file ends inside the dims block")
         dims = struct.unpack(f"<{order}Q", dims_raw)
-        payload_bytes = os.fstat(fh.fileno()).st_size - (_HEAD.size + 8 * order)
+        offset = _HEAD.size + 8 * order
+        payload_bytes = os.fstat(fh.fileno()).st_size - offset
         if payload_bytes % 8 != 0:
             raise TruncatedFileError(f"{path}: payload ends mid-value")
         expect = int(np.prod(dims))
@@ -76,11 +103,9 @@ def read_tensor(path) -> DenseTensor:
                 f"{path}: header promises {expect} values, "
                 f"payload holds {payload_bytes // 8}"
             )
-        values = np.empty(expect)
-        if fh.readinto(values) != values.nbytes:
-            raise TruncatedFileError(f"{path}: file shrank while being read")
-    if sys.byteorder != "little":
-        values.byteswap(inplace=True)  # the file holds little-endian <f8
+        # the file holds little-endian <f8; on a big-endian host DenseTensor
+        # converts it to a native copy
+        values = np.memmap(fh, dtype="<f8", mode="c", offset=offset, shape=(expect,))
     return DenseTensor(dims, values)
 
 

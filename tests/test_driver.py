@@ -182,6 +182,25 @@ class TestSequentialDriver:
         with pytest.warns(UserWarning, match="negative"):
             nncp_sequential(x, RunConfig(rank=1, algorithm="mu", max_iters=1, tol=0.0))
 
+    @pytest.mark.parametrize("algorithm", [a for a in ALGORITHMS if a != "ucp"])
+    def test_negative_entry_in_one_worker_block_warns(self, algorithm):
+        # on a (2,1,1) grid worker 0 holds mode-1 rows 0-1 and worker 1
+        # rows 2-3; entry (3,0,0) is the only negative one
+        x, _ = generate_synthetic(SyntheticSpec((4, 4, 4), 2, seed=1))
+        x.data[3] = -1e-3
+        assert (x.as_array()[:2] >= 0).all()
+        with pytest.warns(UserWarning, match="negative"):
+            nncp_parallel(x, RunConfig(rank=2, algorithm=algorithm, max_iters=1,
+                                       tol=0.0, grid=(2, 1, 1)))
+
+    @pytest.mark.parametrize("grid", [None, (2, 1, 1)])
+    def test_ucp_does_not_warn_on_negative_entries(self, grid):
+        x, _ = generate_synthetic(SyntheticSpec((4, 4, 4), 2, seed=1))
+        x.data[::3] *= -1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solve(x, grid, rank=2, algorithm="ucp", max_iters=2)
+
     def test_nnls_failure_carries_context(self, monkeypatch):
         def explode(inp):
             raise np.linalg.LinAlgError("synthetic failure")

@@ -1,15 +1,23 @@
 import csv
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nncp
 from nncp import (
     DenseTensor,
     FactorSet,
+    RunConfig,
     SyntheticSpec,
     generate_synthetic,
+    nncp_parallel,
+    nncp_sequential,
     read_matrix,
     read_tensor,
     reconstruct,
@@ -94,6 +102,80 @@ class TestTensorFile:
             tracemalloc.stop()
         assert np.array_equal(back.data, x.data)
         assert peak <= 1.2 * x.data.nbytes
+
+    def test_read_maps_a_private_writable_array(self, tmp_path):
+        x = DenseTensor((64, 64, 32), np.random.default_rng(3).random(64 * 64 * 32))
+        path = tmp_path / "x.bin"
+        write_tensor(path, x)
+        raw = path.read_bytes()
+        tracemalloc.start()
+        try:
+            back = read_tensor(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * x.data.nbytes  # the payload is mapped, not copied
+        assert back.data.dtype == np.float64 and back.data.flags.writeable
+        back.data[:] = -1.0
+        assert path.read_bytes() == raw
+        assert np.array_equal(read_tensor(path).data, x.data)
+
+    def test_rewrite_keeps_tensors_read_before(self, tmp_path):
+        # a SIGBUS from a truncated mapping would kill the interpreter, so
+        # the scenario runs in a child process
+        script = """
+import sys
+import numpy as np
+from nncp import DenseTensor, read_tensor, write_tensor
+
+path = sys.argv[1]
+x = DenseTensor((64, 64, 32), np.random.default_rng(4).random(64 * 64 * 32))
+write_tensor(path, x)
+old = read_tensor(path)
+write_tensor(path, DenseTensor((2, 2), np.arange(4.0)))
+assert np.array_equal(old.data, x.data)
+# read, modify and write back to the path the tensor is mapped from
+y = read_tensor(path)
+y.data[0] = 7.0
+write_tensor(path, y)
+assert np.array_equal(read_tensor(path).data, [7.0, 1.0, 2.0, 3.0])
+print("ok")
+"""
+        env = dict(os.environ)
+        src = str(Path(nncp.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "x.bin")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"
+        assert [p.name for p in tmp_path.iterdir()] == ["x.bin"]
+
+    def test_write_adds_no_copy_of_the_payload(self, tmp_path):
+        x = DenseTensor((64, 64, 32), np.random.default_rng(5).random(64 * 64 * 32))
+        path = tmp_path / "x.bin"
+        tracemalloc.start()
+        try:
+            write_tensor(path, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.data.nbytes == 1 << 20
+        assert peak < 0.2 * x.data.nbytes
+        assert np.array_equal(read_tensor(path).data, x.data)
+
+    @pytest.mark.parametrize("algorithm", ["ucp", "bpp", "nes"])
+    @pytest.mark.parametrize("grid", [None, (2, 1, 1)])
+    def test_solve_from_file_matches_in_memory(self, tmp_path, algorithm, grid):
+        x, _ = generate_synthetic(SyntheticSpec((6, 5, 4), 2, seed=7))
+        path = tmp_path / "x.bin"
+        write_tensor(path, x)
+        runs = []
+        for tensor in (x, read_tensor(path)):
+            cfg = RunConfig(rank=2, algorithm=algorithm, max_iters=4, tol=0.0, grid=grid)
+            runs.append((nncp_parallel if grid else nncp_sequential)(tensor, cfg).errors)
+        assert runs[0] == runs[1]
 
     def test_error_types_are_distinct(self):
         assert not issubclass(BadMagicError, TruncatedFileError)
@@ -207,6 +289,23 @@ class TestCli:
     def test_missing_input_file_fails_cleanly(self, tmp_path):
         code, _ = self.run(tmp_path, "--input", str(tmp_path / "nope.bin"), "--rank", "2")
         assert code == 1
+
+    @pytest.mark.parametrize("damage", ["magic", "truncated", "mismatch"])
+    def test_malformed_input_file_fails_cleanly(self, tmp_path, capsys, damage):
+        src = tmp_path / "in.bin"
+        write_tensor(src, DenseTensor((2, 2, 2), np.arange(8.0)))
+        raw = src.read_bytes()
+        if damage == "magic":
+            raw = b"XXXX" + raw[4:]
+        elif damage == "truncated":
+            raw = raw[:-3]
+        else:
+            raw = raw[:-8]
+        src.write_bytes(raw)
+        code, _ = self.run(tmp_path, "--input", str(src), "--rank", "2")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"nncp: {src}: ") and "Traceback" not in err
 
     def test_input_file_path(self, tmp_path):
         x, _ = generate_synthetic(SyntheticSpec((5, 4, 3), 2, seed=6))

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from nncp import (
     normalize_columns,
     reconstruct,
 )
+from nncp.tensor_ops import SCAN_BLOCK
 
 
 def loop_mttkrp(x: DenseTensor, hs, mode):
@@ -49,6 +51,12 @@ class TestDenseTensor:
             DenseTensor((2, 0), np.zeros(0))
         with pytest.raises(ValueError):
             DenseTensor((2, 3), np.zeros(5))
+
+    def test_big_endian_data_becomes_native_float64(self):
+        values = np.arange(1.0, 25.0)
+        x = DenseTensor((2, 3, 4), values.astype(">f8"))
+        assert x.data.dtype == np.float64 and x.data.dtype.isnative
+        assert np.array_equal(x.data, values)
 
     def test_unfold_is_zero_copy(self):
         rng = np.random.default_rng(0)
@@ -219,6 +227,24 @@ class TestNormsAndInnerProducts:
         assert norm_squared(DenseTensor((2, 2, 2))) == 0.0
         assert norm_squared(DenseTensor((2, 2, 2), np.ones(8))) == 8.0
         assert norm_squared(DenseTensor((2, 2, 2), np.arange(1.0, 9.0))) == 204.0
+
+    def test_norm_squared_and_min_in_one_pass(self):
+        # several scan blocks plus a ragged tail; the smallest entry sits
+        # in the tail block
+        rng = np.random.default_rng(3)
+        data = rng.random(3 * SCAN_BLOCK + 5)
+        data[-2] = -0.5
+        x = DenseTensor((data.size, 1), data)
+        total, low = x.norm_squared_and_min()
+        assert low == -0.5
+        assert abs(total - x.norm_squared()) <= 1e-12 * x.norm_squared()
+        assert DenseTensor((2, 2), np.arange(4.0)).norm_squared_and_min() == (14.0, 0.0)
+
+    def test_norm_squared_and_min_overflow_is_silent_inf(self):
+        x = DenseTensor((SCAN_BLOCK, 2), np.full(2 * SCAN_BLOCK, 2.0**600))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert x.norm_squared_and_min() == (np.inf, 2.0**600)
 
     def test_matrix_inner_product(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])

@@ -9,7 +9,6 @@ import nncp.driver as driver_mod
 from nncp import (
     BppCyclingError,
     DenseTensor,
-    RunConfig,
     UpdateInputs,
     UpdaterState,
     admm_update,
@@ -487,13 +486,12 @@ class TestOuterAcceleration:
             return cand_eps
 
         monkeypatch.setattr(driver_mod, "_model_error", model_error)
-        cfg = RunConfig(rank=lam.size, algorithm="nes")
-        rt = driver_mod._SequentialRuntime(DenseTensor(tuple(len(h) for h in owned)), cfg)
+        rt = driver_mod._SequentialRuntime(DenseTensor(tuple(len(h) for h in owned)))
         rt.report.begin_row()
         grams = [h.T @ h for h in owned]
         shared, prev_shared = [h.copy() for h in owned], [h.copy() for h in prev_owned]
         out = driver_mod._nes_accelerate(
-            rt, None, cfg, it, eps, 1.0, grams,
+            rt, None, it, eps, 1.0, grams,
             owned, shared, lam, prev_owned, prev_shared, prev_lam,
         )
         return out, (owned, shared, lam), grams, seen
