@@ -5,7 +5,8 @@ trailing block {S+1..N}.  Each block is produced by a single partial MTTKRP
 (one GEMM against the zero-copy matricization), and the per-mode MTTKRP
 results are then peeled off the block temporaries by multi-TTV steps, each
 one batched matmul over the R rank blocks.  Only two partial MTTKRPs run per
-sweep, no matter how many modes the tensor has.
+sweep, no matter how many modes the tensor has.  An out-of-band mode-1
+MTTKRP (the NES acceptance test) costs one more left partial MTTKRP.
 
 Temporaries are plain ``(retained..., R)`` arrays in F order: the retained
 indices vary fastest and the rank index slowest, so the r-th rank block is
@@ -209,17 +210,18 @@ class DimTreeContext:
         self._expected = mode + 1 if mode + 1 < n else None
         return np.ascontiguousarray(result)
 
-    def mttkrp_last_mode(self, x: DenseTensor, factors) -> np.ndarray:
-        """Standalone MTTKRP for the last mode, leaving sweep state alone.
+    def mttkrp_first_mode(self, x: DenseTensor, factors) -> np.ndarray:
+        """Standalone MTTKRP for the first mode, leaving sweep state alone.
 
-        One extra partial MTTKRP (right side) plus a chain of leading
-        contractions; used for out-of-band error evaluations such as the
-        extrapolation acceptance test.
+        The same route a sweep's mode-1 request takes: one left partial
+        MTTKRP against the KRP of the trailing modes, then, when the split
+        keeps more than one leading mode, one trailing multi-TTV.  Used for
+        out-of-band error evaluations such as the extrapolation acceptance
+        test.
         """
-        n = self.plan.order
         s = self.plan.split
         hs = list(factors.factors) if hasattr(factors, "factors") else list(factors)
-        temp = self._partial(x, self._krp(hs[:s]), "right")
-        for m in range(s, n - 1):
-            temp = self._ttv(temp, hs[m], "leading")
+        temp = self._partial(x, self._krp(hs[s:]), "left")
+        if s > 1:
+            temp = self._ttv(temp, self._krp(hs[1:s]), "trailing")
         return np.ascontiguousarray(temp)

@@ -108,6 +108,9 @@ class RunReport:
     counts words moved by collectives, ``row_wall`` is the row's wall time.
     Row 0's error reuses iteration 1's mode-1 MTTKRP, so row 1 books its
     inner product and scalar All-Reduce; a 0-iteration run books them in row 0.
+    With ``nes``, row i's error is that of the model iteration i returns,
+    and ``nes_accepted[i-1]`` tells whether its extrapolation was accepted;
+    the list is empty for the other rules.
     """
 
     errors: list = field(default_factory=list)
@@ -119,6 +122,7 @@ class RunReport:
     converged: bool = False
     split_mode: int = None
     tree_partial_calls: int = 0
+    nes_accepted: list = field(default_factory=list)
 
     def begin_row(self):
         self.rows.append({c: 0.0 for c in CATEGORIES})
@@ -332,15 +336,17 @@ def _error_from_mttkrp(rt, mbar, h, lam, alpha, gamma):
 def _model_error(rt, ctx, shared, owned, lam, alpha):
     """Relative error of an arbitrary (possibly unnormalized) model.
 
-    Costs one extra MTTKRP; the inner product pairs local contributions
-    with the slice-replicated rows, so no Reduce-Scatter is needed.
+    Costs one extra partial MTTKRP: the local mode-1 MTTKRP takes the same
+    left-side route as a sweep's first mode, and pairs with the
+    slice-replicated mode-1 rows, so no Reduce-Scatter is needed.
     """
     with _clock(rt, "Gram"):
         grams = [rt.all_reduce(h.T @ h) for h in owned]
     with _clock(rt, "Error"):
         gamma = float(lam @ (np.prod(grams, axis=0) @ lam))
-    mbar = ctx.mttkrp_last_mode(rt.x_local, shared)
-    return _error_from_mttkrp(rt, mbar, shared[-1], lam, alpha, gamma)
+    with _clock(rt, "MTTKRP"):
+        mbar = ctx.mttkrp_first_mode(rt.x_local, shared)
+    return _error_from_mttkrp(rt, mbar, shared[0], lam, alpha, gamma)
 
 
 def _run_spmd(rt, cfg: RunConfig, global_dims):
@@ -443,13 +449,16 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
             beta = rt.all_reduce(matrix_inner_product(m_last, hhat_last))
             gamma = float(lam @ ((s_last * grams[-1]) @ lam))
             eps = _eps_from_terms(alpha, beta, gamma)
-        errors.append(eps)
 
         if cfg.algorithm == "nes":
-            owned, shared, lam = _nes_accelerate(
+            step = _nes_accelerate(
                 rt, ctx, it, eps, alpha, grams,
                 owned, shared, lam, prev_owned, prev_shared, prev_lam,
             )
+            report.nes_accepted.append(step is not None)
+            if step is not None:
+                owned, shared, lam, eps = step
+        errors.append(eps)
 
         report.row_wall[-1] = time.perf_counter() - wall0
         words_total = rt.counters.total_words()
@@ -472,7 +481,9 @@ def _nes_accelerate(
 
     The candidate H_i + s_i (H_i - H_{i-1}) with s_i = i^(1/N) is clamped
     at zero to stay feasible and replaces the current iterate only when
-    its relative error is strictly lower (one extra MTTKRP to find out).
+    its relative error is strictly lower (one extra partial MTTKRP to find
+    out).  Returns None when rejected, else the renormalized candidate
+    (owned, shared, lam) and its relative error.
     """
     with _clock(rt, "Error"):
         step = float(it) ** (1.0 / len(owned))
@@ -485,7 +496,7 @@ def _nes_accelerate(
         cand_lam = np.maximum(lam + step * (lam - prev_lam), 0.0)
     cand_eps = _model_error(rt, ctx, cand_shared, cand_owned, cand_lam, alpha)
     if not cand_eps < eps:
-        return owned, shared, lam
+        return None
     # accepted: renormalize columns globally and refresh the Gram matrices
     with _clock(rt, "Error"):
         nsq = rt.all_reduce(np.stack([np.sum(h * h, axis=0) for h in cand_owned]))
@@ -498,7 +509,7 @@ def _nes_accelerate(
         for n, h in enumerate(owned):
             g = rt.all_reduce(h.T @ h)
             grams[n] = 0.5 * (g + g.T)
-    return owned, shared, lam
+    return owned, shared, lam, cand_eps
 
 
 def nncp_sequential(x: DenseTensor, cfg: RunConfig) -> RunReport:
@@ -553,9 +564,12 @@ def _merge_reports(results, dims, rank) -> RunReport:
     merged.split_mode = first.split_mode
     merged.converged = first.converged
     merged.tree_partial_calls = first.tree_partial_calls
+    merged.nes_accepted = list(first.nes_accepted)
     for report, _, _, _ in results:
         if not np.allclose(report.errors, first.errors, rtol=0, atol=1e-12):
             raise AssertionError("workers disagree on the error sequence")
+        if report.nes_accepted != first.nes_accepted:
+            raise AssertionError("workers disagree on the NES acceptances")
     for k in range(len(first.rows)):
         merged.begin_row()
         for cat in CATEGORIES:

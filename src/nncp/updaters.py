@@ -256,7 +256,8 @@ def nesterov_hyperparams(gram: np.ndarray, prox_floor: float = 1e-6):
 
 
 def _max_abs(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    """max|a| from two reductions, without an np.abs temporary."""
+    return max(float(a.max()), -float(a.min())) if a.size else 0.0
 
 
 def nesterov_update(
@@ -283,8 +284,11 @@ def nesterov_update(
         grad = y @ s - m + lam * (y - xstar)
         xn = np.maximum(y - alpha * grad, 0.0)
         steps += 1
-        dmax, xmax = hook(np.array([_max_abs(xn - x), _max_abs(xn)]), "max")
-        y = xn + beta * (xn - x)
+        d = xn - x
+        # the projection makes xn >= 0, so its max-abs is its max
+        xn_max = float(xn.max()) if xn.size else 0.0
+        dmax, xmax = hook(np.array([_max_abs(d), xn_max]), "max")
+        y = xn + beta * d
         x = xn
         if dmax <= tol * (1.0 + xmax):
             break

@@ -288,15 +288,24 @@ class TestDimTreeMttkrp:
         # touches T{3} once via the right partial (no TTV when S+1 == N)
         assert ctx.flops_ttv == (9 * 2) * 2
 
-    def test_last_mode_shortcut(self):
+    def test_first_mode_shortcut(self):
         rng = np.random.default_rng(6)
-        for dims in [(3, 4), (4, 3, 2), (2, 3, 2, 3)]:
+        # (2, 2, 2, 20) never dominates, so its split is capped at N-1 = 3
+        for dims in [(3, 4), (4, 3, 2), (2, 3, 2, 3), (2, 2, 2, 20)]:
             x = DenseTensor(dims, rng.standard_normal(int(np.prod(dims))))
             hs = [rng.standard_normal((d, 3)) for d in dims]
-            ctx = DimTreeContext(DimTreePlan.create(dims, 3))
-            got = ctx.mttkrp_last_mode(x, hs)
-            want = naive_mttkrp(x, hs, len(dims) - 1)
+            plan = DimTreePlan.create(dims, 3)
+            ctx = DimTreeContext(plan)
+            got = ctx.mttkrp_first_mode(x, hs)
+            want = naive_mttkrp(x, hs, 0)
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+            assert ctx.partial_calls == 1
+            # one left partial, plus one trailing TTV when S > 1
+            assert ctx.ttv_calls == (plan.split > 1)
+            # the same route a sweep's mode-1 request takes, bit for bit
+            ctx.begin_iteration()
+            assert np.array_equal(got, ctx.mttkrp(x, hs, 0))
+        assert plan.split == len(dims) - 1
 
     def test_krp_argument_order_matches_matricization(self):
         # the kept contract: X_(1:S) columns pair with ascending-mode KRP rows

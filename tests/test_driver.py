@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import nncp.dimtree as dimtree_mod
 import nncp.driver as driver_mod
 from nncp import (
     ALGORITHMS,
@@ -23,7 +24,9 @@ from nncp import (
     record_category,
     relative_error,
 )
+from nncp.dimtree import DimTreeContext, DimTreePlan
 from nncp.driver import CATEGORIES
+from nncp.grid import Grid
 
 
 def random_model(rng, dims, rank, normalized=True):
@@ -413,3 +416,123 @@ class TestExtremeScales:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="overflows float64"):
                 solve(huge, grid, rank=2, algorithm="ucp", max_iters=2)
+
+
+def noisy_nes_instance():
+    """An instance on which NES accepts its extrapolation at iteration 5."""
+    x, _ = generate_synthetic(SyntheticSpec((20, 20, 20), 4, seed=3))
+    noise = 0.01 * np.random.default_rng(0).random(x.size)
+    return DenseTensor(x.dims, x.data + noise)
+
+
+def direct_error(x, model):
+    return np.linalg.norm(x.data - reconstruct(model).data) / np.linalg.norm(x.data)
+
+
+class TestNesReport:
+    """With ``nes``, every error is that of the model the iteration returns,
+    and the report says which extrapolations were accepted."""
+
+    @staticmethod
+    def run(grid, iters, tol=0.0):
+        cfg = RunConfig(rank=4, algorithm="nes", max_iters=iters, tol=tol, seed=1, grid=grid)
+        x = noisy_nes_instance()
+        return x, nncp_parallel(x, cfg) if grid else nncp_sequential(x, cfg)
+
+    @pytest.mark.parametrize("grid", [None, (2, 1, 2)])
+    @pytest.mark.parametrize("iters", [5, 17, 20])
+    def test_last_error_is_the_returned_models(self, iters, grid):
+        x, rep = self.run(grid, iters)
+        assert len(rep.errors) == iters + 1
+        assert abs(rep.errors[-1] - direct_error(x, rep.model)) <= 1e-10
+
+    def test_acceptances_agree_between_sequential_and_grid(self):
+        _, seq = self.run(None, 5)
+        _, par = self.run((2, 1, 2), 5)
+        assert len(seq.nes_accepted) == 5
+        assert seq.nes_accepted == par.nes_accepted
+        assert seq.nes_accepted[-1] is True
+
+    def test_merge_rejects_workers_that_disagree(self):
+        results = []
+        for accepted in ([True], [False]):
+            rep = RunReport(errors=[0.5, 0.4], nes_accepted=accepted)
+            rep.begin_row()
+            rep.begin_row()
+            results.append((rep, [np.ones((1, 1))] * 2, np.ones(1), [slice(0, 1)] * 2))
+        with pytest.raises(AssertionError, match="NES acceptances"):
+            driver_mod._merge_reports(results, (1, 1), 1)
+
+    @pytest.mark.parametrize("grid", [None, (2, 1, 2)])
+    def test_accepted_error_drives_the_stop_test(self, grid):
+        _, full = self.run(grid, 5)
+        # iteration 5 accepts a candidate whose error lies below that of
+        # the iterate it replaced; a tolerance at the candidate's error
+        # stops there
+        _, rep = self.run(grid, 20, tol=full.errors[-1])
+        assert rep.converged
+        assert rep.errors == full.errors
+
+    @pytest.mark.parametrize("algo", ["ucp", "mu", "hals", "bpp", "admm"])
+    def test_other_rules_record_no_acceptances(self, algo):
+        x, _ = generate_synthetic(SyntheticSpec((6, 5, 4), 2, seed=8))
+        assert solve(x, rank=2, algorithm=algo, max_iters=3).nes_accepted == []
+        assert solve(x, (2, 1, 1), rank=2, algorithm=algo, max_iters=3).nes_accepted == []
+
+
+class TestModelError:
+    """``_model_error`` on an unnormalized model with a zero column."""
+
+    @staticmethod
+    def model(dims, rank):
+        rng = np.random.default_rng(21)
+        hs = [3.0 * rng.random((d, rank)) for d in dims]
+        hs[1][:, 2] = 0.0
+        return FactorSet(hs, rng.random(rank) + 0.5)
+
+    @staticmethod
+    def model_error(rt, x, model):
+        rt.report.begin_row()
+        cfg = RunConfig(rank=model.rank, initial_factors=model)
+        owned, shared, lam = driver_mod._initial_factors(rt, cfg, x.dims)
+        ctx = DimTreeContext(DimTreePlan.create(rt.dims, model.rank), recorder=rt.record)
+        err = driver_mod._model_error(rt, ctx, shared, owned, lam, x.norm_squared())
+        assert ctx.partial_calls == 1
+        return err
+
+    @pytest.mark.parametrize("grid", [None, (2, 1, 2), (1, 3, 1)])
+    def test_matches_direct_error(self, grid):
+        x, _ = generate_synthetic(SyntheticSpec((5, 6, 4), 3, seed=2))
+        model = self.model(x.dims, 4)
+        want = direct_error(x, model)
+        if grid is None:
+            got = [self.model_error(driver_mod._SequentialRuntime(x), x, model)]
+        else:
+            got = Grid(grid).run(
+                lambda w: self.model_error(driver_mod._WorkerRuntime(w, x), x, model)
+            )
+        assert len(set(got)) == 1
+        assert abs(got[0] - want) <= 1e-12
+
+
+class TestPartialMttkrpSides:
+    """Each sweep runs one left and one right partial MTTKRP; NES's
+    acceptance test adds one more left partial per iteration."""
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_calls_per_side(self, monkeypatch, algo):
+        sides = []
+        real = dimtree_mod.partial_mttkrp
+
+        def counted(x, krp, side, plan):
+            sides.append(side)
+            return real(x, krp, side, plan)
+
+        monkeypatch.setattr(dimtree_mod, "partial_mttkrp", counted)
+        x, _ = generate_synthetic(SyntheticSpec((6, 5, 4), 2, seed=8))
+        iters = 4
+        rep = solve(x, rank=2, algorithm=algo, max_iters=iters)
+        tests = iters if algo == "nes" else 0
+        assert len(sides) == rep.tree_partial_calls == 2 * iters + tests
+        assert sides.count("left") == iters + tests
+        assert sides.count("right") == iters

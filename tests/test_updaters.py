@@ -460,6 +460,34 @@ class TestNesterov:
                 x = xn
             assert np.array_equal(out, x)
 
+    def test_matches_reference_loop(self):
+        # the plain loop with np.abs temporaries and xn - x formed twice;
+        # the update must stay bit for bit equal to it, momentum included
+        rng = np.random.default_rng(15)
+        # 1.5 stops early; 1e2 and 1e9 (a proximal term) run to the cap
+        for cond in (1.5, 1e2, 1e9):
+            q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+            s = q @ np.diag(np.logspace(0, np.log10(cond), 5)) @ q.T
+            s = 0.5 * (s + s.T)
+            m = rng.standard_normal((7, 5))
+            x0, xstar = rng.random((7, 5)), rng.random((7, 5))
+            state = UpdaterState()
+            state.nesterov_prev = xstar.copy()
+            out = nesterov_update(UpdateInputs(s, m, x0), state)
+            lam, alpha, beta = nesterov_hyperparams(s)
+            assert beta > 0.0
+            x = y = x0
+            for steps in range(1, 21):
+                grad = y @ s - m + lam * (y - xstar)
+                xn = np.maximum(y - alpha * grad, 0.0)
+                dmax, xmax = np.max(np.abs(xn - x)), np.max(np.abs(xn))
+                y = xn + beta * (xn - x)
+                x = xn
+                if dmax <= 1e-8 * (1.0 + xmax):
+                    break
+            assert np.array_equal(out, x)
+            assert state.last_inner_iters == steps
+
     def test_determinism(self):
         rng = np.random.default_rng(11)
         s, m, _, _ = spd_instance(rng, 3)
@@ -477,8 +505,8 @@ class TestOuterAcceleration:
     @staticmethod
     def accelerate(monkeypatch, it, eps, cand_eps, owned, prev_owned, lam, prev_lam):
         """Run one step on a sequential runtime whose model error is
-        ``cand_eps``; returns the step's result, the current model
-        (owned, shared, lam), the grams and the candidate."""
+        ``cand_eps``; returns the step's result (None when rejected), the
+        grams and the candidate."""
         seen = {}
 
         def model_error(rt, ctx, shared, owned, lam, alpha):
@@ -494,33 +522,33 @@ class TestOuterAcceleration:
             rt, None, it, eps, 1.0, grams,
             owned, shared, lam, prev_owned, prev_shared, prev_lam,
         )
-        return out, (owned, shared, lam), grams, seen
+        return out, grams, seen
 
     def test_stationary_candidate_rejected(self, monkeypatch):
         # no change since the last iterate: the candidate is the current
         # model, whose error is not strictly lower
         owned = [np.ones((2, 1)), np.ones((3, 1))]
         lam = np.ones(1)
-        out, current, grams, _ = self.accelerate(
+        out, grams, _ = self.accelerate(
             monkeypatch, 1, 0.5, 0.5, owned, [h.copy() for h in owned], lam, lam.copy()
         )
-        assert all(a is b for a, b in zip(out, current))
+        assert out is None
         assert all(np.array_equal(g, h.T @ h) for g, h in zip(grams, owned))
 
     def test_overshoot_rejected(self, monkeypatch):
         owned = [np.array([[2.0]]), np.array([[1.0]])]
         prev = [np.array([[1.0]]), np.array([[1.0]])]
         lam = np.ones(1)
-        out, current, _, _ = self.accelerate(
+        out, _, _ = self.accelerate(
             monkeypatch, 1, 0.5, 0.7, owned, prev, lam, lam.copy()
         )
-        assert all(a is b for a, b in zip(out, current))
+        assert out is None
 
     def test_step_formula(self, monkeypatch):
         # s_i = i^(1/N): 2.0 at N=3, i=8, so the candidate is 3*cur - 2*prev
         owned = [np.full((2, 1), 2.0), np.full((3, 1), 3.0), np.full((2, 1), 1.0)]
         prev = [np.full((2, 1), 1.0), np.full((3, 1), 1.0), np.full((2, 1), 1.0)]
-        _, _, _, seen = self.accelerate(
+        _, _, seen = self.accelerate(
             monkeypatch, 8, 0.5, 0.7, owned, prev, np.full(1, 2.0), np.full(1, 1.0)
         )
         for cand, want in zip(seen["owned"], (4.0, 7.0, 1.0)):
@@ -532,7 +560,7 @@ class TestOuterAcceleration:
     def test_candidate_clamped_nonnegative(self, monkeypatch):
         owned = [np.full((1, 1), 1.0), np.full((1, 1), 1.0)]
         prev = [np.full((1, 1), 5.0), np.full((1, 1), 1.0)]
-        _, _, _, seen = self.accelerate(
+        _, _, seen = self.accelerate(
             monkeypatch, 1, 0.5, 0.7, owned, prev, np.ones(1), np.full(1, 3.0)
         )
         assert np.array_equal(seen["owned"][0], np.zeros((1, 1)))
@@ -543,9 +571,10 @@ class TestOuterAcceleration:
         rng = np.random.default_rng(14)
         owned = [rng.random((d, 3)) + 0.5 for d in (4, 3, 5)]
         prev = [rng.random((d, 3)) for d in (4, 3, 5)]
-        (o, s, l), _, grams, seen = self.accelerate(
+        (o, s, l, e), grams, seen = self.accelerate(
             monkeypatch, 2, 0.5, 0.1, owned, prev, np.ones(3), np.full(3, 0.5)
         )
+        assert e == 0.1  # the accepted candidate's error
         norms = [np.linalg.norm(c, axis=0) for c in seen["owned"]]
         for n in range(3):
             assert np.allclose(np.linalg.norm(o[n], axis=0), 1.0, rtol=0, atol=1e-14)
