@@ -109,7 +109,11 @@ def run_cli(argv=None) -> int:
     except Exception as exc:
         print(f"nncp: {exc}", file=sys.stderr)
         return 1
-    write_outputs(args.output_prefix, report)
+    try:
+        write_outputs(args.output_prefix, report)
+    except OSError as exc:
+        print(f"nncp: {exc}", file=sys.stderr)
+        return 1
     final = report.errors[-1]
     status = "converged" if report.converged else "iteration cap reached"
     print(

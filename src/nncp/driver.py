@@ -176,7 +176,7 @@ def _make_updater(cfg: RunConfig, order: int):
     states = [UpdaterState() for _ in range(order)]
     algo = cfg.algorithm
 
-    def update(mode: int, inputs: UpdateInputs, hook):
+    def update(mode: int, inputs: UpdateInputs, reduce):
         if algo == "ucp":
             return ucp_update(inputs)
         if algo == "mu":
@@ -186,16 +186,14 @@ def _make_updater(cfg: RunConfig, order: int):
         if algo == "bpp":
             return bpp_update(inputs)
         if algo == "admm":
-            return admm_update(inputs, states[mode], hook)
-        return nesterov_update(inputs, states[mode], hook)
+            return admm_update(inputs, states[mode], reduce)
+        return nesterov_update(inputs, states[mode], reduce)
 
     return update
 
 
 class _SequentialRuntime:
     """Single-context execution: every collective is the identity."""
-
-    parallel = False
 
     def __init__(self, x: DenseTensor):
         self.x_local = x
@@ -206,8 +204,8 @@ class _SequentialRuntime:
     def record(self, category, elapsed):
         record_category(self.report, category, elapsed)
 
-    def owned_rows(self, mode) -> slice:
-        return slice(0, self.dims[mode])
+    def owned_in_slice(self, mode) -> slice:
+        return slice(None)
 
     def slice_rows(self, mode) -> slice:
         return slice(0, self.dims[mode])
@@ -221,13 +219,9 @@ class _SequentialRuntime:
     def gather_to_slice(self, mode, h_owned):
         return h_owned
 
-    hook = staticmethod(local_reduce)
-
 
 class _WorkerRuntime:
     """Per-worker execution over the block-distributed tensor."""
-
-    parallel = True
 
     def __init__(self, worker: Worker, x: DenseTensor):
         self.worker = worker
@@ -245,20 +239,20 @@ class _WorkerRuntime:
         self.dims = self.x_local.dims
         # owned factor rows: sub-partition of the slice block among the
         # slice group, in ascending rank order
-        self._owned_rows = []
-        self.owned_parts = []
-        for n, s in enumerate(self._slice_rows):
-            group = self.groups[n]
-            parts = block_partition(s.stop - s.start, group.size)
-            local = parts.block(group.index[worker.rank])
-            self._owned_rows.append(slice(s.start + local.start, s.start + local.stop))
-            self.owned_parts.append(parts)
+        self.owned_parts = [
+            block_partition(s.stop - s.start, g.size)
+            for s, g in zip(self._slice_rows, self.groups)
+        ]
+        self._owned_in_slice = [
+            parts.block(g.index[worker.rank])
+            for parts, g in zip(self.owned_parts, self.groups)
+        ]
 
     def record(self, category, elapsed):
         record_category(self.report, category, elapsed)
 
-    def owned_rows(self, mode) -> slice:
-        return self._owned_rows[mode]
+    def owned_in_slice(self, mode) -> slice:
+        return self._owned_in_slice[mode]
 
     def slice_rows(self, mode) -> slice:
         return self._slice_rows[mode]
@@ -273,10 +267,6 @@ class _WorkerRuntime:
 
     def gather_to_slice(self, mode, h_owned):
         return self.worker.all_gather(self.groups[mode], h_owned)
-
-    @property
-    def hook(self):
-        return self.all_reduce
 
 
 class _clock:
@@ -304,9 +294,10 @@ class _clock:
 
 
 def _initial_factors(rt, cfg: RunConfig, global_dims):
-    """Owned and slice-replicated factor blocks, identical global values
-    for every distribution."""
-    owned, shared = [], []
+    """Slice-replicated factor blocks and weights, (shared, lam); identical
+    global values for every distribution.  A worker's owned rows are the
+    view ``shared[n][rt.owned_in_slice(n)]``."""
+    shared = []
     for n, size in enumerate(global_dims):
         if cfg.initial_factors is not None:
             full = np.asarray(cfg.initial_factors.factors[n], dtype=np.float64)
@@ -314,14 +305,19 @@ def _initial_factors(rt, cfg: RunConfig, global_dims):
                 raise ValueError(f"initial factor {n} has shape {full.shape}")
         else:
             full = init_factor(cfg.seed, n, size, cfg.rank)
-        owned.append(full[rt.owned_rows(n)].copy())
         shared.append(full[rt.slice_rows(n)].copy())
     lam = (
         cfg.initial_factors.lam.copy()
         if cfg.initial_factors is not None
         else np.ones(cfg.rank)
     )
-    return owned, shared, lam
+    return shared, lam
+
+
+def _owned_gram(rt, shared, n):
+    """All-Reduced Gram of the rows this worker owns in ``shared[n]``."""
+    own = shared[n][rt.owned_in_slice(n)]
+    return rt.all_reduce(own.T @ own)
 
 
 def _error_from_mttkrp(rt, mbar, h, lam, alpha, gamma):
@@ -333,15 +329,17 @@ def _error_from_mttkrp(rt, mbar, h, lam, alpha, gamma):
         return _eps_from_terms(alpha, beta, gamma)
 
 
-def _model_error(rt, ctx, shared, owned, lam, alpha):
-    """Relative error of an arbitrary (possibly unnormalized) model.
+def _model_error(rt, ctx, shared, lam, alpha):
+    """Relative error of an arbitrary (possibly unnormalized) model given
+    by its slice-replicated blocks ``shared`` and weights ``lam``.
 
-    Costs one extra partial MTTKRP: the local mode-1 MTTKRP takes the same
-    left-side route as a sweep's first mode, and pairs with the
-    slice-replicated mode-1 rows, so no Reduce-Scatter is needed.
+    The Grams reduce each worker's owned rows.  Costs one extra partial
+    MTTKRP: the local mode-1 MTTKRP takes the same left-side route as a
+    sweep's first mode, and pairs with the slice-replicated mode-1 rows, so
+    no Reduce-Scatter is needed.
     """
     with _clock(rt, "Gram"):
-        grams = [rt.all_reduce(h.T @ h) for h in owned]
+        grams = [_owned_gram(rt, shared, n) for n in range(len(shared))]
     with _clock(rt, "Error"):
         gamma = float(lam @ (np.prod(grams, axis=0) @ lam))
     with _clock(rt, "MTTKRP"):
@@ -380,13 +378,12 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
             raise ValueError("tensor is nonzero but its squared norm underflows float64")
         raise ValueError("zero tensor has no relative error")
 
-    owned, shared, lam = _initial_factors(rt, cfg, global_dims)
+    shared, lam = _initial_factors(rt, cfg, global_dims)
     grams = []
     for n in range(order):
         with _clock(rt, "Gram"):
-            g = rt.all_reduce(owned[n].T @ owned[n])
+            g = _owned_gram(rt, shared, n)
             grams.append(0.5 * (g + g.T))
-            shared[n] = rt.gather_to_slice(n, owned[n])
 
     plan = DimTreePlan.create(rt.dims, cfg.rank)
     ctx = DimTreeContext(plan, recorder=rt.record)
@@ -404,7 +401,7 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
     report.row_wall[-1] = time.perf_counter() - wall0
     words_done = report.row_words[-1] = rt.counters.total_words()
 
-    prev_owned = prev_shared = prev_lam = None
+    prev_shared = prev_lam = None
     m_last = hhat_last = s_last = None
 
     # -- outer iterations ----------------------------------------------------
@@ -413,9 +410,8 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
         report.begin_row()
         wall0 = time.perf_counter()
         if cfg.algorithm == "nes":
-            prev_owned = [h.copy() for h in owned]
-            prev_shared = [h.copy() for h in shared]
-            prev_lam = lam.copy()
+            # the sweep replaces factor arrays and never writes into them
+            prev_shared, prev_lam = list(shared), lam
         ctx.begin_iteration()
         for n in range(order):
             with _clock(rt, "MTTKRP"):
@@ -428,20 +424,20 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
                 s_n = hadamard_grams_excluding(grams, n)
             with _clock(rt, "NNLS"):
                 try:
-                    inputs = UpdateInputs(s_n, m_owned, owned[n] * lam)
-                    hhat = update(n, inputs, rt.hook)
+                    own = shared[n][rt.owned_in_slice(n)]
+                    hhat = update(n, UpdateInputs(s_n, m_owned, own * lam), rt.all_reduce)
                 except Exception as exc:
                     raise RuntimeError(
                         f"NNLS update failed at iteration {it}, mode {n + 1}"
                     ) from exc
                 # column norms are global: reduce squared norms, then scale
                 w = np.sqrt(rt.all_reduce(np.sum(hhat * hhat, axis=0)))
-                owned[n] = hhat / np.where(w > 0.0, w, 1.0)
+                h = hhat / np.where(w > 0.0, w, 1.0)
                 lam = w
             with _clock(rt, "Gram"):
-                g = rt.all_reduce(owned[n].T @ owned[n])
+                g = rt.all_reduce(h.T @ h)
                 grams[n] = 0.5 * (g + g.T)
-                shared[n] = rt.gather_to_slice(n, owned[n])
+                shared[n] = rt.gather_to_slice(n, h)
             if n == order - 1:
                 m_last, hhat_last, s_last = m_owned, hhat, s_n
 
@@ -452,12 +448,11 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
 
         if cfg.algorithm == "nes":
             step = _nes_accelerate(
-                rt, ctx, it, eps, alpha, grams,
-                owned, shared, lam, prev_owned, prev_shared, prev_lam,
+                rt, ctx, it, eps, alpha, grams, shared, lam, prev_shared, prev_lam
             )
             report.nes_accepted.append(step is not None)
             if step is not None:
-                owned, shared, lam, eps = step
+                shared, lam, eps = step
         errors.append(eps)
 
         report.row_wall[-1] = time.perf_counter() - wall0
@@ -470,46 +465,43 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
 
     report.converged = converged
     report.tree_partial_calls = ctx.partial_calls
-    return owned, lam
+    return shared, lam
 
 
-def _nes_accelerate(
-    rt, ctx, it, eps, alpha, grams,
-    owned, shared, lam, prev_owned, prev_shared, prev_lam,
-):
+def _nes_accelerate(rt, ctx, it, eps, alpha, grams, shared, lam, prev_shared, prev_lam):
     """Outer extrapolation step; refreshes grams in place when accepted.
 
-    The candidate H_i + s_i (H_i - H_{i-1}) with s_i = i^(1/N) is clamped
-    at zero to stay feasible and replaces the current iterate only when
-    its relative error is strictly lower (one extra partial MTTKRP to find
-    out).  Returns None when rejected, else the renormalized candidate
-    (owned, shared, lam) and its relative error.
+    The candidate H_i + s_i (H_i - H_{i-1}) with s_i = i^(1/N), formed on
+    the slice-replicated blocks, is clamped at zero to stay feasible and
+    replaces the current iterate only when its relative error is strictly
+    lower (one extra partial MTTKRP to find out).  Returns None when
+    rejected, else the renormalized candidate (shared, lam) and its
+    relative error.
     """
     with _clock(rt, "Error"):
-        step = float(it) ** (1.0 / len(owned))
-        cand_owned = [
-            np.maximum(h + step * (h - hp), 0.0) for h, hp in zip(owned, prev_owned)
-        ]
-        cand_shared = [
+        step = float(it) ** (1.0 / len(shared))
+        cand = [
             np.maximum(h + step * (h - hp), 0.0) for h, hp in zip(shared, prev_shared)
         ]
         cand_lam = np.maximum(lam + step * (lam - prev_lam), 0.0)
-    cand_eps = _model_error(rt, ctx, cand_shared, cand_owned, cand_lam, alpha)
+    cand_eps = _model_error(rt, ctx, cand, cand_lam, alpha)
     if not cand_eps < eps:
         return None
     # accepted: renormalize columns globally and refresh the Gram matrices
     with _clock(rt, "Error"):
-        nsq = rt.all_reduce(np.stack([np.sum(h * h, axis=0) for h in cand_owned]))
-        w = np.sqrt(nsq)
+        nsq = []
+        for n, h in enumerate(cand):
+            own = h[rt.owned_in_slice(n)]
+            nsq.append(np.sum(own * own, axis=0))
+        w = np.sqrt(rt.all_reduce(np.stack(nsq)))
         scale = np.where(w > 0.0, w, 1.0)
-        owned = [h / scale[n] for n, h in enumerate(cand_owned)]
-        shared = [h / scale[n] for n, h in enumerate(cand_shared)]
+        shared = [h / scale[n] for n, h in enumerate(cand)]
         lam = cand_lam * np.prod(w, axis=0)
     with _clock(rt, "Gram"):
-        for n, h in enumerate(owned):
-            g = rt.all_reduce(h.T @ h)
+        for n in range(len(shared)):
+            g = _owned_gram(rt, shared, n)
             grams[n] = 0.5 * (g + g.T)
-    return owned, shared, lam, cand_eps
+    return shared, lam, cand_eps
 
 
 def nncp_sequential(x: DenseTensor, cfg: RunConfig) -> RunReport:
@@ -518,8 +510,8 @@ def nncp_sequential(x: DenseTensor, cfg: RunConfig) -> RunReport:
     if cfg.grid is not None and int(np.prod(cfg.grid)) != 1:
         raise ValueError("sequential driver got a nontrivial grid; use nncp_parallel")
     rt = _SequentialRuntime(x)
-    owned, lam = _run_spmd(rt, cfg, x.dims)
-    rt.report.model = FactorSet(owned, lam)
+    shared, lam = _run_spmd(rt, cfg, x.dims)
+    rt.report.model = FactorSet(shared, lam)
     rt.report.counters = rt.counters
     return rt.report
 
@@ -540,10 +532,10 @@ def nncp_parallel(x: DenseTensor, cfg: RunConfig) -> RunReport:
 
     def program(worker):
         rt = _WorkerRuntime(worker, x)
-        owned, lam = _run_spmd(rt, cfg, x.dims)
+        shared, lam = _run_spmd(rt, cfg, x.dims)
         rt.report.counters = rt.counters
-        rows = [rt.owned_rows(n) for n in range(x.order)]
-        return rt.report, owned, lam, rows
+        rows = [rt.slice_rows(n) for n in range(x.order)]
+        return rt.report, shared, lam, rows
 
     results = grid.run(program)
     return _merge_reports(results, x.dims, cfg.rank)
@@ -581,9 +573,10 @@ def _merge_reports(results, dims, rank) -> RunReport:
         counters = counters.merged_with(report.counters)
     merged.counters = counters
 
+    # slice members hold equal copies of their slice rows
     factors = [np.zeros((i, rank)) for i in dims]
-    for _, owned, _, rows in results:
-        for n, (h, s) in enumerate(zip(owned, rows)):
+    for _, shared, _, rows in results:
+        for n, (h, s) in enumerate(zip(shared, rows)):
             factors[n][s] = h
     merged.model = FactorSet(factors, results[0][2])
     return merged

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+_REDUCTIONS = {"sum": np.add, "min": np.minimum, "max": np.maximum}
+
 
 def block_partition(length: int, parts: int):
     """Balanced contiguous block lengths: first (length % parts) blocks get
@@ -217,26 +219,18 @@ class Worker:
     def all_reduce(self, group: Group, local, op: str = "sum"):
         """Elementwise reduction in ascending rank order, same result for
         every member."""
+        fn = _REDUCTIONS.get(op)
+        if fn is None:
+            raise ValueError(f"unknown reduction {op!r}")
         t0 = time.perf_counter()
         scalar = np.ndim(local) == 0
         arr = np.atleast_1d(np.asarray(local, dtype=np.float64))
         slots = group.rendezvous.exchange(group.index[self.rank], arr)
         if any(s.shape != slots[0].shape for s in slots):
             raise ValueError("all_reduce length mismatch across group")
-        if op == "sum":
-            out = slots[0].copy()
-            for s in slots[1:]:
-                out += s
-        elif op == "min":
-            out = slots[0].copy()
-            for s in slots[1:]:
-                np.minimum(out, s, out=out)
-        elif op == "max":
-            out = slots[0].copy()
-            for s in slots[1:]:
-                np.maximum(out, s, out=out)
-        else:
-            raise ValueError(f"unknown reduction {op!r}")
+        out = slots[0].copy()
+        for s in slots[1:]:
+            fn(out, s, out=out)
         elapsed = time.perf_counter() - t0
         self.counters.record("AllReduce", arr.size, arr.size, elapsed)
         self._record("AllReduce", elapsed)

@@ -25,6 +25,9 @@ ADMM_INNER_CAP = 5
 NESTEROV_INNER_CAP = 20
 MU_INNER_STEPS = 10
 MU_EPSILON = 1e-16
+ADMM_RTOL = 1e-4
+NESTEROV_TOL = 1e-8
+NESTEROV_PROX_FLOOR = 1e-6
 BPP_BACKUP_TRIES = 3
 
 
@@ -88,8 +91,9 @@ def ucp_update(inp: UpdateInputs) -> np.ndarray:
             return np.linalg.lstsq(s, m.T, rcond=None)[0].T
 
 
-def mu_update(inp: UpdateInputs, eps: float = MU_EPSILON) -> np.ndarray:
-    """MU_INNER_STEPS multiplicative updates H <- H * M / (H S + eps), elementwise.
+def mu_update(inp: UpdateInputs) -> np.ndarray:
+    """MU_INNER_STEPS multiplicative updates H <- H * M / (H S + MU_EPSILON),
+    elementwise.
 
     M and S cost far more than one step, so every step reuses them (the
     accelerated MU of Gillis & Glineur 2012).  Each step is row-local and
@@ -99,7 +103,7 @@ def mu_update(inp: UpdateInputs, eps: float = MU_EPSILON) -> np.ndarray:
     s, m = inp.gram, inp.mttkrp_rows
     h = inp.current
     for _ in range(MU_INNER_STEPS):
-        h = h * m / (h @ s + eps)
+        h = h * m / (h @ s + MU_EPSILON)
     return h
 
 
@@ -188,7 +192,6 @@ def admm_update(
     hook=local_reduce,
     rho: float = None,
     max_steps: int = ADMM_INNER_CAP,
-    rtol: float = 1e-4,
 ) -> np.ndarray:
     """Up to ``max_steps`` rounds of the three-step ADMM splitting.
 
@@ -196,7 +199,7 @@ def admm_update(
     factorization cached for the whole call; X is the nonnegative
     projection of Xhat - U; U accumulates the residual and persists in
     ``state`` across calls.  Stops early when both the primal gap
-    ||X - Xhat|| and the step ||X - X_prev|| fall below rtol-scaled
+    ||X - Xhat|| and the step ||X - X_prev|| fall below ADMM_RTOL-scaled
     global norms (five squared norms per step through the hook).
     """
     s, m = inp.gram, inp.mttkrp_rows
@@ -225,18 +228,18 @@ def admm_update(
             ]
         )
         gap, nx, nxhat, step, nu = np.sqrt(hook(sq, "sum"))
-        if gap <= rtol * max(nx, nxhat) and rho * step <= rtol * nu * rho:
+        if gap <= ADMM_RTOL * max(nx, nxhat) and rho * step <= ADMM_RTOL * nu * rho:
             break
     state.admm_dual = u
     state.last_inner_iters = steps
     return x
 
 
-def nesterov_hyperparams(gram: np.ndarray, prox_floor: float = 1e-6):
+def nesterov_hyperparams(gram: np.ndarray):
     """(lam, alpha, beta) from the Gram spectrum.
 
     lam is the smallest proximal weight making the condition ratio
-    q = (mu + lam)/(L + lam) at least ``prox_floor``; alpha = 1/(L + lam);
+    q = (mu + lam)/(L + lam) at least NESTEROV_PROX_FLOOR; alpha = 1/(L + lam);
     beta = (1 - sqrt(q))/(1 + sqrt(q)).
     """
     evals = np.linalg.eigvalsh(gram)
@@ -245,10 +248,10 @@ def nesterov_hyperparams(gram: np.ndarray, prox_floor: float = 1e-6):
     if big <= 0.0:
         # zero gram: any positive proximal weight conditions the problem
         lam = 1.0
-    elif small / big >= prox_floor:
+    elif small / big >= NESTEROV_PROX_FLOOR:
         lam = 0.0
     else:
-        lam = (prox_floor * big - small) / (1.0 - prox_floor)
+        lam = (NESTEROV_PROX_FLOOR * big - small) / (1.0 - NESTEROV_PROX_FLOOR)
     q = (small + lam) / (big + lam)
     alpha = 1.0 / (big + lam)
     beta = (1.0 - np.sqrt(q)) / (1.0 + np.sqrt(q))
@@ -265,14 +268,13 @@ def nesterov_update(
     state: UpdaterState,
     hook=local_reduce,
     max_iters: int = NESTEROV_INNER_CAP,
-    tol: float = 1e-8,
 ) -> np.ndarray:
     """Accelerated projected gradient on the proximally regularized problem.
 
     Gradient at Y is Y S - M + lam (Y - X_*), with X_* the previous outer
     iterate of this factor held in ``state``.  Stops when the global
-    max-abs change drops below tol * (1 + global max-abs value), checked
-    through the hook, or after ``max_iters`` steps.
+    max-abs change drops below NESTEROV_TOL * (1 + global max-abs value),
+    checked through the hook, or after ``max_iters`` steps.
     """
     s, m = inp.gram, inp.mttkrp_rows
     lam, alpha, beta = nesterov_hyperparams(s)
@@ -290,7 +292,7 @@ def nesterov_update(
         dmax, xmax = hook(np.array([_max_abs(d), xn_max]), "max")
         y = xn + beta * d
         x = xn
-        if dmax <= tol * (1.0 + xmax):
+        if dmax <= NESTEROV_TOL * (1.0 + xmax):
             break
     state.nesterov_prev = x.copy()
     state.last_inner_iters = steps

@@ -5,6 +5,7 @@ import pytest
 
 import nncp.dimtree as dimtree_mod
 import nncp.driver as driver_mod
+import nncp.grid as grid_mod
 from nncp import (
     ALGORITHMS,
     DenseTensor,
@@ -320,6 +321,14 @@ class TestParallelDriver:
         assert rs_calls == 3 * p
         assert rs_in == (8 + 4 + 16) * p
 
+    @pytest.mark.parametrize("grid", [(2, 2, 2), (1, 2, 4)])
+    def test_setup_runs_no_all_gather(self, grid):
+        # every worker starts from its slice blocks, so set-up has nothing
+        # to gather
+        x, _ = generate_synthetic(SyntheticSpec((8, 8, 8), 2, seed=14))
+        cfg = RunConfig(rank=2, algorithm="bpp", max_iters=0, grid=grid)
+        assert nncp_parallel(x, cfg).counters.calls.get("AllGather", 0) == 0
+
     def test_stateful_updaters_communicate_extra(self):
         x, _ = generate_synthetic(SyntheticSpec((6, 6, 6), 2, seed=15))
         calls = {}
@@ -453,6 +462,31 @@ class TestNesReport:
         assert seq.nes_accepted == par.nes_accepted
         assert seq.nes_accepted[-1] is True
 
+    def test_factor_arrays_never_written(self, monkeypatch):
+        # the previous iterate keeps references to the factor arrays, so a
+        # run whose initial and gathered arrays are read-only must match
+        _, plain = self.run((2, 1, 2), 5)
+        real_init, real_gather = driver_mod._initial_factors, grid_mod.Worker.all_gather
+
+        def frozen(a):
+            a.flags.writeable = False
+            return a
+
+        def initial_factors(*args):
+            shared, lam = real_init(*args)
+            return [frozen(h) for h in shared], frozen(lam)
+
+        monkeypatch.setattr(driver_mod, "_initial_factors", initial_factors)
+        monkeypatch.setattr(
+            grid_mod.Worker, "all_gather", lambda *args: frozen(real_gather(*args))
+        )
+        _, rep = self.run((2, 1, 2), 5)
+        assert rep.nes_accepted == plain.nes_accepted and any(rep.nes_accepted)
+        assert rep.errors == plain.errors
+        assert np.array_equal(rep.model.lam, plain.model.lam)
+        for a, b in zip(rep.model.factors, plain.model.factors):
+            assert np.array_equal(a, b)
+
     def test_merge_rejects_workers_that_disagree(self):
         results = []
         for accepted in ([True], [False]):
@@ -494,9 +528,9 @@ class TestModelError:
     def model_error(rt, x, model):
         rt.report.begin_row()
         cfg = RunConfig(rank=model.rank, initial_factors=model)
-        owned, shared, lam = driver_mod._initial_factors(rt, cfg, x.dims)
+        shared, lam = driver_mod._initial_factors(rt, cfg, x.dims)
         ctx = DimTreeContext(DimTreePlan.create(rt.dims, model.rank), recorder=rt.record)
-        err = driver_mod._model_error(rt, ctx, shared, owned, lam, x.norm_squared())
+        err = driver_mod._model_error(rt, ctx, shared, lam, x.norm_squared())
         assert ctx.partial_calls == 1
         return err
 

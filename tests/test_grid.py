@@ -123,6 +123,13 @@ class TestCollectives:
         assert np.array_equal(lo, [0.0, -3.0])
         assert np.array_equal(hi, [3.0, 0.0])
 
+    def test_all_reduce_unknown_op(self):
+        def fn(w):
+            return w.all_reduce(w.grid.all_procs, np.ones(2), "prod")
+
+        with pytest.raises(ValueError, match="unknown reduction 'prod'"):
+            self.run_on((2,), fn)
+
     def test_all_reduce_length_mismatch(self):
         def fn(w):
             return w.all_reduce(w.grid.all_procs, np.ones(w.rank + 1))

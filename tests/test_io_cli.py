@@ -307,6 +307,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"nncp: {src}: ") and "Traceback" not in err
 
+    def test_unwritable_output_prefix_fails_cleanly(self, tmp_path, capsys):
+        prefix = tmp_path / "missing" / "run"
+        code = run_cli(["--dims", "4,4,4", "--synthetic-rank", "2", "--rank", "2",
+                        "--iters", "1", "--output-prefix", str(prefix)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("nncp: ") and str(prefix.parent) in err
+        assert "Traceback" not in err
+
     def test_input_file_path(self, tmp_path):
         x, _ = generate_synthetic(SyntheticSpec((5, 4, 3), 2, seed=6))
         src = tmp_path / "in.bin"

@@ -503,24 +503,22 @@ class TestOuterAcceleration:
     """The NES outer extrapolation step, ``driver._nes_accelerate``."""
 
     @staticmethod
-    def accelerate(monkeypatch, it, eps, cand_eps, owned, prev_owned, lam, prev_lam):
+    def accelerate(monkeypatch, it, eps, cand_eps, shared, prev_shared, lam, prev_lam):
         """Run one step on a sequential runtime whose model error is
         ``cand_eps``; returns the step's result (None when rejected), the
         grams and the candidate."""
         seen = {}
 
-        def model_error(rt, ctx, shared, owned, lam, alpha):
-            seen.update(owned=owned, shared=shared, lam=lam)
+        def model_error(rt, ctx, shared, lam, alpha):
+            seen.update(shared=shared, lam=lam)
             return cand_eps
 
         monkeypatch.setattr(driver_mod, "_model_error", model_error)
-        rt = driver_mod._SequentialRuntime(DenseTensor(tuple(len(h) for h in owned)))
+        rt = driver_mod._SequentialRuntime(DenseTensor(tuple(len(h) for h in shared)))
         rt.report.begin_row()
-        grams = [h.T @ h for h in owned]
-        shared, prev_shared = [h.copy() for h in owned], [h.copy() for h in prev_owned]
+        grams = [h.T @ h for h in shared]
         out = driver_mod._nes_accelerate(
-            rt, None, it, eps, 1.0, grams,
-            owned, shared, lam, prev_owned, prev_shared, prev_lam,
+            rt, None, it, eps, 1.0, grams, shared, lam, prev_shared, prev_lam
         )
         return out, grams, seen
 
@@ -551,10 +549,8 @@ class TestOuterAcceleration:
         _, _, seen = self.accelerate(
             monkeypatch, 8, 0.5, 0.7, owned, prev, np.full(1, 2.0), np.full(1, 1.0)
         )
-        for cand, want in zip(seen["owned"], (4.0, 7.0, 1.0)):
+        for cand, want in zip(seen["shared"], (4.0, 7.0, 1.0)):
             assert np.array_equal(cand, np.full(cand.shape, want))
-        for cand, own in zip(seen["shared"], seen["owned"]):
-            assert np.array_equal(cand, own)
         assert np.array_equal(seen["lam"], np.full(1, 4.0))
 
     def test_candidate_clamped_nonnegative(self, monkeypatch):
@@ -563,7 +559,6 @@ class TestOuterAcceleration:
         _, _, seen = self.accelerate(
             monkeypatch, 1, 0.5, 0.7, owned, prev, np.ones(1), np.full(1, 3.0)
         )
-        assert np.array_equal(seen["owned"][0], np.zeros((1, 1)))
         assert np.array_equal(seen["shared"][0], np.zeros((1, 1)))
         assert np.array_equal(seen["lam"], np.zeros(1))
 
@@ -571,16 +566,15 @@ class TestOuterAcceleration:
         rng = np.random.default_rng(14)
         owned = [rng.random((d, 3)) + 0.5 for d in (4, 3, 5)]
         prev = [rng.random((d, 3)) for d in (4, 3, 5)]
-        (o, s, l, e), grams, seen = self.accelerate(
+        (s, l, e), grams, seen = self.accelerate(
             monkeypatch, 2, 0.5, 0.1, owned, prev, np.ones(3), np.full(3, 0.5)
         )
         assert e == 0.1  # the accepted candidate's error
-        norms = [np.linalg.norm(c, axis=0) for c in seen["owned"]]
+        norms = [np.linalg.norm(c, axis=0) for c in seen["shared"]]
         for n in range(3):
-            assert np.allclose(np.linalg.norm(o[n], axis=0), 1.0, rtol=0, atol=1e-14)
-            assert np.allclose(o[n] * norms[n], seen["owned"][n], rtol=1e-14, atol=0)
-            assert np.array_equal(s[n], o[n])
-            assert np.array_equal(grams[n], o[n].T @ o[n])
+            assert np.allclose(np.linalg.norm(s[n], axis=0), 1.0, rtol=0, atol=1e-14)
+            assert np.allclose(s[n] * norms[n], seen["shared"][n], rtol=1e-14, atol=0)
+            assert np.array_equal(grams[n], s[n].T @ s[n])
         assert np.allclose(l, seen["lam"] * np.prod(norms, axis=0), rtol=1e-14, atol=0)
 
 
