@@ -21,8 +21,6 @@ from .driver import (
     init_factor,
     nncp_parallel,
     nncp_sequential,
-    record_category,
-    relative_error,
 )
 from .grid import CommCounters, DistMap, Grid, Worker, block_partition
 from .tensor_io import (
@@ -42,9 +40,9 @@ from .tensor_ops import (
     khatri_rao,
     matrix_inner_product,
     naive_mttkrp,
-    norm_squared,
     normalize_columns,
     reconstruct,
+    relative_error,
 )
 from .updaters import (
     BppCyclingError,

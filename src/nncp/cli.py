@@ -13,7 +13,6 @@ import numpy as np
 from .driver import ALGORITHMS, CATEGORIES, RunConfig, nncp_parallel, nncp_sequential
 from .tensor_io import (
     SyntheticSpec,
-    TensorFileError,
     generate_synthetic,
     read_tensor,
     write_matrix,
@@ -86,7 +85,8 @@ def run_cli(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         x = _load_tensor(args, parser)
-    except (OSError, TensorFileError) as exc:
+    except (OSError, ValueError) as exc:
+        # a malformed file (TensorFileError) or an impossible synthetic spec
         print(f"nncp: {exc}", file=sys.stderr)
         return 1
     if args.grid is not None and len(args.grid) != x.order:

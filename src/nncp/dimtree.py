@@ -5,8 +5,8 @@ trailing block {S+1..N}.  Each block is produced by a single partial MTTKRP
 (one GEMM against the zero-copy matricization), and the per-mode MTTKRP
 results are then peeled off the block temporaries by multi-TTV steps, each
 one batched matmul over the R rank blocks.  Only two partial MTTKRPs run per
-sweep, no matter how many modes the tensor has.  An out-of-band mode-1
-MTTKRP (the NES acceptance test) costs one more left partial MTTKRP.
+sweep, no matter how many modes the tensor has.  The NES acceptance test
+runs a sweep cut short after mode 1: one more left partial MTTKRP.
 
 Temporaries are plain ``(retained..., R)`` arrays in F order: the retained
 indices vary fastest and the rank index slowest, so the r-th rank block is
@@ -178,7 +178,8 @@ class DimTreeContext:
         return out
 
     def mttkrp(self, x: DenseTensor, factors, mode: int) -> np.ndarray:
-        """MTTKRP result for ``mode``, reusing this sweep's temporary."""
+        """MTTKRP result for ``mode`` from the list of N factor matrices
+        ``factors``, reusing this sweep's temporary."""
         n = self.plan.order
         s = self.plan.split
         if x.dims != self.plan.dims:
@@ -189,39 +190,22 @@ class DimTreeContext:
             raise RuntimeError(
                 f"modes must be requested in ascending order: expected {self._expected}, got {mode}"
             )
-        hs = list(factors.factors) if hasattr(factors, "factors") else list(factors)
 
         # peel the side holding ``mode``: modes lo..hi-1 share one temporary
         lo, hi, side = (0, s, "left") if mode < s else (s, n, "right")
         if mode == lo:
-            other = hs[s:] if side == "left" else hs[:s]
+            other = factors[s:] if side == "left" else factors[:s]
             temp = self._partial(x, self._krp(other), side)
         else:
             if self._temp is None:
                 raise RuntimeError(f"stale cache: no {side} temporary for mode {mode}")
-            temp = self._ttv(self._temp, hs[mode - 1], "leading")
+            temp = self._ttv(self._temp, factors[mode - 1], "leading")
         if mode == hi - 1:
             result = temp
             self._temp = None
         else:
             self._temp = temp
-            result = self._ttv(temp, self._krp(hs[mode + 1 : hi]), "trailing")
+            result = self._ttv(temp, self._krp(factors[mode + 1 : hi]), "trailing")
 
         self._expected = mode + 1 if mode + 1 < n else None
         return np.ascontiguousarray(result)
-
-    def mttkrp_first_mode(self, x: DenseTensor, factors) -> np.ndarray:
-        """Standalone MTTKRP for the first mode, leaving sweep state alone.
-
-        The same route a sweep's mode-1 request takes: one left partial
-        MTTKRP against the KRP of the trailing modes, then, when the split
-        keeps more than one leading mode, one trailing multi-TTV.  Used for
-        out-of-band error evaluations such as the extrapolation acceptance
-        test.
-        """
-        s = self.plan.split
-        hs = list(factors.factors) if hasattr(factors, "factors") else list(factors)
-        temp = self._partial(x, self._krp(hs[s:]), "left")
-        if s > 1:
-            temp = self._ttv(temp, self._krp(hs[1:s]), "trailing")
-        return np.ascontiguousarray(temp)

@@ -5,9 +5,9 @@ mode layers the data distribution and collectives of an N-dimensional
 worker grid on top (block Cartesian tensor partition, block row factor
 partition, Reduce-Scatter / All-Gather on mode slices, All-Reduce for Gram
 matrices and norms).  Factors stay column-normalized with the scale in the
-weight vector; the relative error comes from the cached mode-N quantities
-via  err^2 = (alpha - 2 beta + gamma) / alpha  with alpha = ||X||^2,
-beta = <M_N, Hhat_N>, gamma = lam^T (S_N * G_N) lam.
+weight vector.  Every reported error comes from ``relative_error``,
+which pairs a mode-n MTTKRP with the Gram matrices instead of forming the
+reconstruction; the collectives reach it as ``reduce``.
 
 Every timed region books its self time: its wall time less what nested
 regions and collectives booked meanwhile.  Each collective books its own
@@ -27,9 +27,11 @@ from .grid import CommCounters, Grid, Worker, block_partition
 from .tensor_ops import (
     DenseTensor,
     FactorSet,
+    gram,
     hadamard_grams_excluding,
-    matrix_inner_product,
     naive_mttkrp,
+    normalize_columns,
+    relative_error,
 )
 from .updaters import (
     UpdateInputs,
@@ -51,8 +53,6 @@ __all__ = [
     "init_factor",
     "nncp_parallel",
     "nncp_sequential",
-    "record_category",
-    "relative_error",
 ]
 
 CATEGORIES = (
@@ -95,8 +95,14 @@ class RunConfig:
             raise ValueError(
                 f"grid order {len(self.grid)} does not match tensor order {order}"
             )
-        if self.initial_factors is not None and self.initial_factors.rank != self.rank:
-            raise ValueError("initial factors disagree with configured rank")
+        if self.initial_factors is not None:
+            if self.initial_factors.rank != self.rank:
+                raise ValueError("initial factors disagree with configured rank")
+            if self.initial_factors.order != order:
+                raise ValueError(
+                    f"{self.initial_factors.order} initial factors for a tensor "
+                    f"of order {order}"
+                )
 
 
 @dataclass
@@ -107,7 +113,8 @@ class RunReport:
     iteration i.  ``rows[i]`` maps each category to seconds, ``row_words``
     counts words moved by collectives, ``row_wall`` is the row's wall time.
     Row 0's error reuses iteration 1's mode-1 MTTKRP, so row 1 books its
-    inner product and scalar All-Reduce; a 0-iteration run books them in row 0.
+    ``relative_error`` call and scalar All-Reduce; a 0-iteration run books
+    them in row 0.
     With ``nes``, row i's error is that of the model iteration i returns,
     and ``nes_accepted[i-1]`` tells whether its extrapolation was accepted;
     the list is empty for the other rules.
@@ -129,12 +136,11 @@ class RunReport:
         self.row_words.append(0)
         self.row_wall.append(0.0)
 
-
-def record_category(report: RunReport, category: str, elapsed: float):
-    """Accumulate one timed event into the report's current row."""
-    if category not in CATEGORIES:
-        raise ValueError(f"unknown category {category!r}")
-    report.rows[-1][category] += elapsed
+    def record(self, category: str, elapsed: float):
+        """Accumulate one timed event into the current row."""
+        if category not in CATEGORIES:
+            raise ValueError(f"unknown category {category!r}")
+        self.rows[-1][category] += elapsed
 
 
 def init_factor(seed: int, mode: int, rows: int, rank: int) -> np.ndarray:
@@ -144,31 +150,6 @@ def init_factor(seed: int, mode: int, rows: int, rank: int) -> np.ndarray:
     key = np.array([np.uint64(seed), np.uint64(mode)], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key))
     return gen.random((rows, rank))
-
-
-def _eps_from_terms(alpha: float, beta: float, gamma: float) -> float:
-    radicand = alpha - 2.0 * beta + gamma
-    # max(0.0, nan) is 0.0, which would report a perfect fit
-    if not np.isfinite(radicand):
-        raise ValueError(
-            f"error term is not finite: alpha={alpha}, beta={beta}, gamma={gamma}"
-        )
-    # the radicand is a difference of nearly equal numbers near convergence
-    return float(np.sqrt(max(0.0, radicand) / alpha))
-
-
-def relative_error(alpha, mttkrp_n, h_n_unnormalized, s_n, g_n, lam) -> float:
-    """Relative error from mode-N quantities of the same outer sweep.
-
-    beta = <M_N, Hhat_N> with the pre-normalization factor, and
-    gamma = lam' (S_N * G_N) lam; the clamped radicand guards against
-    cancellation.
-    """
-    if alpha <= 0.0:
-        raise ValueError("zero tensor has no relative error")
-    beta = matrix_inner_product(mttkrp_n, h_n_unnormalized)
-    gamma = float(lam @ ((s_n * g_n) @ lam))
-    return _eps_from_terms(alpha, beta, gamma)
 
 
 def _make_updater(cfg: RunConfig, order: int):
@@ -201,9 +182,6 @@ class _SequentialRuntime:
         self.counters = CommCounters()
         self.report = RunReport()
 
-    def record(self, category, elapsed):
-        record_category(self.report, category, elapsed)
-
     def owned_in_slice(self, mode) -> slice:
         return slice(None)
 
@@ -227,7 +205,7 @@ class _WorkerRuntime:
         self.worker = worker
         self.counters = worker.counters
         self.report = RunReport()
-        worker.recorder = self.record
+        worker.recorder = self.report.record
         grid = worker.grid
         self.groups = [
             grid.slice_group(n, worker.coord[n]) for n in range(len(grid.shape))
@@ -247,9 +225,6 @@ class _WorkerRuntime:
             parts.block(g.index[worker.rank])
             for parts, g in zip(self.owned_parts, self.groups)
         ]
-
-    def record(self, category, elapsed):
-        record_category(self.report, category, elapsed)
 
     def owned_in_slice(self, mode) -> slice:
         return self._owned_in_slice[mode]
@@ -290,7 +265,7 @@ class _clock:
 
     def __exit__(self, *exc):
         nested = sum(self.rt.report.rows[-1].values()) - self.base
-        self.rt.record(self.category, time.perf_counter() - self.t0 - nested)
+        self.rt.report.record(self.category, time.perf_counter() - self.t0 - nested)
 
 
 def _initial_factors(rt, cfg: RunConfig, global_dims):
@@ -314,37 +289,34 @@ def _initial_factors(rt, cfg: RunConfig, global_dims):
     return shared, lam
 
 
-def _owned_gram(rt, shared, n):
-    """All-Reduced Gram of the rows this worker owns in ``shared[n]``."""
-    own = shared[n][rt.owned_in_slice(n)]
-    return rt.all_reduce(own.T @ own)
+def _grams(rt, shared):
+    """All-Reduced Gram matrices of the rows this worker owns."""
+    return [rt.all_reduce(gram(h[rt.owned_in_slice(n)])) for n, h in enumerate(shared)]
 
 
-def _error_from_mttkrp(rt, mbar, h, lam, alpha, gamma):
-    """Relative error with beta = <M_n, H_n diag(lam)>: ``mbar`` is the local
-    mode-n MTTKRP before any Reduce-Scatter and ``h`` the slice-replicated
-    mode-n rows, so one scalar All-Reduce completes beta."""
+def _error_from_mttkrp(rt, alpha, mbar, n, shared, lam, grams):
+    """Relative error from ``mbar``, this worker's local mode-n MTTKRP
+    before any Reduce-Scatter.  It pairs with the slice-replicated rows
+    ``shared[n]``, so one scalar All-Reduce completes beta; gamma takes the
+    last mode's split of ``grams``."""
     with _clock(rt, "Error"):
-        beta = rt.all_reduce(matrix_inner_product(mbar, h * lam))
-        return _eps_from_terms(alpha, beta, gamma)
+        s = hadamard_grams_excluding(grams, len(grams) - 1)
+        return relative_error(alpha, mbar, shared[n] * lam, s, grams[-1], lam, rt.all_reduce)
 
 
 def _model_error(rt, ctx, shared, lam, alpha):
     """Relative error of an arbitrary (possibly unnormalized) model given
     by its slice-replicated blocks ``shared`` and weights ``lam``.
 
-    The Grams reduce each worker's owned rows.  Costs one extra partial
-    MTTKRP: the local mode-1 MTTKRP takes the same left-side route as a
-    sweep's first mode, and pairs with the slice-replicated mode-1 rows, so
-    no Reduce-Scatter is needed.
+    Costs one extra partial MTTKRP: the mode-1 request of a fresh sweep on
+    ``ctx``, so it runs only between sweeps.
     """
     with _clock(rt, "Gram"):
-        grams = [_owned_gram(rt, shared, n) for n in range(len(shared))]
-    with _clock(rt, "Error"):
-        gamma = float(lam @ (np.prod(grams, axis=0) @ lam))
+        grams = _grams(rt, shared)
     with _clock(rt, "MTTKRP"):
-        mbar = ctx.mttkrp_first_mode(rt.x_local, shared)
-    return _error_from_mttkrp(rt, mbar, shared[0], lam, alpha, gamma)
+        ctx.begin_iteration()
+        mbar = ctx.mttkrp(rt.x_local, shared, 0)
+    return _error_from_mttkrp(rt, alpha, mbar, 0, shared, lam, grams)
 
 
 def _run_spmd(rt, cfg: RunConfig, global_dims):
@@ -379,30 +351,24 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
         raise ValueError("zero tensor has no relative error")
 
     shared, lam = _initial_factors(rt, cfg, global_dims)
-    grams = []
-    for n in range(order):
-        with _clock(rt, "Gram"):
-            g = _owned_gram(rt, shared, n)
-            grams.append(0.5 * (g + g.T))
+    with _clock(rt, "Gram"):
+        grams = _grams(rt, shared)
 
     plan = DimTreePlan.create(rt.dims, cfg.rank)
-    ctx = DimTreeContext(plan, recorder=rt.record)
+    ctx = DimTreeContext(plan, recorder=rt.report.record)
     report.split_mode = plan.split
 
-    # initial model error: gamma from the set-up Grams; beta from iteration
-    # 1's mode-1 MTTKRP, or from an einsum MTTKRP when there is no iteration
-    with _clock(rt, "Error"):
-        gamma0 = float(lam @ (np.prod(grams, axis=0) @ lam))
+    # initial model error from iteration 1's mode-1 MTTKRP, or from an
+    # einsum MTTKRP when there is no iteration
     errors = report.errors
     if cfg.max_iters == 0:
         with _clock(rt, "MTTKRP"):
             mbar0 = naive_mttkrp(rt.x_local, shared, order - 1)
-        errors.append(_error_from_mttkrp(rt, mbar0, shared[-1], lam, alpha, gamma0))
+        errors.append(_error_from_mttkrp(rt, alpha, mbar0, order - 1, shared, lam, grams))
     report.row_wall[-1] = time.perf_counter() - wall0
     words_done = report.row_words[-1] = rt.counters.total_words()
 
     prev_shared = prev_lam = None
-    m_last = hhat_last = s_last = None
 
     # -- outer iterations ----------------------------------------------------
     converged = False
@@ -418,8 +384,8 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
                 mbar = ctx.mttkrp(rt.x_local, shared, n)
                 m_owned = rt.scatter_to_owned(n, mbar)
             if it == 1 and n == 0:
-                # mbar was built from the initial factors of modes 2..N
-                errors.append(_error_from_mttkrp(rt, mbar, shared[0], lam, alpha, gamma0))
+                # mbar, grams and lam still describe the initial model
+                errors.append(_error_from_mttkrp(rt, alpha, mbar, 0, shared, lam, grams))
             with _clock(rt, "Gram"):
                 s_n = hadamard_grams_excluding(grams, n)
             with _clock(rt, "NNLS"):
@@ -430,21 +396,13 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
                     raise RuntimeError(
                         f"NNLS update failed at iteration {it}, mode {n + 1}"
                     ) from exc
-                # column norms are global: reduce squared norms, then scale
-                w = np.sqrt(rt.all_reduce(np.sum(hhat * hhat, axis=0)))
-                h = hhat / np.where(w > 0.0, w, 1.0)
-                lam = w
+                h, lam = normalize_columns(hhat, rt.all_reduce)
             with _clock(rt, "Gram"):
-                g = rt.all_reduce(h.T @ h)
-                grams[n] = 0.5 * (g + g.T)
+                grams[n] = rt.all_reduce(gram(h))
                 shared[n] = rt.gather_to_slice(n, h)
-            if n == order - 1:
-                m_last, hhat_last, s_last = m_owned, hhat, s_n
-
+        # the last mode's MTTKRP and update give the sweep's error
         with _clock(rt, "Error"):
-            beta = rt.all_reduce(matrix_inner_product(m_last, hhat_last))
-            gamma = float(lam @ ((s_last * grams[-1]) @ lam))
-            eps = _eps_from_terms(alpha, beta, gamma)
+            eps = relative_error(alpha, m_owned, hhat, s_n, grams[-1], lam, rt.all_reduce)
 
         if cfg.algorithm == "nes":
             step = _nes_accelerate(
@@ -498,9 +456,7 @@ def _nes_accelerate(rt, ctx, it, eps, alpha, grams, shared, lam, prev_shared, pr
         shared = [h / scale[n] for n, h in enumerate(cand)]
         lam = cand_lam * np.prod(w, axis=0)
     with _clock(rt, "Gram"):
-        for n in range(len(shared)):
-            g = _owned_gram(rt, shared, n)
-            grams[n] = 0.5 * (g + g.T)
+        grams[:] = _grams(rt, shared)
     return shared, lam, cand_eps
 
 

@@ -219,22 +219,23 @@ def naive_mttkrp(x: DenseTensor, factors, mode: int) -> np.ndarray:
     return np.einsum(expr, *operands, optimize=True)
 
 
-def norm_squared(x: DenseTensor) -> float:
-    return x.norm_squared()
-
-
 def reconstruct(model: FactorSet) -> DenseTensor:
     """Dense tensor of the model: entry = sum_r lam_r * prod_n H_n(i_n, r)."""
     krp = khatri_rao(model.factors)
     return DenseTensor(model.dims, krp @ model.lam)
 
 
-def normalize_columns(h: np.ndarray):
+def _identity(value):
+    return value
+
+
+def normalize_columns(h: np.ndarray, reduce=_identity):
     """Scale each column to unit 2-norm; return (matrix, original norms).
 
-    Zero columns are left untouched and get weight 0.
+    Zero columns are left untouched and get weight 0.  ``reduce`` sums the
+    squared column norms across the row blocks of a distributed ``h``.
     """
-    norms = np.linalg.norm(h, axis=0)
+    norms = np.sqrt(reduce(np.sum(h * h, axis=0)))
     scale = np.where(norms > 0.0, norms, 1.0)
     return h / scale, norms
 
@@ -244,3 +245,25 @@ def matrix_inner_product(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return float(np.dot(a.ravel(), b.ravel()))
+
+
+def relative_error(alpha, mttkrp_n, h_n_unnormalized, s_n, g_n, lam, reduce=_identity) -> float:
+    """Relative error ||X - model|| / ||X|| from mode-n quantities.
+
+    err^2 = (alpha - 2 beta + gamma) / alpha with alpha = ||X||^2,
+    beta = <M_n, Hhat_n> for the pre-normalization factor Hhat_n and
+    gamma = lam' (S_n * G_n) lam.  ``reduce`` sums beta across the row
+    blocks of a distributed M_n.
+    """
+    if alpha <= 0.0:
+        raise ValueError("zero tensor has no relative error")
+    beta = reduce(matrix_inner_product(mttkrp_n, h_n_unnormalized))
+    gamma = float(lam @ ((s_n * g_n) @ lam))
+    radicand = alpha - 2.0 * beta + gamma
+    # max(0.0, nan) is 0.0, which would report a perfect fit
+    if not np.isfinite(radicand):
+        raise ValueError(
+            f"error term is not finite: alpha={alpha}, beta={beta}, gamma={gamma}"
+        )
+    # the radicand is a difference of nearly equal numbers near convergence
+    return float(np.sqrt(max(0.0, radicand) / alpha))

@@ -296,15 +296,14 @@ class TestDimTreeMttkrp:
             hs = [rng.standard_normal((d, 3)) for d in dims]
             plan = DimTreePlan.create(dims, 3)
             ctx = DimTreeContext(plan)
-            got = ctx.mttkrp_first_mode(x, hs)
+            # a sweep cut short after mode 1, as the NES acceptance test runs
+            ctx.begin_iteration()
+            got = ctx.mttkrp(x, hs, 0)
             want = naive_mttkrp(x, hs, 0)
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
             assert ctx.partial_calls == 1
             # one left partial, plus one trailing TTV when S > 1
             assert ctx.ttv_calls == (plan.split > 1)
-            # the same route a sweep's mode-1 request takes, bit for bit
-            ctx.begin_iteration()
-            assert np.array_equal(got, ctx.mttkrp(x, hs, 0))
         assert plan.split == len(dims) - 1
 
     def test_krp_argument_order_matches_matricization(self):

@@ -22,7 +22,6 @@ from nncp import (
     nncp_sequential,
     normalize_columns,
     reconstruct,
-    record_category,
     relative_error,
 )
 from nncp.dimtree import DimTreeContext, DimTreePlan
@@ -87,8 +86,8 @@ class TestRecordCategory:
     def test_accumulates(self):
         rep = RunReport()
         rep.begin_row()
-        record_category(rep, "MTTKRP", 1.0)
-        record_category(rep, "MTTKRP", 1.0)
+        rep.record("MTTKRP", 1.0)
+        rep.record("MTTKRP", 1.0)
         assert rep.rows[-1]["MTTKRP"] == 2.0
 
     def test_empty_row_is_all_zero(self):
@@ -100,7 +99,7 @@ class TestRecordCategory:
         rep = RunReport()
         rep.begin_row()
         for cat in CATEGORIES:
-            record_category(rep, cat, 0.5)
+            rep.record(cat, 0.5)
         assert len(CATEGORIES) == 9
         assert sum(v > 0 for v in rep.rows[-1].values()) == 9
 
@@ -108,7 +107,7 @@ class TestRecordCategory:
         rep = RunReport()
         rep.begin_row()
         with pytest.raises(ValueError):
-            record_category(rep, "Normalize", 1.0)
+            rep.record("Normalize", 1.0)
 
 
 class TestInitFactor:
@@ -229,7 +228,9 @@ class TestSequentialDriver:
 
     def test_non_finite_error_term_raises(self):
         with pytest.raises(ValueError, match="not finite"):
-            driver_mod._eps_from_terms(1.0, np.nan, 1.0)
+            relative_error(
+                1.0, np.full((1, 1), np.nan), np.ones((1, 1)), np.eye(1), np.eye(1), np.ones(1)
+            )
 
     def test_zero_tensor_rejected(self):
         with pytest.raises(ValueError, match="zero tensor"):
@@ -243,6 +244,16 @@ class TestSequentialDriver:
             nncp_sequential(x, RunConfig(rank=1, algorithm="sgd"))
         with pytest.raises(ValueError):
             nncp_parallel(x, RunConfig(rank=1, grid=(2, 2, 2)))
+
+    @pytest.mark.parametrize("count", [2, 4])
+    @pytest.mark.parametrize("grid", [None, (2, 1, 1)])
+    def test_initial_factor_count_must_match_order(self, count, grid):
+        x, _ = generate_synthetic(SyntheticSpec((4, 3, 2), 2, seed=1))
+        start = FactorSet([np.ones((d, 2)) for d in (4, 3, 2, 5)[:count]])
+        cfg = RunConfig(rank=2, max_iters=1, grid=grid, initial_factors=start)
+        solve = nncp_sequential if grid is None else nncp_parallel
+        with pytest.raises(ValueError, match=f"{count} initial factors for a tensor of order 3"):
+            solve(x, cfg)
 
 
 class TestParallelDriver:
@@ -529,7 +540,7 @@ class TestModelError:
         rt.report.begin_row()
         cfg = RunConfig(rank=model.rank, initial_factors=model)
         shared, lam = driver_mod._initial_factors(rt, cfg, x.dims)
-        ctx = DimTreeContext(DimTreePlan.create(rt.dims, model.rank), recorder=rt.record)
+        ctx = DimTreeContext(DimTreePlan.create(rt.dims, model.rank), recorder=rt.report.record)
         err = driver_mod._model_error(rt, ctx, shared, lam, x.norm_squared())
         assert ctx.partial_calls == 1
         return err

@@ -307,6 +307,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"nncp: {src}: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "dims, rank, message",
+        [
+            ("5", "2", "order must be at least 2"),
+            ("0,3", "2", "must be positive"),
+            ("4,4", "0", "must be positive"),
+            ("2000,2000,2000", "2", "exceeds the budget"),
+        ],
+    )
+    def test_bad_synthetic_spec_fails_cleanly(self, tmp_path, capsys, dims, rank, message):
+        code, _ = self.run(tmp_path, "--dims", dims, "--synthetic-rank", rank, "--rank", "2")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("nncp: ") and message in err
+        assert "Traceback" not in err
+
     def test_unwritable_output_prefix_fails_cleanly(self, tmp_path, capsys):
         prefix = tmp_path / "missing" / "run"
         code = run_cli(["--dims", "4,4,4", "--synthetic-rank", "2", "--rank", "2",

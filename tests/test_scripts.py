@@ -1,4 +1,5 @@
-"""Smoke tests: the example scripts run end to end and print their tables."""
+"""Smoke tests: the example scripts run end to end and print their tables,
+and the benchmark harness passes its self-test against this checkout."""
 
 import os
 import subprocess
@@ -40,3 +41,13 @@ def test_grid_sweep():
     for row in lines[1:]:
         dev = float(row.split()[2])
         assert dev <= 1e-10
+
+
+def test_perfbench_self_test():
+    # the harness wraps driver, dimtree, grid and tensor_io names by module
+    # attribute; its self-test fails when a refactor moves one of them
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--self-test"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

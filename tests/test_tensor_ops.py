@@ -14,9 +14,9 @@ from nncp import (
     khatri_rao,
     matrix_inner_product,
     naive_mttkrp,
-    norm_squared,
     normalize_columns,
     reconstruct,
+    relative_error,
 )
 from nncp.tensor_ops import SCAN_BLOCK
 
@@ -224,9 +224,9 @@ class TestNaiveMttkrp:
 
 class TestNormsAndInnerProducts:
     def test_norm_squared(self):
-        assert norm_squared(DenseTensor((2, 2, 2))) == 0.0
-        assert norm_squared(DenseTensor((2, 2, 2), np.ones(8))) == 8.0
-        assert norm_squared(DenseTensor((2, 2, 2), np.arange(1.0, 9.0))) == 204.0
+        assert DenseTensor((2, 2, 2)).norm_squared() == 0.0
+        assert DenseTensor((2, 2, 2), np.ones(8)).norm_squared() == 8.0
+        assert DenseTensor((2, 2, 2), np.arange(1.0, 9.0)).norm_squared() == 204.0
 
     def test_norm_squared_and_min_in_one_pass(self):
         # several scan blocks plus a ragged tail; the smallest entry sits
@@ -302,6 +302,56 @@ class TestNormalizeColumns:
         h[:, rng.integers(0, r)] *= rng.integers(0, 2)  # sometimes a zero column
         out, w = normalize_columns(h)
         assert np.allclose(out * w, h, rtol=0, atol=1e-13)
+
+    def test_default_norms_match_linalg_norm(self):
+        h = np.random.default_rng(4).standard_normal((37, 5))
+        assert np.array_equal(normalize_columns(h)[1], np.linalg.norm(h, axis=0))
+
+
+def row_blocks(a, b, local_term):
+    """Row blocks of ``a`` and ``b`` (one block a single row), and per block
+    a ``reduce`` that adds the other blocks' local terms, as an All-Reduce
+    over the block owners would."""
+    cuts = [2, 3]
+    pairs = list(zip(np.split(a, cuts), np.split(b, cuts)))
+    terms = [local_term(pa, pb) for pa, pb in pairs]
+
+    def reducer(i):
+        return lambda v: v + sum(t for j, t in enumerate(terms) if j != i)
+
+    return pairs, [reducer(i) for i in range(len(pairs))]
+
+
+class TestRowBlockReduce:
+    """A summing ``reduce`` over row blocks gives the whole-matrix result."""
+
+    def test_normalize_columns(self):
+        rng = np.random.default_rng(8)
+        h = rng.random((6, 3))
+        h[:, 1] = 0.0
+        want, want_w = normalize_columns(h)
+        pairs, reducers = row_blocks(h, want, lambda b, _: np.sum(b * b, axis=0))
+        for (block, want_block), reduce in zip(pairs, reducers):
+            out, w = normalize_columns(block, reduce)
+            assert np.allclose(w, want_w, rtol=1e-12, atol=0)
+            assert np.allclose(out, want_block, rtol=1e-12, atol=1e-12)
+
+    def test_relative_error(self):
+        rng = np.random.default_rng(9)
+        x = DenseTensor((6, 4, 3), rng.random(72))
+        hs = [rng.random((d, 2)) for d in x.dims]
+        lam = rng.random(2) + 0.5
+        grams = [gram(h) for h in hs]
+        s_0 = hadamard_grams_excluding(grams, 0)
+        m_0 = naive_mttkrp(x, hs, 0)
+        hhat = hs[0] * lam
+        args = (s_0, grams[0], lam)
+        want = relative_error(x.norm_squared(), m_0, hhat, *args)
+        assert 0.0 < want < 1.0
+        pairs, reducers = row_blocks(m_0, hhat, matrix_inner_product)
+        for (m_block, h_block), reduce in zip(pairs, reducers):
+            got = relative_error(x.norm_squared(), m_block, h_block, *args, reduce)
+            assert abs(got - want) <= 1e-12
 
 
 @given(st.integers(0, 10**6))
