@@ -2,7 +2,8 @@
 """Processor-grid sweep over the simulated worker runtime.
 
 Decomposes one synthetic tensor on several grid shapes and reports the
-per-category time breakdown and the communication volume, plus the maximum
+per-category time breakdown, the communication volume and the number of
+collective calls (both summed over workers), plus the maximum
 deviation of each run's error curve from the sequential reference.
 
 Example:
@@ -36,7 +37,7 @@ def main():
 
     labels = {"ReduceScatter": "RedScat", "AllGather": "AllGath", "AllReduce": "AllRed",
               "MultiTTV": "MulTTV"}
-    header = f"{'grid':>10s} {'relerr':>10s} {'eps_dev':>9s} {'words':>10s} " + "".join(
+    header = f"{'grid':>10s} {'relerr':>10s} {'eps_dev':>9s} {'words':>10s} {'calls':>7s} " + "".join(
         f"{labels.get(c, c):>9s}" for c in CATEGORIES
     )
     print(header)
@@ -46,7 +47,8 @@ def main():
         dev = float(np.abs(np.array(rep.errors) - np.array(ref.errors)).max())
         totals = {c: sum(r[c] for r in rep.rows) for c in CATEGORIES}
         words = sum(rep.row_words)
-        print(f"{text:>10s} {rep.errors[-1]:10.3e} {dev:9.1e} {words:10d} "
+        calls = sum(rep.counters.calls.values())
+        print(f"{text:>10s} {rep.errors[-1]:10.3e} {dev:9.1e} {words:10d} {calls:7d} "
               + "".join(f"{totals[c]:9.4f}" for c in CATEGORIES))
     return 0
 

@@ -92,11 +92,6 @@ def partial_mttkrp(x: DenseTensor, krp: np.ndarray, side: str, plan: DimTreePlan
     return out_t.ravel().reshape(retained + (krp.shape[1],), order="F")
 
 
-def partial_mttkrp_flops(x: DenseTensor, rank: int) -> int:
-    """Each partial MTTKRP costs 2*I*R flops regardless of the split."""
-    return 2 * x.size * rank
-
-
 def multi_ttv(temp: np.ndarray, coeff: np.ndarray, side: str) -> np.ndarray:
     """Contract one retained mode of ``temp``, all rank blocks in one matmul.
 
@@ -140,8 +135,6 @@ class DimTreeContext:
         self.recorder = recorder
         self.partial_calls = 0
         self.ttv_calls = 0
-        self.flops_partial = 0
-        self.flops_ttv = 0
         self._temp = None
         self._expected = None
 
@@ -165,7 +158,6 @@ class DimTreeContext:
         out = partial_mttkrp(x, krp, side, self.plan)
         self._record("MTTKRP", time.perf_counter() - t0)
         self.partial_calls += 1
-        self.flops_partial += partial_mttkrp_flops(x, self.plan.rank)
         return out
 
     def _ttv(self, temp, coeff, side):
@@ -173,8 +165,6 @@ class DimTreeContext:
         out = multi_ttv(temp, coeff, side)
         self._record("MultiTTV", time.perf_counter() - t0)
         self.ttv_calls += 1
-        # a multi-TTV touches each element of the input temporary once
-        self.flops_ttv += temp.size
         return out
 
     def mttkrp(self, x: DenseTensor, factors, mode: int) -> np.ndarray:

@@ -167,7 +167,7 @@ def _make_updater(cfg: RunConfig, order: int):
         if algo == "bpp":
             return bpp_update(inputs)
         if algo == "admm":
-            return admm_update(inputs, states[mode], reduce)
+            return admm_update(inputs, states[mode])
         return nesterov_update(inputs, states[mode], reduce)
 
     return update
@@ -290,8 +290,10 @@ def _initial_factors(rt, cfg: RunConfig, global_dims):
 
 
 def _grams(rt, shared):
-    """All-Reduced Gram matrices of the rows this worker owns."""
-    return [rt.all_reduce(gram(h[rt.owned_in_slice(n)])) for n, h in enumerate(shared)]
+    """Gram matrices of the rows this worker owns, stacked into one
+    All-Reduce; the sums stay elementwise, so each equals its own call."""
+    local = [gram(h[rt.owned_in_slice(n)]) for n, h in enumerate(shared)]
+    return list(rt.all_reduce(np.stack(local)))
 
 
 def _error_from_mttkrp(rt, alpha, mbar, n, shared, lam, grams):

@@ -59,18 +59,16 @@ class DistMap:
 
 @dataclass
 class CommCounters:
-    """Per-worker tallies of collective calls, words moved, and wall time."""
+    """Per-worker tallies of collective calls and words moved."""
 
     calls: dict = field(default_factory=dict)
     words_in: dict = field(default_factory=dict)
     words_out: dict = field(default_factory=dict)
-    seconds: dict = field(default_factory=dict)
 
-    def record(self, name: str, words_in: int, words_out: int, elapsed: float):
+    def record(self, name: str, words_in: int, words_out: int):
         self.calls[name] = self.calls.get(name, 0) + 1
         self.words_in[name] = self.words_in.get(name, 0) + words_in
         self.words_out[name] = self.words_out.get(name, 0) + words_out
-        self.seconds[name] = self.seconds.get(name, 0.0) + elapsed
 
     def snapshot(self) -> dict:
         return {
@@ -89,7 +87,6 @@ class CommCounters:
                 out.calls[name] = out.calls.get(name, 0) + c
                 out.words_in[name] = out.words_in.get(name, 0) + src.words_in.get(name, 0)
                 out.words_out[name] = out.words_out.get(name, 0) + src.words_out.get(name, 0)
-                out.seconds[name] = out.seconds.get(name, 0.0) + src.seconds.get(name, 0.0)
         return out
 
 
@@ -232,7 +229,7 @@ class Worker:
         for s in slots[1:]:
             fn(out, s, out=out)
         elapsed = time.perf_counter() - t0
-        self.counters.record("AllReduce", arr.size, arr.size, elapsed)
+        self.counters.record("AllReduce", arr.size, arr.size)
         self._record("AllReduce", elapsed)
         return float(out[0]) if scalar else out
 
@@ -243,7 +240,7 @@ class Worker:
         slots = group.rendezvous.exchange(group.index[self.rank], arr)
         out = np.concatenate(slots, axis=0)
         elapsed = time.perf_counter() - t0
-        self.counters.record("AllGather", arr.size, out.size, elapsed)
+        self.counters.record("AllGather", arr.size, out.size)
         self._record("AllGather", elapsed)
         return out
 
@@ -267,6 +264,6 @@ class Worker:
             total += s
         out = total[parts.block(group.index[self.rank])].copy()
         elapsed = time.perf_counter() - t0
-        self.counters.record("ReduceScatter", arr.size, out.size, elapsed)
+        self.counters.record("ReduceScatter", arr.size, out.size)
         self._record("ReduceScatter", elapsed)
         return out

@@ -327,7 +327,7 @@ def test_c11_inner_iteration_caps():
     m = rng.standard_normal((6, 8)) * 1e3
     x0 = np.abs(m)
     admm_state = UpdaterState()
-    admm_update(UpdateInputs(s, m, x0), admm_state, local_reduce)
+    admm_update(UpdateInputs(s, m, x0), admm_state)
     assert admm_state.last_inner_iters == 5
     nes_state = UpdaterState()
     nesterov_update(UpdateInputs(s, m, x0), nes_state, local_reduce)
@@ -338,7 +338,7 @@ def test_c11_inner_iteration_caps():
         a = rng.standard_normal((r + 2, r))
         s2, m2 = a.T @ a, rng.standard_normal((3, r))
         st1, st2 = UpdaterState(), UpdaterState()
-        admm_update(UpdateInputs(s2, m2, np.abs(m2)), st1, local_reduce)
+        admm_update(UpdateInputs(s2, m2, np.abs(m2)), st1)
         nesterov_update(UpdateInputs(s2, m2, np.abs(m2)), st2, local_reduce)
         assert st1.last_inner_iters <= 5
         assert st2.last_inner_iters <= 20

@@ -340,16 +340,26 @@ class TestParallelDriver:
         cfg = RunConfig(rank=2, algorithm="bpp", max_iters=0, grid=grid)
         assert nncp_parallel(x, cfg).counters.calls.get("AllGather", 0) == 0
 
+    @pytest.mark.parametrize(
+        "dims, grid", [((8, 8, 8), (2, 2, 1)), ((6, 5, 4, 6), (2, 1, 1, 2))]
+    )
+    def test_setup_all_reduces_once_per_quantity(self, dims, grid):
+        # ||X||^2, the stacked Grams of all modes, and the error's scalar
+        x, _ = generate_synthetic(SyntheticSpec(dims, 2, seed=14))
+        cfg = RunConfig(rank=2, algorithm="bpp", max_iters=0, grid=grid)
+        calls = nncp_parallel(x, cfg).counters.calls["AllReduce"]
+        assert calls == 3 * int(np.prod(grid))
+
     def test_stateful_updaters_communicate_extra(self):
         x, _ = generate_synthetic(SyntheticSpec((6, 6, 6), 2, seed=15))
         calls = {}
         for algo in ("bpp", "mu", "hals", "admm", "nes"):
             cfg = RunConfig(rank=2, algorithm=algo, max_iters=3, tol=0.0, seed=8, grid=(2, 1, 1))
             calls[algo] = nncp_parallel(x, cfg).counters.calls.get("AllReduce", 0)
-        # MU's and HALS's steps are row-local: no reduction beyond BPP's
+        # MU's, HALS's and ADMM's steps are row-local: no reduction beyond BPP's
         assert calls["mu"] == calls["bpp"]
         assert calls["hals"] == calls["bpp"]
-        assert calls["admm"] > calls["bpp"]
+        assert calls["admm"] == calls["bpp"]
         assert calls["nes"] > calls["bpp"]
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])

@@ -36,11 +36,12 @@ def test_grid_sweep():
         "grid_sweep.py", "--dims", "8,8,8", "--rank", "2", "--iters", "2",
         "--grids", "1,1,1", "2,1,1",
     )
-    assert lines[0].split()[:3] == ["grid", "relerr", "eps_dev"]
+    assert lines[0].split()[:5] == ["grid", "relerr", "eps_dev", "words", "calls"]
     assert [row.split()[0] for row in lines[1:]] == ["1,1,1", "2,1,1"]
     for row in lines[1:]:
         dev = float(row.split()[2])
         assert dev <= 1e-10
+        assert int(row.split()[4]) > 0
 
 
 def test_perfbench_self_test():

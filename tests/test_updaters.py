@@ -178,7 +178,7 @@ def enumerate_nnls(s, m):
     return out
 
 
-def bpp_rowwise(s, f, column, rules):
+def bpp_rowwise(s, f, row, rules):
     """Block principal pivoting of one row: the reference for bpp_update.
 
     Counts the exchange rule of every pivot in ``rules``.
@@ -213,7 +213,7 @@ def bpp_rowwise(s, f, column, rules):
             x[passive] = np.linalg.solve(s[np.ix_(passive, passive)], f[passive])
         if not passive.all():
             y[~passive] = s[~passive][:, passive] @ x[passive] - f[~passive]
-    raise BppCyclingError(column)
+    raise BppCyclingError(row)
 
 
 def count_stacked_solves(monkeypatch):
@@ -261,7 +261,7 @@ class TestBpp:
         m = np.array([[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(BppCyclingError) as info:
             bpp_update(UpdateInputs(s, m, np.zeros_like(m)))
-        assert info.value.column == 1
+        assert info.value.row == 1
 
     def test_cycling_reports_first_cycling_row(self, monkeypatch):
         # row 0 converges after one exchange, row 2 at once; rows 1 and 3 cycle
@@ -276,7 +276,7 @@ class TestBpp:
         sizes = count_stacked_solves(monkeypatch)
         with pytest.raises(BppCyclingError) as info:
             bpp_update(UpdateInputs(s, m, np.zeros_like(m)))
-        assert info.value.column == 1
+        assert info.value.row == 1
         # 5R+1 checks per cycling row, each followed by a solve
         assert sum(sizes) == sum(rules.values()) == 1 + 2 * (5 * 2 + 1)
 
@@ -352,7 +352,6 @@ class TestAdmm:
 
     def test_inner_cap_honored(self):
         rng = np.random.default_rng(5)
-        # ill-conditioned gram keeps the stopping rule from firing
         q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
         s = q @ np.diag(np.logspace(0, 8, 6)) @ q.T
         s = 0.5 * (s + s.T)
