@@ -9,7 +9,6 @@ with communication accounting.
 from .dimtree import (
     DimTreeContext,
     DimTreePlan,
-    choose_split_mode,
     multi_ttv,
     partial_mttkrp,
 )
@@ -35,6 +34,7 @@ from .tensor_io import (
 from .tensor_ops import (
     DenseTensor,
     FactorSet,
+    choose_split_mode,
     gram,
     hadamard_grams_excluding,
     khatri_rao,

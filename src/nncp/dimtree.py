@@ -21,22 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_ops import DenseTensor, khatri_rao
-
-
-def choose_split_mode(dims) -> int:
-    """Number of leading modes kept on the left side of the root split.
-
-    Returns the smallest S with prod(dims[:S]) >= prod(dims[S:]), capped to
-    N-1 so both sides are nonempty.
-    """
-    n = len(dims)
-    if n < 2:
-        raise ValueError("need at least 2 modes")
-    for s in range(1, n):
-        if int(np.prod(dims[:s])) >= int(np.prod(dims[s:])):
-            return s
-    return n - 1
+from .tensor_ops import DenseTensor, choose_split_mode, khatri_rao
 
 
 @dataclass(frozen=True)

@@ -85,8 +85,10 @@ class RunConfig:
     def validate(self, order: int):
         if self.rank < 1:
             raise ValueError("rank must be at least 1")
-        if self.tol < 0:
-            raise ValueError("tolerance must be nonnegative")
+        if not self.tol >= 0:
+            raise ValueError(f"tol must be a nonnegative number, got {self.tol}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
         if self.algorithm not in ALGORITHMS:
@@ -114,7 +116,7 @@ class RunReport:
     counts words moved by collectives, ``row_wall`` is the row's wall time.
     Row 0's error reuses iteration 1's mode-1 MTTKRP, so row 1 books its
     ``relative_error`` call and scalar All-Reduce; a 0-iteration run books
-    them in row 0.
+    them in row 0, with the mode-1 MTTKRP from ``naive_mttkrp``.
     With ``nes``, row i's error is that of the model iteration i returns,
     and ``nes_accepted[i-1]`` tells whether its extrapolation was accepted;
     the list is empty for the other rules.
@@ -322,7 +324,8 @@ def _model_error(rt, ctx, shared, lam, alpha):
 
 
 def _run_spmd(rt, cfg: RunConfig, global_dims):
-    """One worker's program; sequential execution is the P=1 special case."""
+    """One worker's program; sequential execution is the P=1 special case.
+    The initial error takes iteration 1's mode-1 MTTKRP, or ``naive_mttkrp``'s."""
     order = len(global_dims)
     report = rt.report
     update = _make_updater(cfg, order)
@@ -360,13 +363,13 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
     ctx = DimTreeContext(plan, recorder=rt.report.record)
     report.split_mode = plan.split
 
-    # initial model error from iteration 1's mode-1 MTTKRP, or from an
-    # einsum MTTKRP when there is no iteration
+    # initial model error from iteration 1's mode-1 MTTKRP, or from the
+    # same mode's GEMM MTTKRP when there is no iteration
     errors = report.errors
     if cfg.max_iters == 0:
         with _clock(rt, "MTTKRP"):
-            mbar0 = naive_mttkrp(rt.x_local, shared, order - 1)
-        errors.append(_error_from_mttkrp(rt, alpha, mbar0, order - 1, shared, lam, grams))
+            mbar0 = naive_mttkrp(rt.x_local, shared, 0)
+        errors.append(_error_from_mttkrp(rt, alpha, mbar0, 0, shared, lam, grams))
     report.row_wall[-1] = time.perf_counter() - wall0
     words_done = report.row_words[-1] = rt.counters.total_words()
 

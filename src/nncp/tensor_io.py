@@ -128,6 +128,8 @@ class SyntheticSpec:
         self.dims = tuple(int(d) for d in self.dims)
         if any(d < 1 for d in self.dims) or self.rank < 1:
             raise ValueError("dims and rank must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 # salts the generator key away from the driver's factor initialization

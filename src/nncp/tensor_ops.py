@@ -15,7 +15,6 @@ line up with matricization columns without any permutation.
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,26 +175,31 @@ def hadamard_grams_excluding(grams, exclude: int) -> np.ndarray:
     return out
 
 
-# einsum index letters for the tensor modes; "r" is reserved for the rank
-_MODE_LETTERS = "".join(c for c in string.ascii_letters if c != "r")
+def choose_split_mode(dims) -> int:
+    """Number of leading modes kept on the left side of the root split.
+
+    Returns the smallest S with prod(dims[:S]) >= prod(dims[S:]), capped to
+    N-1 so both sides are nonempty.
+    """
+    n = len(dims)
+    if n < 2:
+        raise ValueError("need at least 2 modes")
+    for s in range(1, n):
+        if int(np.prod(dims[:s])) >= int(np.prod(dims[s:])):
+            return s
+    return n - 1
 
 
 def naive_mttkrp(x: DenseTensor, factors, mode: int) -> np.ndarray:
-    """MTTKRP in ``mode`` by direct summation over all other indices.
+    """MTTKRP in ``mode``: M(i, r) = sum over i_1..i_N (i_mode = i) of
+    X(i_1..i_N) * prod of the other factors' (i_m, r) entries.
 
-    M(i, r) = sum over i_1..i_N (i_mode = i) of X(i_1..i_N) * prod of the
-    other factors' (i_m, r) entries.  Implemented as a single einsum over
-    the dense array; independent of both the matricization-based and
-    dimension-tree code paths, so it serves as their oracle.
-
-    The driver calls it only for the initial error of a zero-iteration
-    run, which has no sweep to take that MTTKRP from and so still runs no
-    partial MTTKRP; every other run takes the initial error from iteration
-    1's mode-1 dimension-tree MTTKRP.
-
-    einsum sees the tensor as a C-order array indexed a[i_N, ..., i_1],
-    which is the flat buffer itself; an F-order view would make einsum's
-    GEMM step copy the whole tensor.  Orders up to 51 are supported.
+    One GEMM on the zero-copy matricization at the root split S of
+    ``choose_split_mode`` contracts the side not holding ``mode`` against
+    its Khatri-Rao product, so X is never copied; one batched matvec per
+    side of ``mode`` contracts the other retained modes.  It keeps no
+    dimension-tree state and counts no partial MTTKRP.  The driver calls
+    it only for the mode-1 initial error of a zero-iteration run.
     """
     hs = list(factors.factors) if isinstance(factors, FactorSet) else list(factors)
     n = x.order
@@ -206,17 +210,21 @@ def naive_mttkrp(x: DenseTensor, factors, mode: int) -> np.ndarray:
             raise ValueError(
                 f"factor {m} has {h.shape[0]} rows, tensor dim is {x.dims[m]}"
             )
-    if n > len(_MODE_LETTERS):
-        raise ValueError("tensor order too large for naive path")
-    letters = _MODE_LETTERS[:n]
-    terms = [letters[::-1]]
-    operands = [x.data.reshape(x.dims[::-1])]
-    for m in range(n):
-        if m != mode:
-            terms.append(letters[m] + "r")
-            operands.append(hs[m])
-    expr = ",".join(terms) + "->" + letters[mode] + "r"
-    return np.einsum(expr, *operands, optimize=True)
+    s = choose_split_mode(x.dims)
+    mat = x.unfold_leading(s)
+    # (R, retained) C order: the first retained mode varies fastest
+    if mode < s:
+        lo, hi, t = 0, s, khatri_rao(hs[s:]).T @ mat.T
+    else:
+        lo, hi, t = s, n, khatri_rao(hs[:s]).T @ mat
+    rank, dim = t.shape[0], x.dims[mode]
+    if mode > lo:
+        lead = int(np.prod(x.dims[lo:mode]))
+        t = t.reshape(rank, -1, lead) @ khatri_rao(hs[lo:mode]).T[:, :, None]
+    t = t.reshape(rank, -1, dim)
+    if mode < hi - 1:
+        t = khatri_rao(hs[mode + 1 : hi]).T[:, None, :] @ t
+    return np.ascontiguousarray(t.reshape(rank, dim).T)
 
 
 def reconstruct(model: FactorSet) -> DenseTensor:

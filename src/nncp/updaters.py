@@ -25,6 +25,7 @@ ADMM_INNER_CAP = 5
 NESTEROV_INNER_CAP = 20
 MU_INNER_STEPS = 10
 MU_EPSILON = 1e-16
+HALS_FLOOR = 1e-16
 NESTEROV_TOL = 1e-8
 NESTEROV_PROX_FLOOR = 1e-6
 BPP_BACKUP_TRIES = 3
@@ -109,10 +110,11 @@ def mu_update(inp: UpdateInputs) -> np.ndarray:
 def hals_update(inp: UpdateInputs) -> np.ndarray:
     """One Gauss-Seidel sweep over columns, latest values in every step.
 
-    Column r gets the closed-form update [h_r + (m_r - H s_r)/S_rr]_+.
-    Every step is row-local, so grid runs add no collective; a column that
-    collapses to zero keeps weight zero.  The returned matrix is the raw
-    sweep result; rescaling into unit columns happens in the driver's
+    Column r gets the closed-form update max(h_r + (m_r - H s_r)/S_rr,
+    HALS_FLOOR); the positive floor keeps each Gram diagonal nonzero, so a
+    collapsed column can come back (Gillis & Glineur 2012).  Every step is
+    row-local, so grid runs add no collective.  The returned matrix is the
+    raw sweep result; rescaling into unit columns happens in the driver's
     normalization step.
     """
     s, m = inp.gram, inp.mttkrp_rows
@@ -123,7 +125,7 @@ def hals_update(inp: UpdateInputs) -> np.ndarray:
             warnings.warn(f"zero gram diagonal in column {r}, skipping")
             continue
         col = h[:, r] + (m[:, r] - h @ s[:, r]) / d
-        np.maximum(col, 0.0, out=col)
+        np.maximum(col, HALS_FLOOR, out=col)
         h[:, r] = col
     return h
 

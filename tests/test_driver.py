@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -245,6 +246,15 @@ class TestSequentialDriver:
         with pytest.raises(ValueError):
             nncp_parallel(x, RunConfig(rank=1, grid=(2, 2, 2)))
 
+    @pytest.mark.parametrize(
+        "field, value", [("seed", -1), ("tol", float("nan")), ("tol", -1e-3)]
+    )
+    def test_config_rejects_bad_seed_and_tol(self, field, value):
+        x = DenseTensor((3, 3), np.ones(9))
+        cfg = RunConfig(rank=1, max_iters=1, **{field: value})
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            nncp_sequential(x, cfg)
+
     @pytest.mark.parametrize("count", [2, 4])
     @pytest.mark.parametrize("grid", [None, (2, 1, 1)])
     def test_initial_factor_count_must_match_order(self, count, grid):
@@ -385,7 +395,7 @@ def solve(x, grid=None, **kw):
 
 class TestInitialError:
     """Row 0's error takes its MTTKRP from iteration 1's mode-1 step; only a
-    zero-iteration run evaluates it with a separate einsum MTTKRP."""
+    zero-iteration run evaluates that mode-1 MTTKRP with ``naive_mttkrp``."""
 
     @pytest.mark.parametrize("iters, calls", [(0, 1), (1, 0), (3, 0)])
     def test_einsum_mttkrp_only_without_iterations(self, monkeypatch, iters, calls):
@@ -398,7 +408,7 @@ class TestInitialError:
         monkeypatch.setattr(driver_mod, "naive_mttkrp", counted)
         x, _ = generate_synthetic(SyntheticSpec((6, 5, 4), 2, seed=7))
         rep = solve(x, rank=2, algorithm="ucp", max_iters=iters)
-        assert seen == [x.order - 1] * calls  # the last mode: einsum copies no X
+        assert seen == [0] * calls  # mode 1, the MTTKRP iteration 1 reuses
         assert len(rep.errors) == iters + 1
         assert rep.tree_partial_calls == 2 * iters
 
@@ -410,6 +420,23 @@ class TestInitialError:
         for iters in (1, 3):
             got = solve(x, grid, rank=3, algorithm=algo, max_iters=iters).errors[0]
             assert abs(got - want) <= 1e-14 * want
+
+    def test_zero_iteration_run_does_not_copy_the_tensor(self):
+        x, _ = generate_synthetic(SyntheticSpec((48, 48, 48), 4, seed=5))
+        tracemalloc.start()
+        try:
+            nncp_sequential(x, RunConfig(rank=4, max_iters=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.data.nbytes / 2
+
+    def test_zero_iteration_run_at_order_fifty_six(self):
+        dims = (2, 3) + (1,) * 50 + (2, 1, 2, 1)
+        x = DenseTensor(dims, np.random.default_rng(8).random(24))
+        rep = nncp_sequential(x, RunConfig(rank=2, max_iters=0))
+        assert len(rep.errors) == 1 and 0.0 < rep.errors[0] < np.inf
+        assert rep.tree_partial_calls == 0
 
     def test_scalar_all_reduce_moves_from_row_zero_to_row_one(self):
         x, _ = generate_synthetic(SyntheticSpec((8, 8, 8), 2, seed=14))

@@ -332,6 +332,25 @@ class TestCli:
         assert err.startswith("nncp: ") and str(prefix.parent) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "source, option, value, message",
+        [
+            ("file", "--seed", "-1", "seed must be nonnegative"),
+            ("synthetic", "--seed", "-1", "seed must be nonnegative"),
+            ("file", "--tol", "nan", "tol must be"),
+        ],
+    )
+    def test_bad_seed_or_tol_fails_cleanly(self, tmp_path, capsys, source, option, value, message):
+        args = ["--dims", "2,2,2", "--synthetic-rank", "1"]
+        if source == "file":
+            src = tmp_path / "in.bin"
+            write_tensor(src, DenseTensor((2, 2, 2), np.arange(1.0, 9.0)))
+            args = ["--input", str(src)]
+        code, _ = self.run(tmp_path, *args, "--rank", "2", option, value)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"nncp: {message}") and "Traceback" not in err
+
     def test_input_file_path(self, tmp_path):
         x, _ = generate_synthetic(SyntheticSpec((5, 4, 3), 2, seed=6))
         src = tmp_path / "in.bin"

@@ -1,3 +1,4 @@
+import string
 import tracemalloc
 import warnings
 
@@ -35,6 +36,25 @@ def loop_mttkrp(x: DenseTensor, hs, mode):
                     prod *= hs[m][i, c]
             out[idx[mode], c] += prod
     return out
+
+
+# einsum index letters for the tensor modes; "r" is reserved for the rank
+_MODE_LETTERS = "".join(c for c in string.ascii_letters if c != "r")
+
+
+def einsum_mttkrp(x: DenseTensor, hs, mode):
+    """Reference MTTKRP as one einsum over the C-order view of the flat
+    buffer, indexed a[i_N, ..., i_1]; orders up to 51."""
+    n = x.order
+    letters = _MODE_LETTERS[:n]
+    terms = [letters[::-1]]
+    operands = [x.data.reshape(x.dims[::-1])]
+    for m in range(n):
+        if m != mode:
+            terms.append(letters[m] + "r")
+            operands.append(hs[m])
+    expr = ",".join(terms) + "->" + letters[mode] + "r"
+    return np.einsum(expr, *operands, optimize=True)
 
 
 class TestDenseTensor:
@@ -208,6 +228,47 @@ class TestNaiveMttkrp:
             fast = naive_mttkrp(x, hs, mode)
             slow = loop_mttkrp(x, hs, mode)
             assert np.allclose(fast, slow, rtol=1e-12, atol=0)
+
+    @given(
+        st.lists(st.integers(1, 6), min_size=2, max_size=7),
+        st.integers(1, 5),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_einsum_reference(self, dims, rank, seed):
+        # uniform entries: no cancellation, so every entry meets the
+        # relative tolerance; size-1 modes still scale by their factor row
+        rng = np.random.default_rng(seed)
+        x = DenseTensor(dims, rng.random(int(np.prod(dims))))
+        hs = [rng.random((d, rank)) for d in dims]
+        for mode in range(len(dims)):
+            want = einsum_mttkrp(x, hs, mode)
+            assert np.allclose(naive_mttkrp(x, hs, mode), want, rtol=1e-12, atol=0)
+
+    def test_order_fifty_six_against_loop_oracle(self):
+        rng = np.random.default_rng(6)
+        dims = (2, 3) + (1,) * 50 + (2, 1, 2, 1)
+        x = DenseTensor(dims, rng.random(int(np.prod(dims))))
+        hs = [rng.random((d, 2)) + 0.5 for d in dims]
+        for mode in (0, 1, 30, 52, 54, 55):
+            fast = naive_mttkrp(x, hs, mode)
+            slow = loop_mttkrp(x, hs, mode)
+            assert np.allclose(fast, slow, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
+        "dims, rank, mode", [((12,) * 5, 8, 0), ((12,) * 5, 8, 4), ((48,) * 3, 4, 0)]
+    )
+    def test_no_mode_copies_the_tensor(self, dims, rank, mode):
+        rng = np.random.default_rng(5)
+        x = DenseTensor(dims, rng.random(int(np.prod(dims))))
+        hs = [rng.random((d, rank)) for d in dims]
+        tracemalloc.start()
+        try:
+            naive_mttkrp(x, hs, mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.data.nbytes / 2
 
     def test_last_mode_does_not_copy_the_tensor(self):
         rng = np.random.default_rng(5)

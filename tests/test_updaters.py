@@ -1,4 +1,5 @@
 import collections
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import nncp.driver as driver_mod
 from nncp import (
     BppCyclingError,
     DenseTensor,
+    RunConfig,
     UpdateInputs,
     UpdaterState,
     admm_update,
@@ -16,6 +18,7 @@ from nncp import (
     hals_update,
     mu_update,
     nesterov_update,
+    nncp_sequential,
     ucp_update,
 )
 from nncp.updaters import (
@@ -136,6 +139,23 @@ class TestHals:
         with pytest.warns(UserWarning):
             out = hals_update(inputs(s, [[1.0, 5.0]], [[0.0, 0.25]]))
         assert np.allclose(out, [[1.0, 0.25]])  # column 2 untouched
+
+    @pytest.mark.parametrize("dims, rank, cut", [((3, 4, 5), 10, 0.0), ((6, 6, 6), 6, 0.9)])
+    def test_collapsed_columns_come_back(self, dims, rank, cut):
+        # with a clamp at 0, columns of these instances collapsed for good:
+        # 5 of 10 (error 0.243, BPP 0.068) and 3 of 6 (0.703, BPP 0.596)
+        data = np.random.default_rng(0).random(int(np.prod(dims)))
+        x = DenseTensor(dims, np.where(data < cut, 0.0, data))
+
+        def run(algo):
+            cfg = RunConfig(rank=rank, algorithm=algo, max_iters=30, tol=0.0, seed=2)
+            return nncp_sequential(x, cfg)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hals = run("hals")
+        assert (hals.model.lam > 0).all()
+        assert hals.errors[-1] <= run("bpp").errors[-1]
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=50, deadline=None)
