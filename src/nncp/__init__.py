@@ -6,12 +6,7 @@ runnable either in-process or across a simulated distributed worker grid
 with communication accounting.
 """
 
-from .dimtree import (
-    DimTreeContext,
-    DimTreePlan,
-    multi_ttv,
-    partial_mttkrp,
-)
+from .dimtree import DimTree, multi_ttv, partial_mttkrp
 from .driver import (
     ALGORITHMS,
     CATEGORIES,

@@ -5,8 +5,14 @@ trailing block {S+1..N}.  Each block is produced by a single partial MTTKRP
 (one GEMM against the zero-copy matricization), and the per-mode MTTKRP
 results are then peeled off the block temporaries by multi-TTV steps, each
 one batched matmul over the R rank blocks.  Only two partial MTTKRPs run per
-sweep, no matter how many modes the tensor has.  The NES acceptance test
-runs a sweep cut short after mode 1: one more left partial MTTKRP.
+sweep, no matter how many modes the tensor has.
+
+``DimTree.sweep`` is a generator that yields the mode-1..N MTTKRPs in
+order; the live temporary is one of its local variables, and each
+Khatri-Rao product is released once its GEMM or multi-TTV is done.  The
+NES acceptance test runs a sweep cut short after mode 1: one more left
+partial MTTKRP.  Each step is timed through the ``clock`` the tree is
+given, the driver's self-time clock in a run.
 
 Temporaries are plain ``(retained..., R)`` arrays in F order: the retained
 indices vary fastest and the rank index slowest, so the r-th rank block is
@@ -16,33 +22,14 @@ works on needs no copy.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
+from contextlib import nullcontext
 
 import numpy as np
 
-from .tensor_ops import DenseTensor, choose_split_mode, khatri_rao
+from .tensor_ops import DenseTensor, khatri_rao
 
 
-@dataclass(frozen=True)
-class DimTreePlan:
-    """Immutable split choice for one tensor/rank pair."""
-
-    dims: tuple
-    rank: int
-    split: int
-
-    @classmethod
-    def create(cls, dims, rank: int) -> "DimTreePlan":
-        dims = tuple(int(d) for d in dims)
-        return cls(dims=dims, rank=int(rank), split=choose_split_mode(dims))
-
-    @property
-    def order(self) -> int:
-        return len(self.dims)
-
-
-def partial_mttkrp(x: DenseTensor, krp: np.ndarray, side: str, plan: DimTreePlan) -> np.ndarray:
+def partial_mttkrp(x: DenseTensor, krp: np.ndarray, side: str, split: int) -> np.ndarray:
     """Contract one side of the root split against a Khatri-Rao product.
 
     ``side='left'`` retains modes 1..S and contracts the trailing modes
@@ -52,15 +39,14 @@ def partial_mttkrp(x: DenseTensor, krp: np.ndarray, side: str, plan: DimTreePlan
     whose C-order buffer already has the rank index slowest, so the large
     left result needs no re-layout copy.
     """
-    s = plan.split
-    mat = x.unfold_leading(s)
+    mat = x.unfold_leading(split)
     if side == "left":
         if krp.shape[0] != mat.shape[1]:
             raise ValueError(
                 f"krp has {krp.shape[0]} rows, contracted side has {mat.shape[1]}"
             )
         out_t = krp.T @ mat.T
-        retained = x.dims[:s]
+        retained = x.dims[:split]
     elif side == "right":
         if krp.shape[0] != mat.shape[0]:
             raise ValueError(
@@ -71,7 +57,7 @@ def partial_mttkrp(x: DenseTensor, krp: np.ndarray, side: str, plan: DimTreePlan
         # retains the smaller block unless the split is capped, so the
         # ravel copy of the transposed view is small.
         out_t = (mat.T @ krp).T
-        retained = x.dims[s:]
+        retained = x.dims[split:]
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     return out_t.ravel().reshape(retained + (krp.shape[1],), order="F")
@@ -106,81 +92,48 @@ def multi_ttv(temp: np.ndarray, coeff: np.ndarray, side: str) -> np.ndarray:
     raise ValueError(f"side must be 'leading' or 'trailing', got {side!r}")
 
 
-class DimTreeContext:
-    """Mutable per-sweep state: live temporary, counters, mode ordering.
+class DimTree:
+    """Dimension tree over a fixed root split, with call counters.
 
-    One context per execution context (the plan itself is shareable).  Modes
-    must be requested in ascending order within a sweep started by
-    ``begin_iteration``; the stored temporary embeds factor snapshots taken
-    when it was formed, which is exactly what alternating updates need.
+    ``clock(category)`` returns a context manager that times one step; the
+    default times nothing.  ``partial_calls`` and ``ttv_calls`` count the
+    partial MTTKRPs and multi-TTVs of every sweep so far.
     """
 
-    def __init__(self, plan: DimTreePlan, recorder=None):
-        self.plan = plan
-        self.recorder = recorder
+    def __init__(self, split: int, clock=nullcontext):
+        self.split = split
+        self.clock = clock
         self.partial_calls = 0
         self.ttv_calls = 0
-        self._temp = None
-        self._expected = None
 
-    def begin_iteration(self):
-        """Invalidate the temporary and restart the mode sequence."""
-        self._temp = None
-        self._expected = 0
+    def sweep(self, x: DenseTensor, factors):
+        """Yield the MTTKRP of modes 1..N in order.
 
-    def _record(self, category: str, elapsed: float):
-        if self.recorder is not None:
-            self.recorder(category, elapsed)
-
-    def _krp(self, factors):
-        t0 = time.perf_counter()
-        k = khatri_rao(factors)
-        self._record("KRP", time.perf_counter() - t0)
-        return k
-
-    def _partial(self, x, krp, side):
-        t0 = time.perf_counter()
-        out = partial_mttkrp(x, krp, side, self.plan)
-        self._record("MTTKRP", time.perf_counter() - t0)
-        self.partial_calls += 1
-        return out
-
-    def _ttv(self, temp, coeff, side):
-        t0 = time.perf_counter()
-        out = multi_ttv(temp, coeff, side)
-        self._record("MultiTTV", time.perf_counter() - t0)
-        self.ttv_calls += 1
-        return out
-
-    def mttkrp(self, x: DenseTensor, factors, mode: int) -> np.ndarray:
-        """MTTKRP result for ``mode`` from the list of N factor matrices
-        ``factors``, reusing this sweep's temporary."""
-        n = self.plan.order
-        s = self.plan.split
-        if x.dims != self.plan.dims:
-            raise ValueError(f"tensor dims {x.dims} do not match plan {self.plan.dims}")
-        if self._expected is None:
-            raise RuntimeError("call begin_iteration before requesting modes")
-        if mode != self._expected:
-            raise RuntimeError(
-                f"modes must be requested in ascending order: expected {self._expected}, got {mode}"
-            )
-
-        # peel the side holding ``mode``: modes lo..hi-1 share one temporary
-        lo, hi, side = (0, s, "left") if mode < s else (s, n, "right")
-        if mode == lo:
-            other = factors[s:] if side == "left" else factors[:s]
-            temp = self._partial(x, self._krp(other), side)
-        else:
-            if self._temp is None:
-                raise RuntimeError(f"stale cache: no {side} temporary for mode {mode}")
-            temp = self._ttv(self._temp, factors[mode - 1], "leading")
-        if mode == hi - 1:
-            result = temp
-            self._temp = None
-        else:
-            self._temp = temp
-            result = self._ttv(temp, self._krp(factors[mode + 1 : hi]), "trailing")
-
-        self._expected = mode + 1 if mode + 1 < n else None
-        return np.ascontiguousarray(result)
+        Mode n's Khatri-Rao products and leading multi-TTV read ``factors``
+        when mode n is requested, so a caller that replaces ``factors[n]``
+        before asking for mode n+1 gets exactly the alternating-update
+        MTTKRPs.  A sweep cut short after mode 1 runs one partial MTTKRP.
+        """
+        n, s, clock = x.order, self.split, self.clock
+        for lo, hi, side in ((0, s, "left"), (s, n, "right")):
+            with clock("KRP"):
+                krp = khatri_rao(factors[s:] if side == "left" else factors[:s])
+            with clock("MTTKRP"):
+                temp = partial_mttkrp(x, krp, side, s)
+            del krp
+            self.partial_calls += 1
+            for mode in range(lo, hi):
+                if mode > lo:
+                    with clock("MultiTTV"):
+                        temp = multi_ttv(temp, factors[mode - 1], "leading")
+                    self.ttv_calls += 1
+                if mode == hi - 1:
+                    yield np.ascontiguousarray(temp)
+                    continue
+                with clock("KRP"):
+                    krp = khatri_rao(factors[mode + 1 : hi])
+                with clock("MultiTTV"):
+                    out = multi_ttv(temp, krp, "trailing")
+                del krp
+                self.ttv_calls += 1
+                yield np.ascontiguousarray(out)

@@ -9,9 +9,12 @@ weight vector.  Every reported error comes from ``relative_error``,
 which pairs a mode-n MTTKRP with the Gram matrices instead of forming the
 reconstruction; the collectives reach it as ``reduce``.
 
-Every timed region books its self time: its wall time less what nested
-regions and collectives booked meanwhile.  Each collective books its own
-wall time, so the per-category columns never overlap.
+One clock, ``_clock``, times every region and books its self time: its
+wall time less what nested regions booked meanwhile, so the per-category
+columns never overlap.  The dimension tree and each grid worker take it as
+their ``clock``, so every KRP, partial MTTKRP, multi-TTV and collective is
+booked through it.  Each sweep is one ``DimTree.sweep`` generator; the
+driver asks it for mode n+1 only after replacing factor n.
 """
 
 from __future__ import annotations
@@ -19,16 +22,19 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .dimtree import DimTreeContext, DimTreePlan
+from .dimtree import DimTree
 from .grid import CommCounters, Grid, Worker, block_partition
 from .tensor_ops import (
     DenseTensor,
     FactorSet,
+    choose_split_mode,
     gram,
     hadamard_grams_excluding,
+    local_reduce,
     naive_mttkrp,
     normalize_columns,
     relative_error,
@@ -39,7 +45,6 @@ from .updaters import (
     admm_update,
     bpp_update,
     hals_update,
-    local_reduce,
     mu_update,
     nesterov_update,
     ucp_update,
@@ -207,7 +212,7 @@ class _WorkerRuntime:
         self.worker = worker
         self.counters = worker.counters
         self.report = RunReport()
-        worker.recorder = self.report.record
+        worker.clock = partial(_clock, self)
         grid = worker.grid
         self.groups = [
             grid.slice_group(n, worker.coord[n]) for n in range(len(grid.shape))
@@ -249,10 +254,10 @@ class _WorkerRuntime:
 class _clock:
     """Charge a region's self time to one category of the current row.
 
-    The region's wall time, less what nested clocks and collectives added
-    to the row meanwhile, so nested regions are never counted twice.  The
-    row sum is read inside the timed window, so its own cost is charged
-    too and the categories cover the row's wall time.
+    The region's wall time, less what nested clocks added to the row
+    meanwhile, so nested regions are never counted twice.  The row sum is
+    read inside the timed window, so its own cost is charged too and the
+    categories cover the row's wall time.
     """
 
     __slots__ = ("rt", "category", "t0", "base")
@@ -308,18 +313,17 @@ def _error_from_mttkrp(rt, alpha, mbar, n, shared, lam, grams):
         return relative_error(alpha, mbar, shared[n] * lam, s, grams[-1], lam, rt.all_reduce)
 
 
-def _model_error(rt, ctx, shared, lam, alpha):
+def _model_error(rt, tree, shared, lam, alpha):
     """Relative error of an arbitrary (possibly unnormalized) model given
     by its slice-replicated blocks ``shared`` and weights ``lam``.
 
-    Costs one extra partial MTTKRP: the mode-1 request of a fresh sweep on
-    ``ctx``, so it runs only between sweeps.
+    Costs one extra partial MTTKRP: a sweep of ``tree`` cut short after
+    mode 1.
     """
     with _clock(rt, "Gram"):
         grams = _grams(rt, shared)
     with _clock(rt, "MTTKRP"):
-        ctx.begin_iteration()
-        mbar = ctx.mttkrp(rt.x_local, shared, 0)
+        mbar = next(tree.sweep(rt.x_local, shared))
     return _error_from_mttkrp(rt, alpha, mbar, 0, shared, lam, grams)
 
 
@@ -359,9 +363,8 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
     with _clock(rt, "Gram"):
         grams = _grams(rt, shared)
 
-    plan = DimTreePlan.create(rt.dims, cfg.rank)
-    ctx = DimTreeContext(plan, recorder=rt.report.record)
-    report.split_mode = plan.split
+    tree = DimTree(choose_split_mode(rt.dims), partial(_clock, rt))
+    report.split_mode = tree.split
 
     # initial model error from iteration 1's mode-1 MTTKRP, or from the
     # same mode's GEMM MTTKRP when there is no iteration
@@ -383,10 +386,10 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
         if cfg.algorithm == "nes":
             # the sweep replaces factor arrays and never writes into them
             prev_shared, prev_lam = list(shared), lam
-        ctx.begin_iteration()
+        modes = tree.sweep(rt.x_local, shared)
         for n in range(order):
             with _clock(rt, "MTTKRP"):
-                mbar = ctx.mttkrp(rt.x_local, shared, n)
+                mbar = next(modes)
                 m_owned = rt.scatter_to_owned(n, mbar)
             if it == 1 and n == 0:
                 # mbar, grams and lam still describe the initial model
@@ -405,13 +408,15 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
             with _clock(rt, "Gram"):
                 grams[n] = rt.all_reduce(gram(h))
                 shared[n] = rt.gather_to_slice(n, h)
+        # release the sweep's last temporary before the error and NES steps
+        del modes
         # the last mode's MTTKRP and update give the sweep's error
         with _clock(rt, "Error"):
             eps = relative_error(alpha, m_owned, hhat, s_n, grams[-1], lam, rt.all_reduce)
 
         if cfg.algorithm == "nes":
             step = _nes_accelerate(
-                rt, ctx, it, eps, alpha, grams, shared, lam, prev_shared, prev_lam
+                rt, tree, it, eps, alpha, grams, shared, lam, prev_shared, prev_lam
             )
             report.nes_accepted.append(step is not None)
             if step is not None:
@@ -427,11 +432,11 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
             break
 
     report.converged = converged
-    report.tree_partial_calls = ctx.partial_calls
+    report.tree_partial_calls = tree.partial_calls
     return shared, lam
 
 
-def _nes_accelerate(rt, ctx, it, eps, alpha, grams, shared, lam, prev_shared, prev_lam):
+def _nes_accelerate(rt, tree, it, eps, alpha, grams, shared, lam, prev_shared, prev_lam):
     """Outer extrapolation step; refreshes grams in place when accepted.
 
     The candidate H_i + s_i (H_i - H_{i-1}) with s_i = i^(1/N), formed on
@@ -447,7 +452,7 @@ def _nes_accelerate(rt, ctx, it, eps, alpha, grams, shared, lam, prev_shared, pr
             np.maximum(h + step * (h - hp), 0.0) for h, hp in zip(shared, prev_shared)
         ]
         cand_lam = np.maximum(lam + step * (lam - prev_lam), 0.0)
-    cand_eps = _model_error(rt, ctx, cand, cand_lam, alpha)
+    cand_eps = _model_error(rt, tree, cand, cand_lam, alpha)
     if not cand_eps < eps:
         return None
     # accepted: renormalize columns globally and refresh the Gram matrices

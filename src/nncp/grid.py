@@ -5,6 +5,8 @@ through blocking collectives -- All-Reduce, All-Gather, Reduce-Scatter.
 Reductions always combine contributions in ascending rank order, so results
 are bitwise deterministic regardless of scheduling.  Word counters track the
 communication volume of every collective; no latency model is simulated.
+A worker times each collective through its ``clock``, which the driver
+sets to its own self-time clock.
 
 Rank linearization follows the tensor layout: rank = p_1 + P_1 p_2 + ...
 with the mode-1 coordinate varying fastest.  The mode-n slice of a worker
@@ -14,7 +16,7 @@ is the set of workers sharing its n-th coordinate (P/P_n of them).
 from __future__ import annotations
 
 import threading
-import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,18 +202,18 @@ class Grid:
 
 
 class Worker:
-    """Execution context of one rank: coordinates, counters, collectives."""
+    """Execution context of one rank: coordinates, counters, collectives.
+
+    ``clock(category)`` returns a context manager that times each
+    collective under its own name; the default times nothing.
+    """
 
     def __init__(self, rank: int, grid: Grid):
         self.rank = rank
         self.grid = grid
         self.coord = grid.coord_of(rank)
         self.counters = CommCounters()
-        self.recorder = None
-
-    def _record(self, category: str, elapsed: float):
-        if self.recorder is not None:
-            self.recorder(category, elapsed)
+        self.clock = nullcontext
 
     def all_reduce(self, group: Group, local, op: str = "sum"):
         """Elementwise reduction in ascending rank order, same result for
@@ -219,51 +221,45 @@ class Worker:
         fn = _REDUCTIONS.get(op)
         if fn is None:
             raise ValueError(f"unknown reduction {op!r}")
-        t0 = time.perf_counter()
-        scalar = np.ndim(local) == 0
-        arr = np.atleast_1d(np.asarray(local, dtype=np.float64))
-        slots = group.rendezvous.exchange(group.index[self.rank], arr)
-        if any(s.shape != slots[0].shape for s in slots):
-            raise ValueError("all_reduce length mismatch across group")
-        out = slots[0].copy()
-        for s in slots[1:]:
-            fn(out, s, out=out)
-        elapsed = time.perf_counter() - t0
+        with self.clock("AllReduce"):
+            scalar = np.ndim(local) == 0
+            arr = np.atleast_1d(np.asarray(local, dtype=np.float64))
+            slots = group.rendezvous.exchange(group.index[self.rank], arr)
+            if any(s.shape != slots[0].shape for s in slots):
+                raise ValueError("all_reduce length mismatch across group")
+            out = slots[0].copy()
+            for s in slots[1:]:
+                fn(out, s, out=out)
         self.counters.record("AllReduce", arr.size, arr.size)
-        self._record("AllReduce", elapsed)
         return float(out[0]) if scalar else out
 
     def all_gather(self, group: Group, local: np.ndarray) -> np.ndarray:
         """Concatenation of the members' arrays in ascending rank order."""
-        t0 = time.perf_counter()
-        arr = np.asarray(local, dtype=np.float64)
-        slots = group.rendezvous.exchange(group.index[self.rank], arr)
-        out = np.concatenate(slots, axis=0)
-        elapsed = time.perf_counter() - t0
+        with self.clock("AllGather"):
+            arr = np.asarray(local, dtype=np.float64)
+            slots = group.rendezvous.exchange(group.index[self.rank], arr)
+            out = np.concatenate(slots, axis=0)
         self.counters.record("AllGather", arr.size, out.size)
-        self._record("AllGather", elapsed)
         return out
 
     def reduce_scatter(self, group: Group, local: np.ndarray, parts: DistMap) -> np.ndarray:
         """Rank-ordered elementwise sum, then this member's row block."""
-        t0 = time.perf_counter()
-        arr = np.asarray(local, dtype=np.float64)
-        if parts.parts != group.size:
-            raise ValueError(
-                f"partition has {parts.parts} blocks for a group of {group.size}"
-            )
-        if parts.total != arr.shape[0]:
-            raise ValueError(
-                f"partition covers {parts.total} rows, local array has {arr.shape[0]}"
-            )
-        slots = group.rendezvous.exchange(group.index[self.rank], arr)
-        if any(s.shape != slots[0].shape for s in slots):
-            raise ValueError("reduce_scatter length mismatch across group")
-        total = slots[0].copy()
-        for s in slots[1:]:
-            total += s
-        out = total[parts.block(group.index[self.rank])].copy()
-        elapsed = time.perf_counter() - t0
+        with self.clock("ReduceScatter"):
+            arr = np.asarray(local, dtype=np.float64)
+            if parts.parts != group.size:
+                raise ValueError(
+                    f"partition has {parts.parts} blocks for a group of {group.size}"
+                )
+            if parts.total != arr.shape[0]:
+                raise ValueError(
+                    f"partition covers {parts.total} rows, local array has {arr.shape[0]}"
+                )
+            slots = group.rendezvous.exchange(group.index[self.rank], arr)
+            if any(s.shape != slots[0].shape for s in slots):
+                raise ValueError("reduce_scatter length mismatch across group")
+            total = slots[0].copy()
+            for s in slots[1:]:
+                total += s
+            out = total[parts.block(group.index[self.rank])].copy()
         self.counters.record("ReduceScatter", arr.size, out.size)
-        self._record("ReduceScatter", elapsed)
         return out

@@ -10,6 +10,7 @@ replacing the whole file; see ``read_tensor`` and ``write_tensor``.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import secrets
 import struct
@@ -97,7 +98,7 @@ def read_tensor(path) -> DenseTensor:
         payload_bytes = os.fstat(fh.fileno()).st_size - offset
         if payload_bytes % 8 != 0:
             raise TruncatedFileError(f"{path}: payload ends mid-value")
-        expect = int(np.prod(dims))
+        expect = math.prod(dims)
         if payload_bytes // 8 != expect:
             raise PayloadMismatchError(
                 f"{path}: header promises {expect} values, "
@@ -142,7 +143,7 @@ def generate_synthetic(
     """Tensor with an exact rank-``spec.rank`` nonnegative model, and that
     ground-truth model.  Deterministic in the seed; ``truth`` can be forced
     for tests."""
-    size = int(np.prod(spec.dims))
+    size = math.prod(spec.dims)
     if size > elem_budget:
         raise ValueError(f"synthetic tensor of {size} elements exceeds the budget")
     if truth is None:

@@ -15,6 +15,7 @@ line up with matricization columns without any permutation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,7 @@ class DenseTensor:
             raise ValueError("tensor order must be at least 2")
         if any(d < 1 for d in dims):
             raise ValueError(f"dims must be positive, got {dims}")
-        size = int(np.prod(dims))
+        size = math.prod(dims)
         if data is None:
             data = np.zeros(size)
         else:
@@ -233,11 +234,14 @@ def reconstruct(model: FactorSet) -> DenseTensor:
     return DenseTensor(model.dims, krp @ model.lam)
 
 
-def _identity(value):
+def local_reduce(value, op: str = "sum"):
+    """Identity reduction for the single-contributor (sequential) case."""
+    if op not in ("sum", "min", "max"):
+        raise ValueError(f"unknown reduction {op!r}")
     return value
 
 
-def normalize_columns(h: np.ndarray, reduce=_identity):
+def normalize_columns(h: np.ndarray, reduce=local_reduce):
     """Scale each column to unit 2-norm; return (matrix, original norms).
 
     Zero columns are left untouched and get weight 0.  ``reduce`` sums the
@@ -255,7 +259,7 @@ def matrix_inner_product(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a.ravel(), b.ravel()))
 
 
-def relative_error(alpha, mttkrp_n, h_n_unnormalized, s_n, g_n, lam, reduce=_identity) -> float:
+def relative_error(alpha, mttkrp_n, h_n_unnormalized, s_n, g_n, lam, reduce=local_reduce) -> float:
     """Relative error ||X - model|| / ||X|| from mode-n quantities.
 
     err^2 = (alpha - 2 beta + gamma) / alpha with alpha = ||X||^2,

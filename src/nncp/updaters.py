@@ -20,6 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
+from .tensor_ops import local_reduce
+
 
 ADMM_INNER_CAP = 5
 NESTEROV_INNER_CAP = 20
@@ -29,13 +31,6 @@ HALS_FLOOR = 1e-16
 NESTEROV_TOL = 1e-8
 NESTEROV_PROX_FLOOR = 1e-6
 BPP_BACKUP_TRIES = 3
-
-
-def local_reduce(value, op: str):
-    """Identity reduction for the single-contributor (sequential) case."""
-    if op not in ("sum", "min", "max"):
-        raise ValueError(f"unknown reduction {op!r}")
-    return value
 
 
 @dataclass
@@ -187,35 +182,27 @@ def default_admm_rho(gram: np.ndarray) -> float:
     return rho if rho > 0.0 else 1.0
 
 
-def admm_update(
-    inp: UpdateInputs,
-    state: UpdaterState,
-    rho: float = None,
-    max_steps: int = ADMM_INNER_CAP,
-) -> np.ndarray:
-    """``max_steps`` rounds of the three-step ADMM splitting.
+def admm_update(inp: UpdateInputs, state: UpdaterState) -> np.ndarray:
+    """ADMM_INNER_CAP rounds of the three-step ADMM splitting.
 
-    Xhat solves the rho-regularized least squares through a Cholesky
-    factorization cached for the whole call; X is the nonnegative
-    projection of Xhat - U; U accumulates the residual and persists in
-    ``state`` across calls.  A fixed step count needs no global norm, so
-    every step is row-local and grid runs add no collective.
+    Xhat solves the least squares regularized by rho = default_admm_rho(S)
+    through a Cholesky factorization cached for the whole call; X is the
+    nonnegative projection of Xhat - U; U accumulates the residual and
+    persists in ``state`` across calls.  A fixed step count needs no global
+    norm, so every step is row-local and grid runs add no collective.
     """
     s, m = inp.gram, inp.mttkrp_rows
     r = s.shape[0]
-    if rho is None:
-        rho = default_admm_rho(s)
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
+    rho = default_admm_rho(s)
     chol = cho_factor(s + rho * np.eye(r))
     x = inp.current
     u = state.admm_dual if state.admm_dual is not None else np.zeros_like(x)
-    for _ in range(max_steps):
+    for _ in range(ADMM_INNER_CAP):
         xhat = cho_solve(chol, (m + rho * (x + u)).T).T
         x = np.maximum(xhat - u, 0.0)
         u = u + x - xhat
     state.admm_dual = u
-    state.last_inner_iters = max_steps
+    state.last_inner_iters = ADMM_INNER_CAP
     return x
 
 
@@ -247,18 +234,13 @@ def _max_abs(a: np.ndarray) -> float:
     return max(float(a.max()), -float(a.min())) if a.size else 0.0
 
 
-def nesterov_update(
-    inp: UpdateInputs,
-    state: UpdaterState,
-    hook=local_reduce,
-    max_iters: int = NESTEROV_INNER_CAP,
-) -> np.ndarray:
+def nesterov_update(inp: UpdateInputs, state: UpdaterState, hook=local_reduce) -> np.ndarray:
     """Accelerated projected gradient on the proximally regularized problem.
 
     Gradient at Y is Y S - M + lam (Y - X_*), with X_* the previous outer
     iterate of this factor held in ``state``.  Stops when the global
     max-abs change drops below NESTEROV_TOL * (1 + global max-abs value),
-    checked through the hook, or after ``max_iters`` steps.
+    checked through the hook, or after NESTEROV_INNER_CAP steps.
     """
     s, m = inp.gram, inp.mttkrp_rows
     lam, alpha, beta = nesterov_hyperparams(s)
@@ -266,7 +248,7 @@ def nesterov_update(
     x = inp.current
     y = x
     steps = 0
-    for _ in range(max_iters):
+    for _ in range(NESTEROV_INNER_CAP):
         grad = y @ s - m + lam * (y - xstar)
         xn = np.maximum(y - alpha * grad, 0.0)
         steps += 1

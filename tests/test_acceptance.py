@@ -13,8 +13,7 @@ import pytest
 
 from nncp import (
     DenseTensor,
-    DimTreeContext,
-    DimTreePlan,
+    DimTree,
     FactorSet,
     RunConfig,
     SyntheticSpec,
@@ -22,6 +21,7 @@ from nncp import (
     UpdaterState,
     admm_update,
     bpp_update,
+    choose_split_mode,
     generate_synthetic,
     gram,
     hadamard_grams_excluding,
@@ -38,7 +38,7 @@ from nncp import (
 )
 from nncp.cli import run_cli
 from nncp.tensor_io import BadMagicError, PayloadMismatchError, TruncatedFileError
-from nncp.updaters import local_reduce
+from nncp.tensor_ops import local_reduce
 
 
 def report(line):
@@ -54,10 +54,9 @@ def test_c01_dimension_tree_oracle_equivalence():
         rank = int(rng.integers(1, 5))
         x = DenseTensor(dims, rng.standard_normal(int(np.prod(dims))))
         hs = [rng.standard_normal((d, rank)) for d in dims]
-        ctx = DimTreeContext(DimTreePlan.create(dims, rank))
-        ctx.begin_iteration()
+        modes = DimTree(choose_split_mode(dims)).sweep(x, hs)
         for mode in range(order):
-            got = ctx.mttkrp(x, hs, mode)
+            got = next(modes)
             want = naive_mttkrp(x, hs, mode)
             scale = max(np.abs(want).max(), 1e-30)
             assert np.abs(got - want).max() <= 1e-12 * scale
@@ -72,12 +71,11 @@ def test_c02_two_partial_mttkrps_per_outer_iteration():
         dims = (3,) * order
         x = DenseTensor(dims, rng.random(3**order))
         hs = [rng.random((3, 2)) for _ in range(order)]
-        ctx = DimTreeContext(DimTreePlan.create(dims, 2))
+        tree = DimTree(choose_split_mode(dims))
         for sweep in range(1, 4):
-            ctx.begin_iteration()
-            for mode in range(order):
-                ctx.mttkrp(x, hs, mode)
-            assert ctx.partial_calls == 2 * sweep
+            for _ in tree.sweep(x, hs):
+                pass
+            assert tree.partial_calls == 2 * sweep
     # and through the driver, at any iteration count
     x, _ = generate_synthetic(SyntheticSpec((6, 5, 4, 3), 2, seed=102))
     rep = nncp_sequential(x, RunConfig(rank=2, algorithm="bpp", max_iters=5, tol=0.0, seed=0))

@@ -3,8 +3,7 @@ import pytest
 
 from nncp import (
     DenseTensor,
-    DimTreeContext,
-    DimTreePlan,
+    DimTree,
     choose_split_mode,
     khatri_rao,
     multi_ttv,
@@ -34,52 +33,49 @@ class TestChooseSplitMode:
 class TestPlan:
     def test_buffer_sizes(self):
         dims = (4, 5, 3, 2)
-        plan = DimTreePlan.create(dims, rank=3)
-        assert plan.split == 2
+        split = choose_split_mode(dims)
+        assert split == 2
         x = DenseTensor(dims)
-        assert partial_mttkrp(x, np.ones((6, 3)), "left", plan).shape == (4, 5, 3)
-        assert partial_mttkrp(x, np.ones((20, 3)), "right", plan).shape == (3, 2, 3)
+        assert partial_mttkrp(x, np.ones((6, 3)), "left", split).shape == (4, 5, 3)
+        assert partial_mttkrp(x, np.ones((20, 3)), "right", split).shape == (3, 2, 3)
 
 
 class TestPartialMttkrp:
     def test_zero_tensor(self):
-        plan = DimTreePlan.create((2, 2, 2), 1)
         x = DenseTensor((2, 2, 2))
-        t = partial_mttkrp(x, np.ones((2, 1)), "left", plan)
+        t = partial_mttkrp(x, np.ones((2, 1)), "left", choose_split_mode(x.dims))
         assert np.array_equal(t, np.zeros((2, 2, 1)))
 
     def test_left_row_sums(self):
-        # S=1 forced by a plan over dims where split lands at 1
-        plan = DimTreePlan.create((8, 2, 2), 1)
+        # the split of these dims lands at S=1
         x = DenseTensor((8, 2, 2), np.arange(1.0, 33.0))
-        t = partial_mttkrp(x, np.ones((4, 1)), "left", plan)
+        t = partial_mttkrp(x, np.ones((4, 1)), "left", choose_split_mode(x.dims))
         assert np.array_equal(t[:, 0], x.unfold_leading(1).sum(axis=1))
 
     def test_hand_example_2x2x2(self):
         # split=1 view of the 2x2x2 tensor: left result = row sums
         x = DenseTensor((2, 2, 2), np.arange(1.0, 9.0))
-        plan = DimTreePlan((2, 2, 2), 1, split=1)
-        t = partial_mttkrp(x, np.ones((4, 1)), "left", plan)
+        t = partial_mttkrp(x, np.ones((4, 1)), "left", 1)
         assert np.array_equal(t, np.array([[16.0], [20.0]]))
 
     def test_rank_one_ones_contraction(self):
         dims = (3, 2, 2, 2)
         x = DenseTensor(dims, np.ones(24))
-        plan = DimTreePlan.create(dims, 2)
-        left = partial_mttkrp(x, np.ones((4, 2)), "left", plan)
+        split = choose_split_mode(dims)
+        left = partial_mttkrp(x, np.ones((4, 2)), "left", split)
         assert left.shape == (3, 2, 2)
         assert np.allclose(left, 4.0)
-        right = partial_mttkrp(x, np.ones((6, 2)), "right", plan)
+        right = partial_mttkrp(x, np.ones((6, 2)), "right", split)
         assert right.shape == (2, 2, 2)
         assert np.allclose(right, 6.0)
 
     def test_shape_mismatch(self):
-        plan = DimTreePlan.create((2, 2, 2), 1)
         x = DenseTensor((2, 2, 2))
+        split = choose_split_mode(x.dims)
         with pytest.raises(ValueError):
-            partial_mttkrp(x, np.ones((3, 1)), "left", plan)
+            partial_mttkrp(x, np.ones((3, 1)), "left", split)
         with pytest.raises(ValueError):
-            partial_mttkrp(x, np.ones((3, 1)), "right", plan)
+            partial_mttkrp(x, np.ones((3, 1)), "right", split)
 
     def test_both_sides_match_naive_mttkrp(self):
         # with one retained mode, the temporary is that mode's MTTKRP
@@ -87,8 +83,8 @@ class TestPartialMttkrp:
         dims, r = (5, 3, 4, 6), 3
         x = DenseTensor(dims, rng.standard_normal(int(np.prod(dims))))
         hs = [rng.standard_normal((d, r)) for d in dims]
-        left = partial_mttkrp(x, khatri_rao(hs[1:]), "left", DimTreePlan(dims, r, split=1))
-        right = partial_mttkrp(x, khatri_rao(hs[:3]), "right", DimTreePlan(dims, r, split=3))
+        left = partial_mttkrp(x, khatri_rao(hs[1:]), "left", 1)
+        right = partial_mttkrp(x, khatri_rao(hs[:3]), "right", 3)
         for temp, mode in ((left, 0), (right, 3)):
             want = naive_mttkrp(x, hs, mode)
             assert np.allclose(temp, want, rtol=0, atol=1e-12)
@@ -150,9 +146,8 @@ class TestTemporaryLayout:
         rng = np.random.default_rng(2)
         dims, r = (3, 2, 4, 5), 3
         x = DenseTensor(dims, rng.standard_normal(int(np.prod(dims))))
-        plan = DimTreePlan(dims, r, split=3)
         krp = rng.standard_normal((5, r))
-        t = partial_mttkrp(x, krp, "left", plan)
+        t = partial_mttkrp(x, krp, "left", 3)
         assert t.shape == dims[:3] + (r,)
         assert t.flags.f_contiguous
         direct = x.unfold_leading(3) @ krp
@@ -161,17 +156,16 @@ class TestTemporaryLayout:
             assert t[..., k].flags.f_contiguous
 
 
-def tree_all_modes(x, hs, rank):
-    ctx = DimTreeContext(DimTreePlan.create(x.dims, rank))
-    ctx.begin_iteration()
-    return ctx, [ctx.mttkrp(x, hs, n) for n in range(x.order)]
+def tree_all_modes(x, hs):
+    tree = DimTree(choose_split_mode(x.dims))
+    return tree, list(tree.sweep(x, hs))
 
 
 class TestDimTreeMttkrp:
     def test_three_way_matches_hand_example(self):
         x = DenseTensor((2, 2, 2), np.arange(1.0, 9.0))
         hs = [np.zeros((2, 2)), np.eye(2), np.ones((2, 2))]
-        _, results = tree_all_modes(x, hs, 2)
+        _, results = tree_all_modes(x, hs)
         assert np.allclose(results[0], np.array([[6.0, 10.0], [8.0, 12.0]]))
 
     def test_rank_one_identity(self):
@@ -180,7 +174,7 @@ class TestDimTreeMttkrp:
         from nncp import FactorSet, reconstruct
 
         x = reconstruct(FactorSet(hs))
-        _, results = tree_all_modes(x, hs, 1)
+        _, results = tree_all_modes(x, hs)
         for mode in range(3):
             scale = np.prod(
                 [float(hs[m][:, 0] @ hs[m][:, 0]) for m in range(3) if m != mode]
@@ -195,7 +189,7 @@ class TestDimTreeMttkrp:
             r = int(rng.integers(1, 5))
             x = DenseTensor(dims, rng.standard_normal(int(np.prod(dims))))
             hs = [rng.standard_normal((d, r)) for d in dims]
-            _, results = tree_all_modes(x, hs, r)
+            _, results = tree_all_modes(x, hs)
             for mode in range(order):
                 oracle = naive_mttkrp(x, hs, mode)
                 scale = max(np.abs(oracle).max(), 1e-30)
@@ -208,12 +202,11 @@ class TestDimTreeMttkrp:
         dims, r = (3, 4, 2, 5, 3), 3
         x = DenseTensor(dims, rng.standard_normal(int(np.prod(dims))))
         hs = [rng.standard_normal((d, r)) for d in dims]
-        ctx = DimTreeContext(DimTreePlan(dims, r, split=split))
-        ctx.begin_iteration()
-        for mode in range(5):
-            got = ctx.mttkrp(x, hs, mode)
+        tree = DimTree(split)
+        for mode, got in enumerate(tree.sweep(x, hs)):
             assert np.allclose(got, naive_mttkrp(x, hs, mode), rtol=0, atol=1e-12)
-        assert ctx.partial_calls == 2
+        assert mode == 4
+        assert tree.partial_calls == 2
 
     @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
     def test_two_partials_per_iteration(self, order):
@@ -221,12 +214,10 @@ class TestDimTreeMttkrp:
         dims = (3,) * order
         x = DenseTensor(dims, rng.standard_normal(3**order))
         hs = [rng.standard_normal((3, 2)) for _ in range(order)]
-        ctx = DimTreeContext(DimTreePlan.create(dims, 2))
+        tree = DimTree(choose_split_mode(dims))
         for sweep in range(1, 4):
-            ctx.begin_iteration()
-            for mode in range(order):
-                ctx.mttkrp(x, hs, mode)
-            assert ctx.partial_calls == 2 * sweep
+            assert len(list(tree.sweep(x, hs))) == order
+            assert tree.partial_calls == 2 * sweep
 
     def test_snapshot_semantics_with_mutating_factors(self):
         # alternating updates change factors between modes; the tree must
@@ -235,48 +226,25 @@ class TestDimTreeMttkrp:
         dims = (4, 3, 3, 2)
         x = DenseTensor(dims, rng.standard_normal(72))
         hs = [rng.standard_normal((d, 2)) for d in dims]
-        ctx = DimTreeContext(DimTreePlan.create(dims, 2))
-        ctx.begin_iteration()
+        modes = DimTree(choose_split_mode(dims)).sweep(x, hs)
         for mode in range(4):
-            got = ctx.mttkrp(x, hs, mode)
+            got = next(modes)
             want = naive_mttkrp(x, hs, mode)
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
             hs[mode] = rng.standard_normal(hs[mode].shape)  # the "update"
-
-    def test_out_of_order_request_raises(self):
-        x = DenseTensor((2, 2, 2), np.ones(8))
-        hs = [np.ones((2, 1))] * 3
-        ctx = DimTreeContext(DimTreePlan.create((2, 2, 2), 1))
-        with pytest.raises(RuntimeError):
-            ctx.mttkrp(x, hs, 0)  # begin_iteration not called
-        ctx.begin_iteration()
-        with pytest.raises(RuntimeError):
-            ctx.mttkrp(x, hs, 1)
-
-    def test_stale_cache_after_sweep_raises(self):
-        x = DenseTensor((2, 2, 2), np.ones(8))
-        hs = [np.ones((2, 1))] * 3
-        ctx = DimTreeContext(DimTreePlan.create((2, 2, 2), 1))
-        ctx.begin_iteration()
-        for mode in range(3):
-            ctx.mttkrp(x, hs, mode)
-        with pytest.raises(RuntimeError):
-            ctx.mttkrp(x, hs, 0)
 
     def test_flop_accounting(self):
         rng = np.random.default_rng(5)
         dims = (3, 3, 3)
         x = DenseTensor(dims, rng.standard_normal(27))
         hs = [rng.standard_normal((3, 2)) for _ in range(3)]
-        ctx = DimTreeContext(DimTreePlan.create(dims, 2))
-        ctx.begin_iteration()
-        for mode in range(3):
-            ctx.mttkrp(x, hs, mode)
+        tree = DimTree(choose_split_mode(dims))
+        assert len(list(tree.sweep(x, hs))) == 3
         # a sweep's work is counted in calls: two partial MTTKRPs, and with
         # split=2 two multi-TTVs on T{1:2}; mode 3 is the right partial
         # itself (no TTV when S+1 == N)
-        assert ctx.partial_calls == 2
-        assert ctx.ttv_calls == 2
+        assert tree.partial_calls == 2
+        assert tree.ttv_calls == 2
 
     def test_first_mode_shortcut(self):
         rng = np.random.default_rng(6)
@@ -284,17 +252,15 @@ class TestDimTreeMttkrp:
         for dims in [(3, 4), (4, 3, 2), (2, 3, 2, 3), (2, 2, 2, 20)]:
             x = DenseTensor(dims, rng.standard_normal(int(np.prod(dims))))
             hs = [rng.standard_normal((d, 3)) for d in dims]
-            plan = DimTreePlan.create(dims, 3)
-            ctx = DimTreeContext(plan)
+            tree = DimTree(choose_split_mode(dims))
             # a sweep cut short after mode 1, as the NES acceptance test runs
-            ctx.begin_iteration()
-            got = ctx.mttkrp(x, hs, 0)
+            got = next(tree.sweep(x, hs))
             want = naive_mttkrp(x, hs, 0)
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
-            assert ctx.partial_calls == 1
+            assert tree.partial_calls == 1
             # one left partial, plus one trailing TTV when S > 1
-            assert ctx.ttv_calls == (plan.split > 1)
-        assert plan.split == len(dims) - 1
+            assert tree.ttv_calls == (tree.split > 1)
+        assert tree.split == len(dims) - 1
 
     def test_krp_argument_order_matches_matricization(self):
         # the kept contract: X_(1:S) columns pair with ascending-mode KRP rows
@@ -302,8 +268,8 @@ class TestDimTreeMttkrp:
         dims = (3, 2, 4, 2)
         x = DenseTensor(dims, rng.standard_normal(48))
         hs = [rng.standard_normal((d, 2)) for d in dims]
-        plan = DimTreePlan.create(dims, 2)
-        k = khatri_rao(hs[plan.split :])
-        t = partial_mttkrp(x, k, "left", plan)
-        direct = x.unfold_leading(plan.split) @ k
+        split = choose_split_mode(dims)
+        k = khatri_rao(hs[split:])
+        t = partial_mttkrp(x, k, "left", split)
+        direct = x.unfold_leading(split) @ k
         assert np.allclose(t.reshape(-1, 2, order="F"), direct)

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from nncp import (
     RunConfig,
     RunReport,
     SyntheticSpec,
+    choose_split_mode,
     generate_synthetic,
     gram,
     hadamard_grams_excluding,
@@ -25,7 +27,7 @@ from nncp import (
     reconstruct,
     relative_error,
 )
-from nncp.dimtree import DimTreeContext, DimTreePlan
+from nncp.dimtree import DimTree
 from nncp.driver import CATEGORIES
 from nncp.grid import Grid
 
@@ -109,6 +111,21 @@ class TestRecordCategory:
         rep.begin_row()
         with pytest.raises(ValueError):
             rep.record("Normalize", 1.0)
+
+    def test_sequential_sweeps_book_tree_layers(self):
+        # (6, 5, 4, 3) splits at S=2, so each sweep runs KRPs, two partial
+        # MTTKRPs and multi-TTVs on both sides, each booked by the clock
+        x, _ = generate_synthetic(SyntheticSpec((6, 5, 4, 3), 2, seed=15))
+        rep = solve(x, rank=2, algorithm="bpp", max_iters=3)
+        for row in rep.rows[1:]:
+            assert row["KRP"] > 0 and row["MTTKRP"] > 0 and row["MultiTTV"] > 0
+
+    def test_grid_collectives_book_time(self):
+        x, _ = generate_synthetic(SyntheticSpec((6, 5, 4), 2, seed=15))
+        rep = solve(x, (2, 2, 1), rank=2, algorithm="bpp", max_iters=3)
+        for row in rep.rows[1:]:
+            assert row["ReduceScatter"] > 0 and row["AllGather"] > 0
+            assert row["AllReduce"] > 0
 
 
 class TestInitFactor:
@@ -431,6 +448,19 @@ class TestInitialError:
             tracemalloc.stop()
         assert peak < x.data.nbytes / 2
 
+    def test_sweep_temporaries_are_released(self):
+        # 96^3 splits at S=2: the left temporary and the right KRP are each
+        # (9216, 16); NES's cut-short sweep must not meet either alive
+        dims, rank = (96, 96, 96), 16
+        x = DenseTensor(dims, np.random.default_rng(16).random(96**3))
+        tracemalloc.start()
+        try:
+            nncp_sequential(x, RunConfig(rank=rank, algorithm="nes", max_iters=2, tol=0.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 96 * 96 * rank * 8
+
     def test_zero_iteration_run_at_order_fifty_six(self):
         dims = (2, 3) + (1,) * 50 + (2, 1, 2, 1)
         x = DenseTensor(dims, np.random.default_rng(8).random(24))
@@ -577,9 +607,9 @@ class TestModelError:
         rt.report.begin_row()
         cfg = RunConfig(rank=model.rank, initial_factors=model)
         shared, lam = driver_mod._initial_factors(rt, cfg, x.dims)
-        ctx = DimTreeContext(DimTreePlan.create(rt.dims, model.rank), recorder=rt.report.record)
-        err = driver_mod._model_error(rt, ctx, shared, lam, x.norm_squared())
-        assert ctx.partial_calls == 1
+        tree = DimTree(choose_split_mode(rt.dims), partial(driver_mod._clock, rt))
+        err = driver_mod._model_error(rt, tree, shared, lam, x.norm_squared())
+        assert tree.partial_calls == 1
         return err
 
     @pytest.mark.parametrize("grid", [None, (2, 1, 2), (1, 3, 1)])
@@ -606,9 +636,9 @@ class TestPartialMttkrpSides:
         sides = []
         real = dimtree_mod.partial_mttkrp
 
-        def counted(x, krp, side, plan):
+        def counted(x, krp, side, split):
             sides.append(side)
-            return real(x, krp, side, plan)
+            return real(x, krp, side, split)
 
         monkeypatch.setattr(dimtree_mod, "partial_mttkrp", counted)
         x, _ = generate_synthetic(SyntheticSpec((6, 5, 4), 2, seed=8))

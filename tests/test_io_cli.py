@@ -83,6 +83,13 @@ class TestTensorFile:
         with pytest.raises(PayloadMismatchError):
             read_tensor(path)
 
+    def test_element_count_beyond_int64(self, tmp_path):
+        # 2^32 * 2^32 wraps to 0 in int64; the header alone must not pass
+        path = tmp_path / "huge.bin"
+        path.write_bytes(struct.pack("<4sHH", MAGIC, 1, 2) + struct.pack("<2Q", 2**32, 2**32))
+        with pytest.raises(PayloadMismatchError, match="promises 18446744073709551616"):
+            read_tensor(path)
+
     def test_unsupported_version(self, tmp_path):
         path = tmp_path / "v9.bin"
         header = struct.pack("<4sHH", MAGIC, 9, 2) + struct.pack("<2Q", 1, 1)
@@ -215,6 +222,10 @@ class TestSynthetic:
         with pytest.raises(ValueError, match="budget"):
             generate_synthetic(SyntheticSpec((4, 4), 1, seed=0), elem_budget=8)
 
+    def test_element_budget_counts_beyond_int64(self):
+        with pytest.raises(ValueError, match="budget"):
+            generate_synthetic(SyntheticSpec((2**32, 2**32), 1, seed=0))
+
 
 class TestCli:
     def run(self, tmp_path, *args):
@@ -306,6 +317,14 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"nncp: {src}: ") and "Traceback" not in err
+
+    def test_input_beyond_int64_elements_fails_cleanly(self, tmp_path, capsys):
+        src = tmp_path / "huge.bin"
+        src.write_bytes(struct.pack("<4sHH", MAGIC, 1, 2) + struct.pack("<2Q", 2**32, 2**32))
+        code, _ = self.run(tmp_path, "--input", str(src), "--rank", "2")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"nncp: {src}: header promises ") and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "dims, rank, message",

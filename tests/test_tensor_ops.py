@@ -72,6 +72,11 @@ class TestDenseTensor:
         with pytest.raises(ValueError):
             DenseTensor((2, 3), np.zeros(5))
 
+    def test_element_count_beyond_int64(self):
+        # 2^32 * 2^32 elements wrap to 0 in int64
+        with pytest.raises(ValueError, match="does not match"):
+            DenseTensor((2**32, 2**32), np.zeros(0))
+
     def test_big_endian_data_becomes_native_float64(self):
         values = np.arange(1.0, 25.0)
         x = DenseTensor((2, 3, 4), values.astype(">f8"))

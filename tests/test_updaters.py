@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nncp.driver as driver_mod
+import nncp.updaters as updaters_mod
 from nncp import (
     BppCyclingError,
     DenseTensor,
@@ -349,11 +350,11 @@ class TestBpp:
 
 
 class TestAdmm:
-    def test_scalar_one_step(self):
+    def test_scalar_one_step(self, monkeypatch):
+        # S = [[1]] gives rho = 1
+        monkeypatch.setattr(updaters_mod, "ADMM_INNER_CAP", 1)
         state = UpdaterState()
-        out = admm_update(
-            inputs([[1.0]], [[-1.0]]), state, rho=1.0, max_steps=1
-        )
+        out = admm_update(inputs([[1.0]], [[-1.0]]), state)
         assert np.allclose(out, [[0.0]])
         assert np.allclose(state.admm_dual, [[0.5]])
 
@@ -459,8 +460,9 @@ class TestNesterov:
         assert q >= 1e-6 - 1e-12
         assert alpha == pytest.approx(1.0 / (1.0 + lam))
 
-    def test_reduces_to_projected_gradient_on_scalars(self):
+    def test_reduces_to_projected_gradient_on_scalars(self, monkeypatch):
         # with mu == L the schedule gives lam=0, beta=0, alpha=1/L: plain PGD
+        monkeypatch.setattr(updaters_mod, "NESTEROV_INNER_CAP", 7)
         rng = np.random.default_rng(10)
         for _ in range(20):
             l_val = float(rng.random() + 0.5)
@@ -469,7 +471,7 @@ class TestNesterov:
             x0 = rng.random((4, 1))
             state = UpdaterState()
             state.nesterov_prev = x0.copy()
-            out = nesterov_update(UpdateInputs(s, m, x0), state, max_iters=7)
+            out = nesterov_update(UpdateInputs(s, m, x0), state)
             x = x0.copy()
             for _k in range(7):
                 xn = np.maximum(x - (x * l_val - m) / l_val, 0.0)
