@@ -93,18 +93,17 @@ def multi_ttv(temp: np.ndarray, coeff: np.ndarray, side: str) -> np.ndarray:
 
 
 class DimTree:
-    """Dimension tree over a fixed root split, with call counters.
+    """Dimension tree over a fixed root split, with a partial-MTTKRP counter.
 
     ``clock(category)`` returns a context manager that times one step; the
-    default times nothing.  ``partial_calls`` and ``ttv_calls`` count the
-    partial MTTKRPs and multi-TTVs of every sweep so far.
+    default times nothing.  ``partial_calls`` counts the partial MTTKRPs
+    of every sweep so far.
     """
 
     def __init__(self, split: int, clock=nullcontext):
         self.split = split
         self.clock = clock
         self.partial_calls = 0
-        self.ttv_calls = 0
 
     def sweep(self, x: DenseTensor, factors):
         """Yield the MTTKRP of modes 1..N in order.
@@ -126,7 +125,6 @@ class DimTree:
                 if mode > lo:
                     with clock("MultiTTV"):
                         temp = multi_ttv(temp, factors[mode - 1], "leading")
-                    self.ttv_calls += 1
                 if mode == hi - 1:
                     yield np.ascontiguousarray(temp)
                     continue
@@ -135,5 +133,4 @@ class DimTree:
                 with clock("MultiTTV"):
                     out = multi_ttv(temp, krp, "trailing")
                 del krp
-                self.ttv_calls += 1
                 yield np.ascontiguousarray(out)

@@ -87,7 +87,9 @@ class RunConfig:
     grid: tuple = None
     initial_factors: FactorSet = None
 
-    def validate(self, order: int):
+    def validate(self, dims):
+        """Reject a configuration that cannot run on a tensor of ``dims``."""
+        order = len(dims)
         if self.rank < 1:
             raise ValueError("rank must be at least 1")
         if not self.tol >= 0:
@@ -98,10 +100,17 @@ class RunConfig:
             raise ValueError("max_iters must be nonnegative")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.grid is not None and len(self.grid) != order:
-            raise ValueError(
-                f"grid order {len(self.grid)} does not match tensor order {order}"
-            )
+        if self.grid is not None:
+            if len(self.grid) != order:
+                raise ValueError(
+                    f"grid order {len(self.grid)} does not match tensor order {order}"
+                )
+            for n, (i, p) in enumerate(zip(dims, self.grid)):
+                if p > i:
+                    raise ValueError(
+                        f"grid dim {p} exceeds tensor dim {i} in mode {n + 1}; "
+                        "every worker must hold a nonempty tensor block"
+                    )
         if self.initial_factors is not None:
             if self.initial_factors.rank != self.rank:
                 raise ValueError("initial factors disagree with configured rank")
@@ -110,6 +119,12 @@ class RunConfig:
                     f"{self.initial_factors.order} initial factors for a tensor "
                     f"of order {order}"
                 )
+            for n, (h, i) in enumerate(zip(self.initial_factors.factors, dims)):
+                if h.shape[0] != i:
+                    raise ValueError(
+                        f"initial factor of mode {n + 1} has {h.shape[0]} rows, "
+                        f"tensor dim is {i}"
+                    )
 
 
 @dataclass
@@ -186,14 +201,10 @@ class _SequentialRuntime:
     def __init__(self, x: DenseTensor):
         self.x_local = x
         self.dims = x.dims
+        self.slice_rows = [slice(0, d) for d in x.dims]
+        self.owned = [slice(None)] * x.order
         self.counters = CommCounters()
         self.report = RunReport()
-
-    def owned_in_slice(self, mode) -> slice:
-        return slice(None)
-
-    def slice_rows(self, mode) -> slice:
-        return slice(0, self.dims[mode])
 
     def all_reduce(self, value, op="sum"):
         return local_reduce(value, op)
@@ -219,25 +230,19 @@ class _WorkerRuntime:
         ]
         # tensor block: the mode-n range is fixed by the n-th coordinate
         tensor_maps = [block_partition(i, p) for i, p in zip(x.dims, grid.shape)]
-        self._slice_rows = [m.block(c) for m, c in zip(tensor_maps, worker.coord)]
-        self.x_local = DenseTensor.from_array(x.as_array()[tuple(self._slice_rows)])
+        self.slice_rows = [m.block(c) for m, c in zip(tensor_maps, worker.coord)]
+        self.x_local = DenseTensor.from_array(x.as_array()[tuple(self.slice_rows)])
         self.dims = self.x_local.dims
         # owned factor rows: sub-partition of the slice block among the
         # slice group, in ascending rank order
         self.owned_parts = [
             block_partition(s.stop - s.start, g.size)
-            for s, g in zip(self._slice_rows, self.groups)
+            for s, g in zip(self.slice_rows, self.groups)
         ]
-        self._owned_in_slice = [
+        self.owned = [
             parts.block(g.index[worker.rank])
             for parts, g in zip(self.owned_parts, self.groups)
         ]
-
-    def owned_in_slice(self, mode) -> slice:
-        return self._owned_in_slice[mode]
-
-    def slice_rows(self, mode) -> slice:
-        return self._slice_rows[mode]
 
     def all_reduce(self, value, op="sum"):
         return self.worker.all_reduce(self.worker.grid.all_procs, value, op)
@@ -278,39 +283,31 @@ class _clock:
 def _initial_factors(rt, cfg: RunConfig, global_dims):
     """Slice-replicated factor blocks and weights, (shared, lam); identical
     global values for every distribution.  A worker's owned rows are the
-    view ``shared[n][rt.owned_in_slice(n)]``."""
+    view ``shared[n][rt.owned[n]]``."""
+    init = cfg.initial_factors
     shared = []
     for n, size in enumerate(global_dims):
-        if cfg.initial_factors is not None:
-            full = np.asarray(cfg.initial_factors.factors[n], dtype=np.float64)
-            if full.shape != (size, cfg.rank):
-                raise ValueError(f"initial factor {n} has shape {full.shape}")
-        else:
-            full = init_factor(cfg.seed, n, size, cfg.rank)
-        shared.append(full[rt.slice_rows(n)].copy())
-    lam = (
-        cfg.initial_factors.lam.copy()
-        if cfg.initial_factors is not None
-        else np.ones(cfg.rank)
-    )
+        full = init_factor(cfg.seed, n, size, cfg.rank) if init is None else init.factors[n]
+        shared.append(full[rt.slice_rows[n]].copy())
+    lam = np.ones(cfg.rank) if init is None else init.lam.copy()
     return shared, lam
 
 
 def _grams(rt, shared):
     """Gram matrices of the rows this worker owns, stacked into one
     All-Reduce; the sums stay elementwise, so each equals its own call."""
-    local = [gram(h[rt.owned_in_slice(n)]) for n, h in enumerate(shared)]
+    local = [gram(h[rt.owned[n]]) for n, h in enumerate(shared)]
     return list(rt.all_reduce(np.stack(local)))
 
 
-def _error_from_mttkrp(rt, alpha, mbar, n, shared, lam, grams):
-    """Relative error from ``mbar``, this worker's local mode-n MTTKRP
+def _error_from_mttkrp(rt, alpha, mbar, shared, lam, grams):
+    """Relative error from ``mbar``, this worker's local mode-1 MTTKRP
     before any Reduce-Scatter.  It pairs with the slice-replicated rows
-    ``shared[n]``, so one scalar All-Reduce completes beta; gamma takes the
+    ``shared[0]``, so one scalar All-Reduce completes beta; gamma takes the
     last mode's split of ``grams``."""
     with _clock(rt, "Error"):
         s = hadamard_grams_excluding(grams, len(grams) - 1)
-        return relative_error(alpha, mbar, shared[n] * lam, s, grams[-1], lam, rt.all_reduce)
+        return relative_error(alpha, mbar, shared[0] * lam, s, grams[-1], lam, rt.all_reduce)
 
 
 def _model_error(rt, tree, shared, lam, alpha):
@@ -324,7 +321,7 @@ def _model_error(rt, tree, shared, lam, alpha):
         grams = _grams(rt, shared)
     with _clock(rt, "MTTKRP"):
         mbar = next(tree.sweep(rt.x_local, shared))
-    return _error_from_mttkrp(rt, alpha, mbar, 0, shared, lam, grams)
+    return _error_from_mttkrp(rt, alpha, mbar, shared, lam, grams)
 
 
 def _run_spmd(rt, cfg: RunConfig, global_dims):
@@ -372,7 +369,7 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
     if cfg.max_iters == 0:
         with _clock(rt, "MTTKRP"):
             mbar0 = naive_mttkrp(rt.x_local, shared, 0)
-        errors.append(_error_from_mttkrp(rt, alpha, mbar0, 0, shared, lam, grams))
+        errors.append(_error_from_mttkrp(rt, alpha, mbar0, shared, lam, grams))
     report.row_wall[-1] = time.perf_counter() - wall0
     words_done = report.row_words[-1] = rt.counters.total_words()
 
@@ -393,12 +390,12 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
                 m_owned = rt.scatter_to_owned(n, mbar)
             if it == 1 and n == 0:
                 # mbar, grams and lam still describe the initial model
-                errors.append(_error_from_mttkrp(rt, alpha, mbar, 0, shared, lam, grams))
+                errors.append(_error_from_mttkrp(rt, alpha, mbar, shared, lam, grams))
             with _clock(rt, "Gram"):
                 s_n = hadamard_grams_excluding(grams, n)
             with _clock(rt, "NNLS"):
                 try:
-                    own = shared[n][rt.owned_in_slice(n)]
+                    own = shared[n][rt.owned[n]]
                     hhat = update(n, UpdateInputs(s_n, m_owned, own * lam), rt.all_reduce)
                 except Exception as exc:
                     raise RuntimeError(
@@ -459,7 +456,7 @@ def _nes_accelerate(rt, tree, it, eps, alpha, grams, shared, lam, prev_shared, p
     with _clock(rt, "Error"):
         nsq = []
         for n, h in enumerate(cand):
-            own = h[rt.owned_in_slice(n)]
+            own = h[rt.owned[n]]
             nsq.append(np.sum(own * own, axis=0))
         w = np.sqrt(rt.all_reduce(np.stack(nsq)))
         scale = np.where(w > 0.0, w, 1.0)
@@ -472,7 +469,7 @@ def _nes_accelerate(rt, tree, it, eps, alpha, grams, shared, lam, prev_shared, p
 
 def nncp_sequential(x: DenseTensor, cfg: RunConfig) -> RunReport:
     """Alternating-update NNCP in a single execution context."""
-    cfg.validate(x.order)
+    cfg.validate(x.dims)
     if cfg.grid is not None and int(np.prod(cfg.grid)) != 1:
         raise ValueError("sequential driver got a nontrivial grid; use nncp_parallel")
     rt = _SequentialRuntime(x)
@@ -485,23 +482,16 @@ def nncp_sequential(x: DenseTensor, cfg: RunConfig) -> RunReport:
 def nncp_parallel(x: DenseTensor, cfg: RunConfig) -> RunReport:
     """Grid-parallel decomposition over simulated workers; semantically
     equivalent to the sequential driver for identical seeds."""
-    cfg.validate(x.order)
+    cfg.validate(x.dims)
     if cfg.grid is None:
         raise ValueError("parallel driver needs a grid shape")
-    for n, (i, p) in enumerate(zip(x.dims, cfg.grid)):
-        if p > i:
-            raise ValueError(
-                f"grid dim {p} exceeds tensor dim {i} in mode {n + 1}; "
-                "every worker must hold a nonempty tensor block"
-            )
     grid = Grid(cfg.grid)
 
     def program(worker):
         rt = _WorkerRuntime(worker, x)
         shared, lam = _run_spmd(rt, cfg, x.dims)
         rt.report.counters = rt.counters
-        rows = [rt.slice_rows(n) for n in range(x.order)]
-        return rt.report, shared, lam, rows
+        return rt.report, shared, lam, rt.slice_rows
 
     results = grid.run(program)
     return _merge_reports(results, x.dims, cfg.rank)

@@ -2,8 +2,10 @@
 
 Workers are threads running the same program (SPMD) and interacting only
 through blocking collectives -- All-Reduce, All-Gather, Reduce-Scatter.
-Reductions always combine contributions in ascending rank order, so results
-are bitwise deterministic regardless of scheduling.  Word counters track the
+Each collective goes through its ``Group``'s slot exchange: every member
+posts its array, then reads all of them.  Reductions always combine
+contributions in ascending rank order, so results are bitwise
+deterministic regardless of scheduling.  Word counters track the
 communication volume of every collective; no latency model is simulated.
 A worker times each collective through its ``clock``, which the driver
 sets to its own self-time clock.
@@ -72,13 +74,6 @@ class CommCounters:
         self.words_in[name] = self.words_in.get(name, 0) + words_in
         self.words_out[name] = self.words_out.get(name, 0) + words_out
 
-    def snapshot(self) -> dict:
-        return {
-            "calls": dict(self.calls),
-            "words_in": dict(self.words_in),
-            "words_out": dict(self.words_out),
-        }
-
     def total_words(self) -> int:
         return sum(self.words_in.values()) + sum(self.words_out.values())
 
@@ -92,15 +87,21 @@ class CommCounters:
         return out
 
 
-class _Rendezvous:
-    """Slot exchange for one group: post, wait, read, wait, go."""
+class Group:
+    """Ordered set of global ranks and their slot exchange: post, wait,
+    read, wait, go."""
 
-    def __init__(self, size: int):
-        self.slots = [None] * size
-        self._enter = threading.Barrier(size)
-        self._leave = threading.Barrier(size)
+    def __init__(self, ranks):
+        self.ranks = tuple(sorted(ranks))
+        self.index = {r: k for k, r in enumerate(self.ranks)}
+        self.size = len(self.ranks)
+        self.slots = [None] * self.size
+        self._enter = threading.Barrier(self.size)
+        self._leave = threading.Barrier(self.size)
 
     def exchange(self, index: int, value):
+        """Post ``value`` in slot ``index``; once every member has posted,
+        return all the posts in slot order."""
         self.slots[index] = value
         self._enter.wait()
         view = list(self.slots)
@@ -110,19 +111,6 @@ class _Rendezvous:
     def abort(self):
         self._enter.abort()
         self._leave.abort()
-
-
-class Group:
-    """Ordered set of global ranks sharing a rendezvous."""
-
-    def __init__(self, ranks):
-        self.ranks = tuple(sorted(ranks))
-        self.index = {r: k for k, r in enumerate(self.ranks)}
-        self.rendezvous = _Rendezvous(len(self.ranks))
-
-    @property
-    def size(self) -> int:
-        return len(self.ranks)
 
 
 class Grid:
@@ -149,27 +137,17 @@ class Grid:
             coord.append(c)
         return tuple(coord)
 
-    def rank_of(self, coord) -> int:
-        rank = 0
-        stride = 1
-        for c, p in zip(coord, self.shape):
-            if not 0 <= c < p:
-                raise ValueError(f"coordinate {coord} outside grid {self.shape}")
-            rank += c * stride
-            stride *= p
-        return rank
-
     def slice_group(self, mode: int, coord: int) -> Group:
         return self.slice_groups[mode][coord]
 
     def _abort_all(self):
-        self.all_procs.rendezvous.abort()
+        self.all_procs.abort()
         for groups in self.slice_groups:
             for g in groups:
-                g.rendezvous.abort()
+                g.abort()
 
-    def run(self, fn, *args):
-        """Execute ``fn(worker, *args)`` on every rank; list of results.
+    def run(self, fn):
+        """Execute ``fn(worker)`` on every rank; list of results.
 
         The first worker exception aborts all pending collectives and is
         re-raised in the caller.
@@ -180,7 +158,7 @@ class Grid:
 
         def main(w):
             try:
-                results[w.rank] = fn(w, *args)
+                results[w.rank] = fn(w)
             except threading.BrokenBarrierError:
                 pass
             except BaseException as exc:  # propagate to the caller
@@ -224,7 +202,7 @@ class Worker:
         with self.clock("AllReduce"):
             scalar = np.ndim(local) == 0
             arr = np.atleast_1d(np.asarray(local, dtype=np.float64))
-            slots = group.rendezvous.exchange(group.index[self.rank], arr)
+            slots = group.exchange(group.index[self.rank], arr)
             if any(s.shape != slots[0].shape for s in slots):
                 raise ValueError("all_reduce length mismatch across group")
             out = slots[0].copy()
@@ -237,13 +215,13 @@ class Worker:
         """Concatenation of the members' arrays in ascending rank order."""
         with self.clock("AllGather"):
             arr = np.asarray(local, dtype=np.float64)
-            slots = group.rendezvous.exchange(group.index[self.rank], arr)
+            slots = group.exchange(group.index[self.rank], arr)
             out = np.concatenate(slots, axis=0)
         self.counters.record("AllGather", arr.size, out.size)
         return out
 
     def reduce_scatter(self, group: Group, local: np.ndarray, parts: DistMap) -> np.ndarray:
-        """Rank-ordered elementwise sum, then this member's row block."""
+        """Rank-ordered elementwise sum of this member's row block."""
         with self.clock("ReduceScatter"):
             arr = np.asarray(local, dtype=np.float64)
             if parts.parts != group.size:
@@ -254,12 +232,13 @@ class Worker:
                 raise ValueError(
                     f"partition covers {parts.total} rows, local array has {arr.shape[0]}"
                 )
-            slots = group.rendezvous.exchange(group.index[self.rank], arr)
+            index = group.index[self.rank]
+            slots = group.exchange(index, arr)
             if any(s.shape != slots[0].shape for s in slots):
                 raise ValueError("reduce_scatter length mismatch across group")
-            total = slots[0].copy()
+            own = parts.block(index)
+            out = slots[0][own].copy()
             for s in slots[1:]:
-                total += s
-            out = total[parts.block(group.index[self.rank])].copy()
+                out += s[own]
         self.counters.record("ReduceScatter", arr.size, out.size)
         return out

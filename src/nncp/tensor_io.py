@@ -137,26 +137,21 @@ class SyntheticSpec:
 _SYNTHETIC_SALT = np.uint64(1) << np.uint64(32)
 
 
-def generate_synthetic(
-    spec: SyntheticSpec, truth: FactorSet = None, elem_budget: int = DEFAULT_ELEM_BUDGET
-):
+def generate_synthetic(spec: SyntheticSpec):
     """Tensor with an exact rank-``spec.rank`` nonnegative model, and that
-    ground-truth model.  Deterministic in the seed; ``truth`` can be forced
-    for tests."""
+    ground-truth model; deterministic in the seed.  A tensor of more than
+    ``DEFAULT_ELEM_BUDGET`` elements (read at call time) is refused;
+    ``reconstruct`` builds the tensor one last-mode slab at a time."""
     size = math.prod(spec.dims)
-    if size > elem_budget:
+    if size > DEFAULT_ELEM_BUDGET:
         raise ValueError(f"synthetic tensor of {size} elements exceeds the budget")
-    if truth is None:
-        factors = []
-        for mode, rows in enumerate(spec.dims):
-            key = np.array(
-                [np.uint64(spec.seed), _SYNTHETIC_SALT | np.uint64(mode)],
-                dtype=np.uint64,
-            )
-            gen = np.random.Generator(np.random.Philox(key=key))
-            factors.append(gen.random((rows, spec.rank)))
-        truth = FactorSet(factors)
-    else:
-        if truth.dims != spec.dims or truth.rank != spec.rank:
-            raise ValueError("forced ground truth does not match the spec")
+    factors = []
+    for mode, rows in enumerate(spec.dims):
+        key = np.array(
+            [np.uint64(spec.seed), _SYNTHETIC_SALT | np.uint64(mode)],
+            dtype=np.uint64,
+        )
+        gen = np.random.Generator(np.random.Philox(key=key))
+        factors.append(gen.random((rows, spec.rank)))
+    truth = FactorSet(factors)
     return reconstruct(truth), truth

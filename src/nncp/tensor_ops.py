@@ -229,9 +229,14 @@ def naive_mttkrp(x: DenseTensor, factors, mode: int) -> np.ndarray:
 
 
 def reconstruct(model: FactorSet) -> DenseTensor:
-    """Dense tensor of the model: entry = sum_r lam_r * prod_n H_n(i_n, r)."""
-    krp = khatri_rao(model.factors)
-    return DenseTensor(model.dims, krp @ model.lam)
+    """Dense tensor of the model: entry = sum_r lam_r * prod_n H_n(i_n, r).
+    Built one last-mode slab at a time from the leading factors' Khatri-Rao
+    product (R/I_N of the tensor), not from the R-fold product of all."""
+    out = DenseTensor(model.dims)
+    lead = khatri_rao(model.factors[:-1])
+    for slab, row in zip(out.data.reshape(-1, lead.shape[0]), model.factors[-1]):
+        np.matmul(lead * row, model.lam, out=slab)
+    return out
 
 
 def local_reduce(value, op: str = "sum"):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import nncp.dimtree as dimtree_mod
 from nncp import (
     DenseTensor,
     DimTree,
@@ -233,7 +234,20 @@ class TestDimTreeMttkrp:
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
             hs[mode] = rng.standard_normal(hs[mode].shape)  # the "update"
 
-    def test_flop_accounting(self):
+    @staticmethod
+    def count_ttvs(monkeypatch):
+        calls = []
+        real = dimtree_mod.multi_ttv
+
+        def counted(temp, coeff, side):
+            calls.append(side)
+            return real(temp, coeff, side)
+
+        monkeypatch.setattr(dimtree_mod, "multi_ttv", counted)
+        return calls
+
+    def test_flop_accounting(self, monkeypatch):
+        ttvs = self.count_ttvs(monkeypatch)
         rng = np.random.default_rng(5)
         dims = (3, 3, 3)
         x = DenseTensor(dims, rng.standard_normal(27))
@@ -244,22 +258,24 @@ class TestDimTreeMttkrp:
         # split=2 two multi-TTVs on T{1:2}; mode 3 is the right partial
         # itself (no TTV when S+1 == N)
         assert tree.partial_calls == 2
-        assert tree.ttv_calls == 2
+        assert len(ttvs) == 2
 
-    def test_first_mode_shortcut(self):
+    def test_first_mode_shortcut(self, monkeypatch):
+        ttvs = self.count_ttvs(monkeypatch)
         rng = np.random.default_rng(6)
         # (2, 2, 2, 20) never dominates, so its split is capped at N-1 = 3
         for dims in [(3, 4), (4, 3, 2), (2, 3, 2, 3), (2, 2, 2, 20)]:
             x = DenseTensor(dims, rng.standard_normal(int(np.prod(dims))))
             hs = [rng.standard_normal((d, 3)) for d in dims]
             tree = DimTree(choose_split_mode(dims))
+            ttvs.clear()
             # a sweep cut short after mode 1, as the NES acceptance test runs
             got = next(tree.sweep(x, hs))
             want = naive_mttkrp(x, hs, 0)
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
             assert tree.partial_calls == 1
             # one left partial, plus one trailing TTV when S > 1
-            assert tree.ttv_calls == (tree.split > 1)
+            assert ttvs == ["trailing"] * (tree.split > 1)
         assert tree.split == len(dims) - 1
 
     def test_krp_argument_order_matches_matricization(self):

@@ -282,6 +282,20 @@ class TestSequentialDriver:
         with pytest.raises(ValueError, match=f"{count} initial factors for a tensor of order 3"):
             solve(x, cfg)
 
+    @pytest.mark.parametrize("grid", [None, (2, 1, 1)])
+    def test_initial_factor_rows_must_match_dims(self, monkeypatch, grid):
+        x = DenseTensor((4, 5, 2), np.ones(40))
+        start = FactorSet([np.ones((d, 2)) for d in (4, 4, 2)])
+        cfg = RunConfig(rank=2, max_iters=1, grid=grid, initial_factors=start)
+
+        def no_workers(self, fn):
+            raise AssertionError("workers started before the input was checked")
+
+        monkeypatch.setattr(grid_mod.Grid, "run", no_workers)
+        solve = nncp_sequential if grid is None else nncp_parallel
+        with pytest.raises(ValueError, match="initial factor of mode 2 has 4 rows, tensor dim is 5"):
+            solve(x, cfg)
+
 
 class TestParallelDriver:
     def test_trivial_grid_bitwise_identical(self):

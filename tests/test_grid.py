@@ -10,24 +10,16 @@ class TestLinearization:
     def test_rank_five_in_cube(self):
         g = Grid((3, 3, 3))
         assert g.coord_of(5) == (2, 1, 0)
-        assert g.rank_of((2, 1, 0)) == 5
 
     def test_bijection(self):
         g = Grid((2, 3, 2))
-        coords = [g.coord_of(r) for r in range(g.total)]
-        assert len(set(coords)) == g.total
-        for r, c in enumerate(coords):
-            assert g.rank_of(c) == r
+        coords = {g.coord_of(r) for r in range(g.total)}
+        assert coords == set(np.ndindex(*g.shape))
 
     def test_first_mode_fastest(self):
         g = Grid((4, 2))
         assert g.coord_of(1) == (1, 0)
         assert g.coord_of(4) == (0, 1)
-
-    def test_rank_of_validates(self):
-        g = Grid((2, 2))
-        with pytest.raises(ValueError):
-            g.rank_of((2, 0))
 
 
 class TestSliceGroups:
@@ -243,13 +235,13 @@ class TestCollectives:
             w.all_reduce(w.grid.all_procs, np.ones(5))
             w.all_gather(w.grid.all_procs, np.ones(2))
             w.reduce_scatter(w.grid.all_procs, np.ones(4), block_partition(4, 2))
-            return w.counters.snapshot()
+            return w.counters
 
         out = self.run_on((2,), fn)
-        snap = out[0]
-        assert snap["calls"] == {"AllReduce": 1, "AllGather": 1, "ReduceScatter": 1}
-        assert snap["words_in"] == {"AllReduce": 5, "AllGather": 2, "ReduceScatter": 4}
-        assert snap["words_out"] == {"AllReduce": 5, "AllGather": 4, "ReduceScatter": 2}
+        counters = out[0]
+        assert counters.calls == {"AllReduce": 1, "AllGather": 1, "ReduceScatter": 1}
+        assert counters.words_in == {"AllReduce": 5, "AllGather": 2, "ReduceScatter": 4}
+        assert counters.words_out == {"AllReduce": 5, "AllGather": 4, "ReduceScatter": 2}
 
 
 class TestFailurePropagation:

@@ -207,20 +207,21 @@ class TestSynthetic:
         err = np.linalg.norm(reconstruct(truth).data - x.data) / np.linalg.norm(x.data)
         assert err <= 1e-12
 
-    def test_forced_all_ones_truth(self):
-        truth = FactorSet([np.ones((2, 1)), np.ones((3, 1)), np.ones((2, 1))])
-        x, out = generate_synthetic(SyntheticSpec((2, 3, 2), 1, seed=0), truth=truth)
-        assert np.array_equal(x.data, np.ones(12))
-        assert out is truth
-
-    def test_forced_truth_validated(self):
-        truth = FactorSet([np.ones((2, 1)), np.ones((3, 1))])
-        with pytest.raises(ValueError):
-            generate_synthetic(SyntheticSpec((2, 2), 1), truth=truth)
-
-    def test_element_budget(self):
+    def test_element_budget(self, monkeypatch):
+        monkeypatch.setattr(nncp.tensor_io, "DEFAULT_ELEM_BUDGET", 8)
         with pytest.raises(ValueError, match="budget"):
-            generate_synthetic(SyntheticSpec((4, 4), 1, seed=0), elem_budget=8)
+            generate_synthetic(SyntheticSpec((4, 4), 1, seed=0))
+        generate_synthetic(SyntheticSpec((4, 2), 1, seed=0))
+
+    def test_build_peak_stays_near_the_tensor(self):
+        # the Khatri-Rao product of all factors would be R = 16 tensors
+        tracemalloc.start()
+        try:
+            x, _ = generate_synthetic(SyntheticSpec((64, 64, 64), 16, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * x.data.nbytes
 
     def test_element_budget_counts_beyond_int64(self):
         with pytest.raises(ValueError, match="budget"):
