@@ -141,7 +141,7 @@ def generate_synthetic(spec: SyntheticSpec):
     """Tensor with an exact rank-``spec.rank`` nonnegative model, and that
     ground-truth model; deterministic in the seed.  A tensor of more than
     ``DEFAULT_ELEM_BUDGET`` elements (read at call time) is refused;
-    ``reconstruct`` builds the tensor one last-mode slab at a time."""
+    ``reconstruct`` builds it with one GEMM of two Khatri-Rao products."""
     size = math.prod(spec.dims)
     if size > DEFAULT_ELEM_BUDGET:
         raise ValueError(f"synthetic tensor of {size} elements exceeds the budget")

@@ -230,12 +230,17 @@ def naive_mttkrp(x: DenseTensor, factors, mode: int) -> np.ndarray:
 
 def reconstruct(model: FactorSet) -> DenseTensor:
     """Dense tensor of the model: entry = sum_r lam_r * prod_n H_n(i_n, r).
-    Built one last-mode slab at a time from the leading factors' Khatri-Rao
-    product (R/I_N of the tensor), not from the R-fold product of all."""
+
+    One GEMM of the leading modes' Khatri-Rao product with the trailing
+    modes' (lam folded into the last factor), split after the mode k that
+    makes (I_1...I_k + I_{k+1}...I_N) R, the memory besides the tensor,
+    smallest."""
     out = DenseTensor(model.dims)
-    lead = khatri_rao(model.factors[:-1])
-    for slab, row in zip(out.data.reshape(-1, lead.shape[0]), model.factors[-1]):
-        np.matmul(lead * row, model.lam, out=slab)
+    dims, hs = model.dims, model.factors
+    k = min(range(1, len(dims)), key=lambda j: math.prod(dims[:j]) + math.prod(dims[j:]))
+    lead = khatri_rao(hs[:k])
+    trail = khatri_rao(hs[k:-1] + [hs[-1] * model.lam])
+    np.matmul(trail, lead.T, out=out.data.reshape(trail.shape[0], lead.shape[0]))
     return out
 
 

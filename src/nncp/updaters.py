@@ -5,7 +5,11 @@ of the other factors' Gram matrices S = A^T A (R x R) and the local rows of
 the MTTKRP result M (rows of A^T B transposed, I x R), plus the current
 local factor rows.  All rules operate on the factor-row layout (I x R), so
 the textbook column problem min_{x>=0} ||A x - b|| appears here once per
-row of H, and every rule solves all rows of one update together.
+row of H, and every rule solves all rows of one update together.  BPP
+re-solves its unfinished rows once per pivoting round: with one Cholesky
+when they all share a passive set (as in the first round whenever every
+row of M has the same support), otherwise, or when that block of S is not
+positive definite, with one stacked LU.
 
 Only Nesterov has an inner stopping test; it takes a reduce hook for the
 max-abs values that need cross-worker agreement, and in sequential runs
@@ -125,6 +129,29 @@ def hals_update(inp: UpdateInputs) -> np.ndarray:
     return h
 
 
+def _solve_passive(s: np.ndarray, m: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Rows x with x_P = S_PP^{-1} m_P and 0 off P, for each row's passive set P.
+
+    One Cholesky of S_PP when every row has the same P (none when P is
+    empty); otherwise, or when S_PP is not positive definite, one stacked LU
+    of S with each row's non-passive rows and columns replaced by the identity.
+    """
+    shared = p[0]
+    if (p == shared).all():
+        x = np.zeros_like(m)
+        if not shared.any():
+            return x
+        try:
+            x[:, shared] = cho_solve(cho_factor(s[np.ix_(shared, shared)]), m[:, shared].T).T
+            return x
+        except LinAlgError:
+            pass
+    a = np.where(p[:, :, None] & p[:, None, :], s, np.eye(s.shape[0]))
+    x = np.linalg.solve(a, np.where(p, m, 0.0)[..., None])[..., 0]
+    x[~p] = 0.0
+    return x
+
+
 def bpp_update(inp: UpdateInputs) -> np.ndarray:
     """Exact NNLS of every factor row by block principal pivoting.
 
@@ -132,15 +159,18 @@ def bpp_update(inp: UpdateInputs) -> np.ndarray:
     rows pivot together.  Each round checks KKT on every row and exchanges
     the violating variables of each unfinished row: all of them while the
     violation count improves and for BPP_BACKUP_TRIES non-improving rounds
-    after that, otherwise only the largest violating index.  The unfinished
-    rows are then re-solved by one stacked solve, in which row i's matrix
-    is S with its non-passive rows and columns replaced by the identity.
-    A row still violating at its 5R+1st check raises BppCyclingError with
-    the lowest such row.
+    after that.  A row that runs out of those tries exchanges only its
+    largest violating index for the rest of the call (Murty's rule, which
+    terminates on a positive definite S).  The unfinished rows are then
+    re-solved together by ``_solve_passive``: a round whose rows share one
+    passive set, such as the first round when every row of M has the same
+    support, takes one Cholesky for all of them; any other round, and an
+    S_PP that is not positive definite, takes one stacked LU.  A row still
+    violating at its 5R+1st check raises BppCyclingError with the lowest
+    such row.
     """
     s, m = inp.gram, inp.mttkrp_rows
     n, r = m.shape
-    eye = np.eye(r)
     passive = np.zeros((n, r), dtype=bool)
     x = np.zeros((n, r))
     y = -m
@@ -160,15 +190,15 @@ def bpp_update(inp: UpdateInputs) -> np.ndarray:
         lowest[todo[improved]] = count[improved]
         backup[todo[improved]] = BPP_BACKUP_TRIES
         backup[todo[retry]] -= 1
+        # no count improves on 0, so these rows keep the single exchange
+        lowest[todo[single]] = 0
         last = r - 1 - np.argmax(flip[single, ::-1], axis=1)
         flip[single] = False
         flip[single, last] = True
         p = passive[todo] ^ flip
         passive[todo] = p
         mt = m[todo]
-        a = np.where(p[:, :, None] & p[:, None, :], s, eye)
-        xt = np.linalg.solve(a, np.where(p, mt, 0.0)[..., None])[..., 0]
-        xt[~p] = 0.0
+        xt = _solve_passive(s, mt, p)
         yt = xt @ s - mt
         yt[p] = 0.0
         x[todo] = xt

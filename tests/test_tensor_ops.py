@@ -339,6 +339,31 @@ class TestReconstruct:
         x = reconstruct(FactorSet([h1, h2]))
         assert np.array_equal(x.data, np.array([3.0, 6.0, 4.0, 8.0]))
 
+    @pytest.mark.parametrize(
+        "dims, rank", [((64, 64, 2), 16), ((5, 40), 4), ((3, 2, 7, 5), 6), ((2, 1, 9), 3)]
+    )
+    def test_matches_einsum(self, dims, rank):
+        rng = np.random.default_rng(len(dims) * rank)
+        hs = [rng.random((d, rank)) for d in dims]
+        lam = rng.random(rank)
+        idx = string.ascii_lowercase[: len(dims)]
+        want = np.einsum(",".join(c + "z" for c in idx) + ",z->" + idx, *hs, lam)
+        got = reconstruct(FactorSet(hs, lam)).as_array()
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_peak_memory_when_last_mode_is_short(self):
+        # the last mode is shorter than the rank, so the Khatri-Rao product
+        # of all leading modes would be eight times the tensor
+        rng = np.random.default_rng(2)
+        model = FactorSet([rng.random((d, 16)) for d in (64, 64, 2)], rng.random(16))
+        tracemalloc.start()
+        try:
+            x = reconstruct(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * x.data.nbytes
+
 
 class TestNormalizeColumns:
     def test_three_four_five(self):

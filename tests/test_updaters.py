@@ -19,6 +19,7 @@ from nncp import (
     hals_update,
     mu_update,
     nesterov_update,
+    nncp_parallel,
     nncp_sequential,
     ucp_update,
 )
@@ -210,12 +211,13 @@ def bpp_rowwise(s, f, row, rules):
     y = -f.copy()
     lowest = r + 1
     backup = BPP_BACKUP_TRIES
+    murty = False
     for _ in range(5 * r + 1):
         viol = (passive & (x < 0)) | (~passive & (y < 0))
         nviol = int(np.count_nonzero(viol))
         if nviol == 0:
             return x
-        if nviol < lowest:
+        if nviol < lowest and not murty:
             rules["full"] += 1
             lowest = nviol
             backup = BPP_BACKUP_TRIES
@@ -226,6 +228,7 @@ def bpp_rowwise(s, f, row, rules):
             passive ^= viol
         else:
             rules["single"] += 1
+            murty = True
             last = np.max(np.nonzero(viol)[0])
             passive[last] = not passive[last]
         x = np.zeros(r)
@@ -237,18 +240,52 @@ def bpp_rowwise(s, f, row, rules):
     raise BppCyclingError(row)
 
 
-def count_stacked_solves(monkeypatch):
-    """Record the stack size of every stacked np.linalg.solve from now on."""
-    sizes = []
+def count_row_solves(monkeypatch):
+    """Record (rows, path) for every round of bpp_update from now on.
+
+    ``path`` is "cholesky" for one factorization shared by all rows, "lu"
+    for the stacked solve and "zero" for a shared empty passive set.
+    """
+    rounds = []
+    paths = []
+    solve_passive, cho_solve = updaters_mod._solve_passive, updaters_mod.cho_solve
     solve = np.linalg.solve
 
-    def counted(a, b):
-        if a.ndim == 3:
-            sizes.append(a.shape[0])
+    def cholesky(c, b):
+        paths.append("cholesky")
+        return cho_solve(c, b)
+
+    def lu(a, b):
+        paths.append("lu")
         return solve(a, b)
 
-    monkeypatch.setattr(np.linalg, "solve", counted)
-    return sizes
+    def counted(s, m, p):
+        paths.clear()
+        x = solve_passive(s, m, p)
+        assert len(paths) <= 1
+        rounds.append((m.shape[0], paths[0] if paths else "zero"))
+        return x
+
+    monkeypatch.setattr(updaters_mod, "cho_solve", cholesky)
+    monkeypatch.setattr(np.linalg, "solve", lu)
+    monkeypatch.setattr(updaters_mod, "_solve_passive", counted)
+    return rounds
+
+
+def assert_matches_rowwise(s, m):
+    """bpp_update's result, checked against bpp_rowwise to 1e-12 of max(1, |x|)."""
+    got = bpp_update(UpdateInputs(s, m, np.zeros_like(m)))
+    rules = collections.Counter()
+    want = np.array([bpp_rowwise(s, f, i, rules) for i, f in enumerate(m)])
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    return got
+
+
+def spd_spectrum(rng, r, low):
+    """Q diag(logspace(0, log10(low))) Q^T for a random orthogonal Q."""
+    q, _ = np.linalg.qr(rng.standard_normal((r, r)))
+    s = (q * np.logspace(0, np.log10(low), r)) @ q.T
+    return 0.5 * (s + s.T)
 
 
 class TestBpp:
@@ -277,12 +314,20 @@ class TestBpp:
                 assert (y >= -1e-10 * max(1.0, np.abs(m).max())).all()
                 assert (np.abs(out[i] * y) <= 1e-10 * max(1.0, np.abs(m).max() ** 2)).all()
 
-    def test_cycling_raises_with_column(self):
+    def test_cycling_raises_with_column(self, monkeypatch):
+        # only row 1 is unfinished, so every round is shared; S is indefinite
         s = np.array([[1.0, -3.0], [-3.0, 1.0]])
         m = np.array([[0.0, 0.0], [1.0, 1.0]])
+        rules = collections.Counter()
+        with pytest.raises(BppCyclingError):
+            bpp_rowwise(s, m[1], 1, rules)
+        rounds = count_row_solves(monkeypatch)
         with pytest.raises(BppCyclingError) as info:
             bpp_update(UpdateInputs(s, m, np.zeros_like(m)))
         assert info.value.row == 1
+        assert len(rounds) == sum(rules.values()) == 5 * 2 + 1
+        # S_PP = S fails its Cholesky and takes the LU; 1x1 blocks do not
+        assert {path for _, path in rounds} == {"lu", "cholesky", "zero"}
 
     def test_cycling_reports_first_cycling_row(self, monkeypatch):
         # row 0 converges after one exchange, row 2 at once; rows 1 and 3 cycle
@@ -294,18 +339,18 @@ class TestBpp:
         for i in (1, 3):
             with pytest.raises(BppCyclingError):
                 bpp_rowwise(s, m[i], i, rules)
-        sizes = count_stacked_solves(monkeypatch)
+        rounds = count_row_solves(monkeypatch)
         with pytest.raises(BppCyclingError) as info:
             bpp_update(UpdateInputs(s, m, np.zeros_like(m)))
         assert info.value.row == 1
         # 5R+1 checks per cycling row, each followed by a solve
-        assert sum(sizes) == sum(rules.values()) == 1 + 2 * (5 * 2 + 1)
+        assert sum(n for n, _ in rounds) == sum(rules.values()) == 1 + 2 * (5 * 2 + 1)
 
     def test_matches_rowwise_reference(self, monkeypatch):
         # eigenvalues 1 .. 10^-decay; m is scaled so that solutions stay O(1)
         rng = np.random.default_rng(21)
         rules = collections.Counter()
-        sizes = count_stacked_solves(monkeypatch)
+        rounds = count_row_solves(monkeypatch)
         for r in (1, 2, 3, 5, 8, 13, 16, 24, 32, 48):
             for decay in (1, 3, 5):
                 q, _ = np.linalg.qr(rng.standard_normal((r, r)))
@@ -318,7 +363,7 @@ class TestBpp:
         assert rules["backup"] > 0
         assert rules["single"] > 0
         # every row took the reference's pivots: one row solve per pivot
-        assert sum(sizes) == sum(rules.values())
+        assert sum(n for n, _ in rounds) == sum(rules.values())
 
     def test_kkt_at_rank_48(self):
         rng = np.random.default_rng(48)
@@ -334,6 +379,98 @@ class TestBpp:
             assert (x >= 0).all()
             assert (y >= -1e-10 * scale).all()
             assert (np.abs(x * y) <= 1e-10 * scale * scale).all()
+
+    def test_shared_first_round_takes_one_cholesky(self, monkeypatch):
+        # every row of M is positive, so round one's passive sets are all
+        # {1..R}, and S_PP = S
+        rng = np.random.default_rng(5)
+        a = rng.random((60, 24))
+        s = a.T @ a
+        m = rng.random((40, 60)) @ a
+        rounds = count_row_solves(monkeypatch)
+        assert_matches_rowwise(s, m)
+        assert rounds[0] == (40, "cholesky")
+
+    def test_collapsed_column_stays_exactly_zero(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        s = spd_spectrum(rng, 8, 1e-3)
+        s[3, :] = s[:, 3] = 0.0
+        m = np.abs(rng.standard_normal((12, 8)))
+        m[:, 3] = 0.0
+        rounds = count_row_solves(monkeypatch)
+        got = assert_matches_rowwise(s, m)
+        assert (got[:, 3] == 0.0).all()
+        assert rounds[0] == (12, "cholesky")
+
+    def test_nonpositive_rows_take_no_solve(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        s = spd_spectrum(rng, 6, 1e-2)
+        m = -np.abs(rng.standard_normal((9, 6)))
+        m[4, 2] = 0.0
+        rounds = count_row_solves(monkeypatch)
+        assert (assert_matches_rowwise(s, m) == 0.0).all()
+        assert rounds == []
+        m[[2, 5]] = np.abs(m[[2, 5]])
+        got = assert_matches_rowwise(s, m)
+        assert (np.delete(got, [2, 5], axis=0) == 0.0).all()
+        assert rounds[0] == (2, "cholesky")
+
+    def test_single_row_shares_every_round(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        rounds = count_row_solves(monkeypatch)
+        for r in (1, 2, 5, 16, 48):
+            s = spd_spectrum(rng, r, 1e-4)
+            for _ in range(5):
+                assert_matches_rowwise(s, rng.standard_normal((1, r)))
+        assert {path for _, path in rounds} == {"cholesky"}
+        assert {n for n, _ in rounds} == {1}
+
+    def test_ill_conditioned_rows_converge_by_single_exchange(self):
+        # returning to full exchange after each improvement, row 10 needs
+        # 185 checks, past the 5R+1 = 161 cap; keeping the single exchange,
+        # no row needs more than 107
+        rng = np.random.default_rng(0)
+        r = 32
+        q, _ = np.linalg.qr(rng.standard_normal((r, r)))
+        s = (q * np.logspace(0, -8, r)) @ q.T
+        m = rng.standard_normal((20, r))
+        got = assert_matches_rowwise(s, m)
+        y = got @ s - m
+        assert (got >= 0.0).all()
+        assert y[got == 0.0].min() > 0.0
+        assert np.abs(y[got > 0.0]).max() <= 1e-10 * np.abs(m).max()
+
+    @given(
+        st.integers(1, 48),
+        st.floats(0.0, 5.0),
+        st.integers(1, 30),
+        st.sampled_from(["shared", "distinct", "mixed"]),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_rowwise_on_shared_and_distinct_supports(self, r, decay, rows, support, seed):
+        rng = np.random.default_rng(seed)
+        s = spd_spectrum(rng, r, 10.0**-decay)
+        m = rng.standard_normal((rows, r)) * 10.0**-decay
+        if support != "distinct":
+            shared = np.abs(m) * (rng.random(r) < 0.7)
+            keep = rng.random(rows) < 0.5 if support == "mixed" else np.ones(rows, dtype=bool)
+            m[keep] = shared[keep]
+        assert_matches_rowwise(s, m)
+
+    @given(st.integers(4, 9), st.integers(2, 6), st.floats(0.0, 0.6), st.integers(0, 10**6))
+    @settings(max_examples=8, deadline=None)
+    def test_grid_batches_match_sequential(self, lead, rank, cut, seed):
+        # each worker solves its own rows, so a round's rows may share a
+        # passive set on one side and not on the other
+        rng = np.random.default_rng(seed)
+        dims = (lead, 3, 2, 2, 2)
+        data = rng.random(int(np.prod(dims)))
+        x = DenseTensor(dims, np.where(data < cut, 0.0, data))
+        cfg = dict(rank=rank, algorithm="bpp", max_iters=5, tol=0.0, seed=seed)
+        seq = nncp_sequential(x, RunConfig(**cfg))
+        par = nncp_parallel(x, RunConfig(grid=(2, 1, 1, 1, 1), **cfg))
+        assert np.abs(np.array(par.errors) - np.array(seq.errors)).max() <= 1e-10
 
     @given(st.integers(1, 12), st.integers(1, 30), st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
