@@ -16,7 +16,7 @@ from .driver import (
     nncp_parallel,
     nncp_sequential,
 )
-from .grid import CommCounters, DistMap, Grid, Worker, block_partition
+from .grid import CommCounters, Grid, Worker, block_partition
 from .tensor_io import (
     SyntheticSpec,
     TensorFileError,

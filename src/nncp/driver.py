@@ -125,6 +125,20 @@ class RunConfig:
                         f"initial factor of mode {n + 1} has {h.shape[0]} rows, "
                         f"tensor dim is {i}"
                     )
+            # MU keeps the sign it starts from, and a NaN surfaces only in
+            # the first error, so a bad start is rejected here
+            named = [
+                (f"initial factor of mode {n + 1}", h)
+                for n, h in enumerate(self.initial_factors.factors)
+            ]
+            for name, a in named + [("initial weight vector", self.initial_factors.lam)]:
+                if not np.isfinite(a).all():
+                    raise ValueError(f"{name} has a non-finite entry")
+                if self.algorithm != "ucp" and (a < 0).any():
+                    raise ValueError(
+                        f"{name} has a negative entry; {self.algorithm} "
+                        "needs a nonnegative start"
+                    )
 
 
 @dataclass
@@ -179,7 +193,7 @@ def _make_updater(cfg: RunConfig, order: int):
     states = [UpdaterState() for _ in range(order)]
     algo = cfg.algorithm
 
-    def update(mode: int, inputs: UpdateInputs, reduce):
+    def update(mode: int, inputs: UpdateInputs):
         if algo == "ucp":
             return ucp_update(inputs)
         if algo == "mu":
@@ -190,7 +204,7 @@ def _make_updater(cfg: RunConfig, order: int):
             return bpp_update(inputs)
         if algo == "admm":
             return admm_update(inputs, states[mode])
-        return nesterov_update(inputs, states[mode], reduce)
+        return nesterov_update(inputs, states[mode])
 
     return update
 
@@ -229,8 +243,9 @@ class _WorkerRuntime:
             grid.slice_group(n, worker.coord[n]) for n in range(len(grid.shape))
         ]
         # tensor block: the mode-n range is fixed by the n-th coordinate
-        tensor_maps = [block_partition(i, p) for i, p in zip(x.dims, grid.shape)]
-        self.slice_rows = [m.block(c) for m, c in zip(tensor_maps, worker.coord)]
+        self.slice_rows = [
+            block_partition(i, p)[c] for i, p, c in zip(x.dims, grid.shape, worker.coord)
+        ]
         self.x_local = DenseTensor.from_array(x.as_array()[tuple(self.slice_rows)])
         self.dims = self.x_local.dims
         # owned factor rows: sub-partition of the slice block among the
@@ -240,8 +255,7 @@ class _WorkerRuntime:
             for s, g in zip(self.slice_rows, self.groups)
         ]
         self.owned = [
-            parts.block(g.index[worker.rank])
-            for parts, g in zip(self.owned_parts, self.groups)
+            parts[g.index[worker.rank]] for parts, g in zip(self.owned_parts, self.groups)
         ]
 
     def all_reduce(self, value, op="sum"):
@@ -396,7 +410,7 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
             with _clock(rt, "NNLS"):
                 try:
                     own = shared[n][rt.owned[n]]
-                    hhat = update(n, UpdateInputs(s_n, m_owned, own * lam), rt.all_reduce)
+                    hhat = update(n, UpdateInputs(s_n, m_owned, own * lam))
                 except Exception as exc:
                     raise RuntimeError(
                         f"NNLS update failed at iteration {it}, mode {n + 1}"

@@ -27,38 +27,13 @@ _REDUCTIONS = {"sum": np.add, "min": np.minimum, "max": np.maximum}
 
 
 def block_partition(length: int, parts: int):
-    """Balanced contiguous block lengths: first (length % parts) blocks get
-    the extra element."""
+    """Balanced contiguous blocks of [0, length) as a tuple of ``parts``
+    slices: the first (length % parts) blocks get the extra element."""
     if length < 0 or parts < 1:
         raise ValueError(f"bad partition request: length={length}, parts={parts}")
     base, extra = divmod(length, parts)
-    return DistMap([base + 1 if k < extra else base for k in range(parts)])
-
-
-class DistMap:
-    """Contiguous block partition of [0, I): block lengths and offsets."""
-
-    __slots__ = ("lengths", "offsets")
-
-    def __init__(self, lengths):
-        self.lengths = tuple(int(x) for x in lengths)
-        if any(x < 0 for x in self.lengths):
-            raise ValueError("block lengths must be nonnegative")
-        offs = [0]
-        for x in self.lengths:
-            offs.append(offs[-1] + x)
-        self.offsets = tuple(offs)
-
-    @property
-    def total(self) -> int:
-        return self.offsets[-1]
-
-    @property
-    def parts(self) -> int:
-        return len(self.lengths)
-
-    def block(self, k: int) -> slice:
-        return slice(self.offsets[k], self.offsets[k + 1])
+    bounds = [k * base + min(k, extra) for k in range(parts + 1)]
+    return tuple(slice(a, b) for a, b in zip(bounds, bounds[1:]))
 
 
 @dataclass
@@ -220,23 +195,27 @@ class Worker:
         self.counters.record("AllGather", arr.size, out.size)
         return out
 
-    def reduce_scatter(self, group: Group, local: np.ndarray, parts: DistMap) -> np.ndarray:
-        """Rank-ordered elementwise sum of this member's row block."""
+    def reduce_scatter(self, group: Group, local: np.ndarray, parts: tuple) -> np.ndarray:
+        """Rank-ordered elementwise sum of this member's row block.
+
+        ``parts`` holds one contiguous row slice per member, in rank order,
+        as ``block_partition`` returns them.
+        """
         with self.clock("ReduceScatter"):
             arr = np.asarray(local, dtype=np.float64)
-            if parts.parts != group.size:
+            if len(parts) != group.size:
                 raise ValueError(
-                    f"partition has {parts.parts} blocks for a group of {group.size}"
+                    f"partition has {len(parts)} blocks for a group of {group.size}"
                 )
-            if parts.total != arr.shape[0]:
+            if parts[-1].stop != arr.shape[0]:
                 raise ValueError(
-                    f"partition covers {parts.total} rows, local array has {arr.shape[0]}"
+                    f"partition covers {parts[-1].stop} rows, local array has {arr.shape[0]}"
                 )
             index = group.index[self.rank]
             slots = group.exchange(index, arr)
             if any(s.shape != slots[0].shape for s in slots):
                 raise ValueError("reduce_scatter length mismatch across group")
-            own = parts.block(index)
+            own = parts[index]
             out = slots[0][own].copy()
             for s in slots[1:]:
                 out += s[own]

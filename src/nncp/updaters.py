@@ -11,9 +11,8 @@ when they all share a passive set (as in the first round whenever every
 row of M has the same support), otherwise, or when that block of S is not
 positive definite, with one stacked LU.
 
-Only Nesterov has an inner stopping test; it takes a reduce hook for the
-max-abs values that need cross-worker agreement, and in sequential runs
-the default hook is the identity.  Every other rule is row-local.
+Every rule is row-local: MU, ADMM and Nesterov run a fixed inner step
+count, so no update communicates.
 """
 
 from __future__ import annotations
@@ -24,15 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .tensor_ops import local_reduce
-
 
 ADMM_INNER_CAP = 5
 NESTEROV_INNER_CAP = 20
 MU_INNER_STEPS = 10
 MU_EPSILON = 1e-16
 HALS_FLOOR = 1e-16
-NESTEROV_TOL = 1e-8
 NESTEROV_PROX_FLOOR = 1e-6
 BPP_BACKUP_TRIES = 3
 
@@ -62,7 +58,7 @@ class UpdaterState:
     ``admm_dual`` is the scaled dual matrix U (zero at the first call);
     ``nesterov_prev`` is this factor's iterate from the previous outer
     iteration, used as the proximal center.  ``last_inner_iters`` reports
-    how many inner steps the most recent call used.
+    how many inner steps the most recent call ran: always its rule's cap.
     """
 
     admm_dual: np.ndarray = None
@@ -259,38 +255,25 @@ def nesterov_hyperparams(gram: np.ndarray):
     return lam, alpha, beta
 
 
-def _max_abs(a: np.ndarray) -> float:
-    """max|a| from two reductions, without an np.abs temporary."""
-    return max(float(a.max()), -float(a.min())) if a.size else 0.0
-
-
-def nesterov_update(inp: UpdateInputs, state: UpdaterState, hook=local_reduce) -> np.ndarray:
-    """Accelerated projected gradient on the proximally regularized problem.
+def nesterov_update(inp: UpdateInputs, state: UpdaterState) -> np.ndarray:
+    """NESTEROV_INNER_CAP steps of accelerated projected gradient on the
+    proximally regularized problem.
 
     Gradient at Y is Y S - M + lam (Y - X_*), with X_* the previous outer
-    iterate of this factor held in ``state``.  Stops when the global
-    max-abs change drops below NESTEROV_TOL * (1 + global max-abs value),
-    checked through the hook, or after NESTEROV_INNER_CAP steps.
+    iterate of this factor held in ``state``.  A fixed step count needs no
+    global stopping test, so every step is row-local and grid runs add no
+    collective.
     """
     s, m = inp.gram, inp.mttkrp_rows
     lam, alpha, beta = nesterov_hyperparams(s)
     xstar = state.nesterov_prev if state.nesterov_prev is not None else inp.current
     x = inp.current
     y = x
-    steps = 0
     for _ in range(NESTEROV_INNER_CAP):
         grad = y @ s - m + lam * (y - xstar)
         xn = np.maximum(y - alpha * grad, 0.0)
-        steps += 1
-        d = xn - x
-        # the projection makes xn >= 0, so its max-abs is its max
-        xn_max = float(xn.max()) if xn.size else 0.0
-        dmax, xmax = hook(np.array([_max_abs(d), xn_max]), "max")
-        y = xn + beta * d
+        y = xn + beta * (xn - x)
         x = xn
-        if dmax <= NESTEROV_TOL * (1.0 + xmax):
-            break
     state.nesterov_prev = x.copy()
-    state.last_inner_iters = steps
+    state.last_inner_iters = NESTEROV_INNER_CAP
     return x
-

@@ -38,7 +38,6 @@ from nncp import (
 )
 from nncp.cli import run_cli
 from nncp.tensor_io import BadMagicError, PayloadMismatchError, TruncatedFileError
-from nncp.tensor_ops import local_reduce
 
 
 def report(line):
@@ -328,7 +327,7 @@ def test_c11_inner_iteration_caps():
     admm_update(UpdateInputs(s, m, x0), admm_state)
     assert admm_state.last_inner_iters == 5
     nes_state = UpdaterState()
-    nesterov_update(UpdateInputs(s, m, x0), nes_state, local_reduce)
+    nesterov_update(UpdateInputs(s, m, x0), nes_state)
     assert nes_state.last_inner_iters == 20
     # caps are never exceeded on a spread of random instances
     for _ in range(25):
@@ -337,7 +336,7 @@ def test_c11_inner_iteration_caps():
         s2, m2 = a.T @ a, rng.standard_normal((3, r))
         st1, st2 = UpdaterState(), UpdaterState()
         admm_update(UpdateInputs(s2, m2, np.abs(m2)), st1)
-        nesterov_update(UpdateInputs(s2, m2, np.abs(m2)), st2, local_reduce)
+        nesterov_update(UpdateInputs(s2, m2, np.abs(m2)), st2)
         assert st1.last_inner_iters <= 5
         assert st2.last_inner_iters <= 20
     report("11 PASS: ADMM stops within 5 inner steps, Nesterov within 20")

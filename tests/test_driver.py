@@ -296,6 +296,47 @@ class TestSequentialDriver:
         with pytest.raises(ValueError, match="initial factor of mode 2 has 4 rows, tensor dim is 5"):
             solve(x, cfg)
 
+    @pytest.mark.parametrize("grid", [None, (2, 1, 1)])
+    @pytest.mark.parametrize(
+        "algorithm, mode, bad, message",
+        [
+            ("mu", 2, -0.05, "initial factor of mode 3 has a negative entry"),
+            ("hals", 0, np.nan, "initial factor of mode 1 has a non-finite entry"),
+            ("ucp", 1, np.inf, "initial factor of mode 2 has a non-finite entry"),
+            ("bpp", None, -1.0, "initial weight vector has a negative entry"),
+            ("ucp", None, np.nan, "initial weight vector has a non-finite entry"),
+        ],
+    )
+    def test_bad_initial_values_rejected(self, monkeypatch, grid, algorithm, mode, bad, message):
+        # MU keeps the sign it starts from: this start used to return a
+        # model with negative entries, and a NaN failed only at the first error
+        x, _ = generate_synthetic(SyntheticSpec((6, 5, 4), 2, seed=1))
+        factors = [init_factor(0, n, d, 2) for n, d in enumerate((6, 5, 4))]
+        lam = np.ones(2)
+        if mode is None:
+            lam[1] = bad
+        else:
+            factors[mode][2, 1] = bad
+        start = FactorSet(factors, lam)
+        cfg = RunConfig(rank=2, algorithm=algorithm, max_iters=3, tol=0.0, grid=grid,
+                        initial_factors=start)
+
+        def no_workers(self, fn):
+            raise AssertionError("workers started before the input was checked")
+
+        monkeypatch.setattr(grid_mod.Grid, "run", no_workers)
+        solve = nncp_sequential if grid is None else nncp_parallel
+        with pytest.raises(ValueError, match=message):
+            solve(x, cfg)
+
+    def test_ucp_accepts_negative_start(self):
+        x, _ = generate_synthetic(SyntheticSpec((6, 5, 4), 2, seed=1))
+        factors = [init_factor(0, n, d, 2) for n, d in enumerate((6, 5, 4))]
+        factors[2][2, 1] = -0.05
+        start = FactorSet(factors, np.array([1.0, -1.0]))
+        cfg = RunConfig(rank=2, algorithm="ucp", max_iters=1, tol=0.0, initial_factors=start)
+        assert np.isfinite(nncp_sequential(x, cfg).errors).all()
+
 
 class TestParallelDriver:
     def test_trivial_grid_bitwise_identical(self):
@@ -373,6 +414,18 @@ class TestParallelDriver:
         assert rs_calls == 3 * p
         assert rs_in == (8 + 4 + 16) * p
 
+    def test_nes_all_reduces_only_for_its_extrapolation(self):
+        # bpp's per-mode and error All-Reduces, two for the extrapolation
+        # test (candidate Grams, error scalar) and two more when the step is
+        # accepted (column norms, Grams); none inside the update
+        p = 8
+        delta = self._outer_iteration_counter_delta((2, 2, 2), algo="nes")
+        # the helper's two-iteration run, for its second acceptance
+        cfg = RunConfig(rank=2, algorithm="nes", max_iters=2, tol=0.0, seed=7, grid=(2, 2, 2))
+        x, _ = generate_synthetic(SyntheticSpec((8, 8, 8), 2, seed=14))
+        accepted = nncp_parallel(x, cfg).nes_accepted[1]
+        assert delta["AllReduce"][0] == (3 * 2 + 1) * p + 2 * p + (2 * p if accepted else 0)
+
     @pytest.mark.parametrize("grid", [(2, 2, 2), (1, 2, 4)])
     def test_setup_runs_no_all_gather(self, grid):
         # every worker starts from its slice blocks, so set-up has nothing
@@ -397,7 +450,8 @@ class TestParallelDriver:
         for algo in ("bpp", "mu", "hals", "admm", "nes"):
             cfg = RunConfig(rank=2, algorithm=algo, max_iters=3, tol=0.0, seed=8, grid=(2, 1, 1))
             calls[algo] = nncp_parallel(x, cfg).counters.calls.get("AllReduce", 0)
-        # MU's, HALS's and ADMM's steps are row-local: no reduction beyond BPP's
+        # every rule's steps are row-local: no reduction beyond BPP's, except
+        # NES's extrapolation test and accepted steps
         assert calls["mu"] == calls["bpp"]
         assert calls["hals"] == calls["bpp"]
         assert calls["admm"] == calls["bpp"]

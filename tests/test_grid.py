@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nncp import DistMap, Grid, block_partition
+from nncp import Grid, block_partition
 
 
 class TestLinearization:
@@ -52,27 +52,34 @@ class TestSliceGroups:
                     assert g.coord_of(r)[n] == c
 
 
+def lengths(parts):
+    return tuple(b.stop - b.start for b in parts)
+
+
 class TestBlockPartition:
     def test_uneven(self):
-        assert block_partition(10, 4).lengths == (3, 3, 2, 2)
+        assert lengths(block_partition(10, 4)) == (3, 3, 2, 2)
 
     def test_exact(self):
-        assert block_partition(8, 4).lengths == (2, 2, 2, 2)
+        assert lengths(block_partition(8, 4)) == (2, 2, 2, 2)
 
     def test_empty_tails(self):
-        assert block_partition(3, 5).lengths == (1, 1, 1, 0, 0)
+        assert lengths(block_partition(3, 5)) == (1, 1, 1, 0, 0)
 
     def test_offsets_monotone_and_complete(self):
-        m = block_partition(17, 5)
-        assert m.total == 17
-        assert list(m.offsets) == sorted(m.offsets)
+        parts = block_partition(17, 5)
+        offsets = [b.start for b in parts] + [parts[-1].stop]
+        assert offsets[0] == 0 and offsets[-1] == 17
+        assert offsets == sorted(offsets)
+        assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
 
     @given(st.integers(0, 300), st.integers(1, 17))
     @settings(max_examples=60, deadline=None)
     def test_balanced_invariants(self, length, parts):
-        m = block_partition(length, parts)
-        assert sum(m.lengths) == length
-        assert max(m.lengths) - min(m.lengths) <= 1
+        blocks = lengths(block_partition(length, parts))
+        assert len(blocks) == parts
+        assert sum(blocks) == length
+        assert max(blocks) - min(blocks) <= 1
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -170,7 +177,7 @@ class TestCollectives:
     def test_reduce_scatter_singleton(self):
         def fn(w):
             return w.reduce_scatter(
-                w.grid.all_procs, np.array([5.0, 6.0]), DistMap([2])
+                w.grid.all_procs, np.array([5.0, 6.0]), (slice(0, 2),)
             )
 
         out = self.run_on((1,), fn)
@@ -179,7 +186,7 @@ class TestCollectives:
     def test_reduce_scatter_uneven_parts(self):
         def fn(w):
             return w.reduce_scatter(
-                w.grid.all_procs, np.ones(3), DistMap([2, 1, 0])
+                w.grid.all_procs, np.ones(3), (slice(0, 2), slice(2, 3), slice(3, 3))
             )
 
         out = self.run_on((3,), fn)
@@ -198,13 +205,13 @@ class TestCollectives:
 
     def test_reduce_scatter_errors(self):
         def bad_parts(w):
-            return w.reduce_scatter(w.grid.all_procs, np.ones(3), DistMap([2, 1, 0]))
+            return w.reduce_scatter(w.grid.all_procs, np.ones(3), block_partition(3, 3))
 
         with pytest.raises(ValueError):
             self.run_on((2,), bad_parts)
 
         def bad_total(w):
-            return w.reduce_scatter(w.grid.all_procs, np.ones(3), DistMap([1, 1]))
+            return w.reduce_scatter(w.grid.all_procs, np.ones(3), block_partition(2, 2))
 
         with pytest.raises(ValueError):
             self.run_on((2,), bad_total)
