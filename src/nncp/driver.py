@@ -7,7 +7,8 @@ partition, Reduce-Scatter / All-Gather on mode slices, All-Reduce for Gram
 matrices and norms).  Factors stay column-normalized with the scale in the
 weight vector.  Every reported error comes from ``relative_error``,
 which pairs a mode-n MTTKRP with the Gram matrices instead of forming the
-reconstruction; the collectives reach it as ``reduce``.
+reconstruction, except near an exact fit, where each worker reconstructs
+its own tensor block; the collectives reach it as ``reduce``.
 
 One clock, ``_clock``, times every region and books its self time: its
 wall time less what nested regions booked meanwhile, so the per-category
@@ -27,7 +28,7 @@ from functools import partial
 import numpy as np
 
 from .dimtree import DimTree
-from .grid import CommCounters, Grid, Worker, block_partition
+from .grid import CommCounters, Grid, Worker, block_partition, grid_shape
 from .tensor_ops import (
     DenseTensor,
     FactorSet,
@@ -38,6 +39,7 @@ from .tensor_ops import (
     naive_mttkrp,
     normalize_columns,
     relative_error,
+    residual_norm_squared,
 )
 from .updaters import (
     UpdateInputs,
@@ -105,7 +107,7 @@ class RunConfig:
                 raise ValueError(
                     f"grid order {len(self.grid)} does not match tensor order {order}"
                 )
-            for n, (i, p) in enumerate(zip(dims, self.grid)):
+            for n, (i, p) in enumerate(zip(dims, grid_shape(self.grid))):
                 if p > i:
                     raise ValueError(
                         f"grid dim {p} exceeds tensor dim {i} in mode {n + 1}; "
@@ -314,6 +316,12 @@ def _grams(rt, shared):
     return list(rt.all_reduce(np.stack(local)))
 
 
+def _residual(rt, shared, lam):
+    """This worker's ||X - model||^2 for ``relative_error`` at an exact fit:
+    the slice-replicated blocks ``shared`` span its tensor block."""
+    return lambda: residual_norm_squared(rt.x_local, FactorSet(shared, lam))
+
+
 def _error_from_mttkrp(rt, alpha, mbar, shared, lam, grams):
     """Relative error from ``mbar``, this worker's local mode-1 MTTKRP
     before any Reduce-Scatter.  It pairs with the slice-replicated rows
@@ -321,7 +329,8 @@ def _error_from_mttkrp(rt, alpha, mbar, shared, lam, grams):
     last mode's split of ``grams``."""
     with _clock(rt, "Error"):
         s = hadamard_grams_excluding(grams, len(grams) - 1)
-        return relative_error(alpha, mbar, shared[0] * lam, s, grams[-1], lam, rt.all_reduce)
+        hhat, residual = shared[0] * lam, _residual(rt, shared, lam)
+        return relative_error(alpha, mbar, hhat, s, grams[-1], lam, rt.all_reduce, residual)
 
 
 def _model_error(rt, tree, shared, lam, alpha):
@@ -423,7 +432,8 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
         del modes
         # the last mode's MTTKRP and update give the sweep's error
         with _clock(rt, "Error"):
-            eps = relative_error(alpha, m_owned, hhat, s_n, grams[-1], lam, rt.all_reduce)
+            residual = _residual(rt, shared, lam)
+            eps = relative_error(alpha, m_owned, hhat, s_n, grams[-1], lam, rt.all_reduce, residual)
 
         if cfg.algorithm == "nes":
             step = _nes_accelerate(

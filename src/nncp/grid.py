@@ -88,13 +88,19 @@ class Group:
         self._leave.abort()
 
 
+def grid_shape(shape) -> tuple:
+    """``shape`` as a tuple of ints, each at least 1."""
+    shape = tuple(int(p) for p in shape)
+    if any(p < 1 for p in shape):
+        raise ValueError(f"grid dims must be positive, got {shape}")
+    return shape
+
+
 class Grid:
     """P_1 x ... x P_N grid of simulated workers and their slice groups."""
 
     def __init__(self, shape):
-        self.shape = tuple(int(p) for p in shape)
-        if any(p < 1 for p in self.shape):
-            raise ValueError(f"grid dims must be positive, got {self.shape}")
+        self.shape = grid_shape(shape)
         self.total = int(np.prod(self.shape))
         self.all_procs = Group(range(self.total))
         # slice_groups[n][c] = workers whose n-th coordinate equals c

@@ -23,6 +23,9 @@ import numpy as np
 
 # doubles per block of a one-pass scan: 512 KiB, which stays in L2
 SCAN_BLOCK = 1 << 16
+# an error radicand below this many units of rounding of ||X||^2 has no
+# correct digits left, so relative_error computes it directly
+EXACT_FIT_ULPS = 64
 
 
 class DenseTensor:
@@ -269,13 +272,25 @@ def matrix_inner_product(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a.ravel(), b.ravel()))
 
 
-def relative_error(alpha, mttkrp_n, h_n_unnormalized, s_n, g_n, lam, reduce=local_reduce) -> float:
+def residual_norm_squared(x: DenseTensor, model: FactorSet) -> float:
+    """||X - model||^2 from the reconstructed model (one tensor-sized array)."""
+    r = reconstruct(model).data
+    np.subtract(x.data, r, out=r)
+    return float(np.dot(r, r))
+
+
+def relative_error(
+    alpha, mttkrp_n, h_n_unnormalized, s_n, g_n, lam, reduce=local_reduce, residual=None
+) -> float:
     """Relative error ||X - model|| / ||X|| from mode-n quantities.
 
     err^2 = (alpha - 2 beta + gamma) / alpha with alpha = ||X||^2,
     beta = <M_n, Hhat_n> for the pre-normalization factor Hhat_n and
     gamma = lam' (S_n * G_n) lam.  ``reduce`` sums beta across the row
-    blocks of a distributed M_n.
+    blocks of a distributed M_n.  Near an exact fit the radicand cancels
+    to rounding noise: below EXACT_FIT_ULPS units of rounding of alpha,
+    ``residual`` (when given) returns this block's ||X - model||^2, and
+    ``reduce`` sums those instead.
     """
     if alpha <= 0.0:
         raise ValueError("zero tensor has no relative error")
@@ -287,5 +302,7 @@ def relative_error(alpha, mttkrp_n, h_n_unnormalized, s_n, g_n, lam, reduce=loca
         raise ValueError(
             f"error term is not finite: alpha={alpha}, beta={beta}, gamma={gamma}"
         )
-    # the radicand is a difference of nearly equal numbers near convergence
+    # every worker holds the same radicand, so all of them reduce or none
+    if residual is not None and radicand < EXACT_FIT_ULPS * np.finfo(float).eps * alpha:
+        radicand = reduce(residual())
     return float(np.sqrt(max(0.0, radicand) / alpha))

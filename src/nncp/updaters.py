@@ -6,10 +6,10 @@ the MTTKRP result M (rows of A^T B transposed, I x R), plus the current
 local factor rows.  All rules operate on the factor-row layout (I x R), so
 the textbook column problem min_{x>=0} ||A x - b|| appears here once per
 row of H, and every rule solves all rows of one update together.  BPP
-re-solves its unfinished rows once per pivoting round: with one Cholesky
-when they all share a passive set (as in the first round whenever every
-row of M has the same support), otherwise, or when that block of S is not
-positive definite, with one stacked LU.
+factors the live block of S (the columns with a positive diagonal) once per
+call and, when it is well conditioned, solves each pivoting round from
+S^{-1} on the rows' zero sets only; otherwise each round takes one
+Cholesky when its rows share a passive set, else one stacked LU.
 
 Every rule is row-local: MU, ADMM and Nesterov run a fixed inner step
 count, so no update communicates.
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dpocon
 
 
 ADMM_INNER_CAP = 5
@@ -31,6 +32,10 @@ MU_EPSILON = 1e-16
 HALS_FLOOR = 1e-16
 NESTEROV_PROX_FLOOR = 1e-6
 BPP_BACKUP_TRIES = 3
+# smallest reciprocal condition number of S's live block that BPP solves
+# through its inverse: any solve is off by about u * cond, so above cond
+# 1e4 the inverse and a row's own LU solve can differ by more than 1e-12
+BPP_RCOND_FLOOR = 1e-4
 
 
 @dataclass
@@ -148,6 +153,53 @@ def _solve_passive(s: np.ndarray, m: np.ndarray, p: np.ndarray) -> np.ndarray:
     return x
 
 
+def _live_inverse(s: np.ndarray, m: np.ndarray):
+    """(live, S_LL^{-1}) for the live columns L (positive diagonal), or None
+    when a zero-set solve on them would not be exact.
+
+    Some column must be live.  A dead column must have an all-zero row of S
+    and no positive entry of M, so that its optimum is exactly 0.  S_LL must
+    be positive definite with LAPACK's reciprocal condition estimate at
+    least BPP_RCOND_FLOOR.
+    """
+    live = np.diag(s) > 0.0
+    if not live.any() or s[~live].any() or (m[:, ~live] > 0.0).any():
+        return None
+    sl = s[live][:, live]
+    try:
+        factor = cho_factor(sl)
+    except LinAlgError:
+        return None
+    rcond, info = dpocon(factor[0], np.abs(sl).sum(axis=0).max())
+    if info != 0 or not rcond >= BPP_RCOND_FLOOR:
+        return None
+    z = cho_solve(factor, np.eye(sl.shape[0]))
+    return live, 0.5 * (z + z.T)
+
+
+def _solve_zero_sets(z: np.ndarray, w: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Rows x with x_P = S_PP^{-1} m_P and 0 off P, from Z = S^{-1} and W = M Z.
+
+    For a row's zero set C = ~P, Z_CC lam = w_C gives x = w - Z[:, C] lam.
+    All rows share one (n, k, k) solve, k the largest |C|, each padded with
+    the identity; no solve when every C is empty.
+    """
+    c = ~p
+    k = int(c.sum(axis=1).max())
+    x = w.copy()
+    if k:
+        # each row's zero-set columns first, then padding
+        idx = np.argsort(p, axis=1, kind="stable")[:, :k]
+        valid = np.take_along_axis(c, idx, axis=1)
+        zcc = z[idx[:, :, None], idx[:, None, :]]
+        zcc = np.where(valid[:, :, None] & valid[:, None, :], zcc, np.eye(k))
+        wc = np.where(valid, np.take_along_axis(w, idx, axis=1), 0.0)
+        lam = np.linalg.solve(zcc, wc[..., None])
+        x -= (lam.transpose(0, 2, 1) @ z[idx])[:, 0]
+    x[c] = 0.0
+    return x
+
+
 def bpp_update(inp: UpdateInputs) -> np.ndarray:
     """Exact NNLS of every factor row by block principal pivoting.
 
@@ -158,15 +210,21 @@ def bpp_update(inp: UpdateInputs) -> np.ndarray:
     after that.  A row that runs out of those tries exchanges only its
     largest violating index for the rest of the call (Murty's rule, which
     terminates on a positive definite S).  The unfinished rows are then
-    re-solved together by ``_solve_passive``: a round whose rows share one
-    passive set, such as the first round when every row of M has the same
-    support, takes one Cholesky for all of them; any other round, and an
-    S_PP that is not positive definite, takes one stacked LU.  A row still
-    violating at its 5R+1st check raises BppCyclingError with the lowest
-    such row.
+    re-solved together.  Once per call ``_live_inverse`` factors the live
+    block of S; when that succeeds, each round is ``_solve_zero_sets`` on
+    Z = S^{-1} and W = M Z, which needs no solve at all while every row's
+    passive set holds all live columns (as in the first round when every
+    row of M is positive), and dead columns stay exactly 0.  Otherwise each
+    round is ``_solve_passive``: one Cholesky when the rows share a passive
+    set, else one stacked LU.  A row still violating at its 5R+1st check
+    raises BppCyclingError with the lowest such row.
     """
     s, m = inp.gram, inp.mttkrp_rows
     n, r = m.shape
+    inverse = _live_inverse(s, m)
+    if inverse is not None:
+        live, z = inverse
+        w = m[:, live] @ z
     passive = np.zeros((n, r), dtype=bool)
     x = np.zeros((n, r))
     y = -m
@@ -194,7 +252,12 @@ def bpp_update(inp: UpdateInputs) -> np.ndarray:
         p = passive[todo] ^ flip
         passive[todo] = p
         mt = m[todo]
-        xt = _solve_passive(s, mt, p)
+        if inverse is None:
+            xt = _solve_passive(s, mt, p)
+        else:
+            # dead columns are never passive, and stay exactly 0
+            xt = np.zeros_like(mt)
+            xt[:, live] = _solve_zero_sets(z, w[todo], p[:, live])
         yt = xt @ s - mt
         yt[p] = 0.0
         x[todo] = xt

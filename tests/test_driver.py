@@ -84,6 +84,35 @@ class TestRelativeError:
         with pytest.raises(ValueError):
             relative_error(0.0, np.zeros((2, 1)), np.zeros((2, 1)), np.eye(1), np.eye(1), np.ones(1))
 
+    def test_cancelled_radicand_takes_the_residual(self):
+        rng = np.random.default_rng(3)
+        model = random_model(rng, (4, 3, 2), 2)
+        x = reconstruct(model)
+        args = identity_error_inputs(x, model) + (model.lam,)
+        calls = []
+
+        def residual():
+            calls.append(1)
+            return 4.0 * x.norm_squared() * 1e-30
+
+        assert relative_error(*args, residual=residual) == pytest.approx(2e-15, rel=1e-12)
+        assert calls == [1]
+        # far from a fit the identity holds its digits and no residual is formed
+        x.data[0] += 1.0
+        args = identity_error_inputs(x, model) + (model.lam,)
+        assert relative_error(*args, residual=residual) == relative_error(*args)
+        assert calls == [1]
+
+    def test_exact_fit_agrees_between_sequential_and_grid(self):
+        # the identity's radicand cancels to rounding noise here: without the
+        # direct residual the two runs read 1.2e-8 and 2.0e-8 after one sweep
+        x, _ = generate_synthetic(SyntheticSpec((5, 40), 4, seed=3))
+        cfg = dict(rank=4, algorithm="ucp", max_iters=6, tol=0.0, seed=1)
+        seq = nncp_sequential(x, RunConfig(**cfg)).errors
+        par = nncp_parallel(x, RunConfig(grid=(1, 2), **cfg)).errors
+        assert len(seq) == len(par)
+        assert np.abs(np.array(seq) - np.array(par)).max() <= 1e-10
+
 
 class TestRecordCategory:
     def test_accumulates(self):
@@ -374,6 +403,17 @@ class TestParallelDriver:
         cfg = RunConfig(rank=2, algorithm="bpp", max_iters=1, grid=(1, 5, 1))
         with pytest.raises(ValueError, match="exceeds tensor dim"):
             nncp_parallel(x, cfg)
+
+    @pytest.mark.parametrize("grid", [(-1, -1, 1), (0, 1, 1)])
+    @pytest.mark.parametrize("solve", [nncp_sequential, nncp_parallel])
+    def test_grid_dim_below_one_rejected(self, monkeypatch, grid, solve):
+        def no_workers(self, fn):
+            raise AssertionError("workers started before the grid was checked")
+
+        monkeypatch.setattr(grid_mod.Grid, "run", no_workers)
+        x = DenseTensor((3, 3, 3), np.ones(27))
+        with pytest.raises(ValueError, match=r"^grid dims must be positive, got \("):
+            solve(x, RunConfig(rank=2, max_iters=1, grid=grid))
 
     def _outer_iteration_counter_delta(self, grid, algo="bpp", dims=(8, 8, 8), rank=2):
         x, _ = generate_synthetic(SyntheticSpec(dims, rank, seed=14))

@@ -244,12 +244,16 @@ def bpp_rowwise(s, f, row, rules):
 def count_row_solves(monkeypatch):
     """Record (rows, path) for every round of bpp_update from now on.
 
-    ``path`` is "cholesky" for one factorization shared by all rows, "lu"
-    for the stacked solve and "zero" for a shared empty passive set.
+    A round solved from S^{-1} has ``path`` "inverse" when it needs no
+    solve (every row's zero set is empty) and "zero_sets" when it takes one
+    padded solve on the rows' zero sets.  On the fallback ``path`` is
+    "cholesky" for one factorization shared by all rows, "lu" for the
+    stacked solve and "zero" for a shared empty passive set.
     """
     rounds = []
     paths = []
     solve_passive, cho_solve = updaters_mod._solve_passive, updaters_mod.cho_solve
+    solve_zero_sets = updaters_mod._solve_zero_sets
     solve = np.linalg.solve
 
     def cholesky(c, b):
@@ -267,9 +271,17 @@ def count_row_solves(monkeypatch):
         rounds.append((m.shape[0], paths[0] if paths else "zero"))
         return x
 
+    def counted_zero_sets(z, w, p):
+        paths.clear()
+        x = solve_zero_sets(z, w, p)
+        assert len(paths) <= 1
+        rounds.append((w.shape[0], "zero_sets" if paths else "inverse"))
+        return x
+
     monkeypatch.setattr(updaters_mod, "cho_solve", cholesky)
     monkeypatch.setattr(np.linalg, "solve", lu)
     monkeypatch.setattr(updaters_mod, "_solve_passive", counted)
+    monkeypatch.setattr(updaters_mod, "_solve_zero_sets", counted_zero_sets)
     return rounds
 
 
@@ -383,14 +395,14 @@ class TestBpp:
 
     def test_shared_first_round_takes_one_cholesky(self, monkeypatch):
         # every row of M is positive, so round one's passive sets are all
-        # {1..R}, and S_PP = S
+        # {1..R}, and its rows are rows of M S^{-1} with no solve
         rng = np.random.default_rng(5)
         a = rng.random((60, 24))
         s = a.T @ a
         m = rng.random((40, 60)) @ a
         rounds = count_row_solves(monkeypatch)
         assert_matches_rowwise(s, m)
-        assert rounds[0] == (40, "cholesky")
+        assert rounds[0] == (40, "inverse")
 
     def test_collapsed_column_stays_exactly_zero(self, monkeypatch):
         rng = np.random.default_rng(6)
@@ -401,7 +413,7 @@ class TestBpp:
         rounds = count_row_solves(monkeypatch)
         got = assert_matches_rowwise(s, m)
         assert (got[:, 3] == 0.0).all()
-        assert rounds[0] == (12, "cholesky")
+        assert rounds[0] == (12, "inverse")
 
     def test_nonpositive_rows_take_no_solve(self, monkeypatch):
         rng = np.random.default_rng(7)
@@ -414,7 +426,7 @@ class TestBpp:
         m[[2, 5]] = np.abs(m[[2, 5]])
         got = assert_matches_rowwise(s, m)
         assert (np.delete(got, [2, 5], axis=0) == 0.0).all()
-        assert rounds[0] == (2, "cholesky")
+        assert rounds[0] == (2, "inverse")
 
     def test_single_row_shares_every_round(self, monkeypatch):
         rng = np.random.default_rng(8)
@@ -440,6 +452,65 @@ class TestBpp:
         assert (got >= 0.0).all()
         assert y[got == 0.0].min() > 0.0
         assert np.abs(y[got > 0.0]).max() <= 1e-10 * np.abs(m).max()
+
+    @given(
+        st.integers(1, 48),
+        st.floats(0.0, 3.0),
+        st.integers(1, 30),
+        st.floats(0.0, 0.5),
+        st.floats(0.0, 1.0),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_zero_set_solve_matches_direct_solve(self, r, decay, rows, dead, share, seed):
+        # cond(S_LL) = 10^decay, whose 1-norm estimate stays within
+        # BPP_RCOND_FLOOR; m is scaled so that solutions stay O(1)
+        rng = np.random.default_rng(seed)
+        live = rng.random(r) >= dead
+        live[rng.integers(r)] = True
+        s = np.zeros((r, r))
+        s[np.ix_(live, live)] = spd_spectrum(rng, int(live.sum()), 10.0**-decay)
+        m = rng.standard_normal((rows, r)) * 10.0**-decay
+        m[:, ~live] = -np.abs(m[:, ~live])
+        p = (rng.random((rows, r)) < share) & live
+        found, z = updaters_mod._live_inverse(s, m)
+        assert (found == live).all()
+        x = updaters_mod._solve_zero_sets(z, m[:, live] @ z, p[:, live])
+        for f, q, got in zip(m, p[:, live], x):
+            want = np.zeros(len(got))
+            if q.any():
+                want[q] = np.linalg.solve(s[live][:, live][np.ix_(q, q)], f[live][q])
+            assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+        got = assert_matches_rowwise(s, m)
+        assert (got[:, ~live] == 0.0).all()
+
+    def test_unbounded_dead_column_raises(self):
+        # S's zero row leaves x_2 unbounded below the objective
+        with pytest.raises(np.linalg.LinAlgError):
+            bpp_update(inputs(np.diag([1.0, 0.0]), [[1.0, 1.0]]))
+
+    @pytest.mark.parametrize("case", ["indefinite", "negative_diagonal", "rcond_1e-8"])
+    def test_fallback_matches_passive_solves_bitwise(self, monkeypatch, case):
+        rng = np.random.default_rng(0)
+        if case == "rcond_1e-8":
+            # the instance of test_ill_conditioned_rows_converge_by_single_exchange
+            q, _ = np.linalg.qr(rng.standard_normal((32, 32)))
+            s = (q * np.logspace(0, -8, 32)) @ q.T
+            m = rng.standard_normal((20, 32))
+        else:
+            # S is not positive semidefinite in its last two columns, which
+            # never turn passive: their m is negative and S couples them to
+            # no other column
+            s = np.zeros((12, 12))
+            s[:10, :10] = spd_spectrum(rng, 10, 1e-2)
+            s[10:, 10:] = [[1.0, 2.0], [2.0, 1.0]] if case == "indefinite" else np.diag([-1.0, 1.0])
+            m = rng.standard_normal((20, 12))
+            m[:, 10:] = -1.0 - np.abs(m[:, 10:])
+        rounds = count_row_solves(monkeypatch)
+        got = bpp_update(UpdateInputs(s, m, np.zeros_like(m)))
+        assert rounds and {path for _, path in rounds} <= {"cholesky", "lu", "zero"}
+        monkeypatch.setattr(updaters_mod, "_live_inverse", lambda s, m: None)
+        assert np.array_equal(got, bpp_update(UpdateInputs(s, m, np.zeros_like(m))))
 
     @given(
         st.integers(1, 48),
