@@ -1,11 +1,20 @@
 """MTTKRP for all modes of one sweep via a dimension tree.
 
 The root of the tree splits the modes into a leading block {1..S} and a
-trailing block {S+1..N}.  Each block is produced by a single partial MTTKRP
-(one GEMM against the zero-copy matricization), and the per-mode MTTKRP
-results are then peeled off the block temporaries by multi-TTV steps, each
-one batched matmul over the R rank blocks.  Only two partial MTTKRPs run per
-sweep, no matter how many modes the tensor has.
+trailing block {S+1..N}, with S from ``choose_split_mode``.  Each block is
+produced by a single partial MTTKRP (one GEMM against the zero-copy
+matricization), and the per-mode MTTKRP results are then peeled off the
+block temporaries by multi-TTV steps, each one batched matmul over the R
+rank blocks.  Only two partial MTTKRPs run per sweep, no matter how many
+modes the tensor has.
+
+Both GEMMs retain the larger block and contract the smaller one, so the
+Khatri-Rao product each one builds is the small one.  The left GEMM cuts at
+S and retains modes 1..S.  The right GEMM cuts at c, the largest cut whose
+leading block is no larger than the rest: c = S-1 when S > 1 and the
+leading block {1..S} is strictly the larger, else c = S (a balanced, S = 1
+or capped split).  It retains modes c+1..N, and a leading multi-TTV drops
+modes c+1..S with the factors already updated this sweep.
 
 ``DimTree.sweep`` is a generator that yields the mode-1..N MTTKRPs in
 order; the live temporary is one of its local variables, and each
@@ -22,6 +31,7 @@ works on needs no copy.
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 
 import numpy as np
@@ -32,35 +42,26 @@ from .tensor_ops import DenseTensor, khatri_rao
 def partial_mttkrp(x: DenseTensor, krp: np.ndarray, side: str, split: int) -> np.ndarray:
     """Contract one side of the root split against a Khatri-Rao product.
 
-    ``side='left'`` retains modes 1..S and contracts the trailing modes
-    (T = X_(1:S) @ krp); ``side='right'`` retains modes S+1..N and contracts
-    the leading ones (T = X_(1:S)^T @ krp).  One GEMM either way; the result
-    is a ``(retained..., R)`` F-order array.  The left GEMM computes T^T,
-    whose C-order buffer already has the rank index slowest, so the large
-    left result needs no re-layout copy.
+    ``side='left'`` retains modes 1..split and contracts the trailing modes;
+    ``side='right'`` retains modes split+1..N and contracts the leading ones.
+    Both sides run the one GEMM ``krp.T @ matricization``, whose C-order
+    ``(R, retained)`` buffer already is the ``(retained..., R)`` F-order
+    result, so neither side copies it.  With OpenBLAS 0.3.31 on 1 thread,
+    the right side at R = 16 ran faster this way than as
+    ``(matricization.T @ krp).T`` plus its re-layout copy, on every shape
+    tried: 77 against 83 ms for a 100000x400 matricization, 83 against
+    120 ms for 400x100000 and 31 against 34 ms for 4096x4096.
     """
     mat = x.unfold_leading(split)
     if side == "left":
-        if krp.shape[0] != mat.shape[1]:
-            raise ValueError(
-                f"krp has {krp.shape[0]} rows, contracted side has {mat.shape[1]}"
-            )
-        out_t = krp.T @ mat.T
-        retained = x.dims[:split]
+        mat, retained = mat.T, x.dims[:split]
     elif side == "right":
-        if krp.shape[0] != mat.shape[0]:
-            raise ValueError(
-                f"krp has {krp.shape[0]} rows, contracted side has {mat.shape[0]}"
-            )
-        # krp.T @ mat is the same product, but OpenBLAS (1 thread) ran it
-        # 20 % slower than this orientation at 384^3 R16.  The right side
-        # retains the smaller block unless the split is capped, so the
-        # ravel copy of the transposed view is small.
-        out_t = (mat.T @ krp).T
         retained = x.dims[split:]
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return out_t.ravel().reshape(retained + (krp.shape[1],), order="F")
+    if krp.shape[0] != mat.shape[0]:
+        raise ValueError(f"krp has {krp.shape[0]} rows, contracted side has {mat.shape[0]}")
+    return (krp.T @ mat).ravel().reshape(retained + (krp.shape[1],), order="F")
 
 
 def multi_ttv(temp: np.ndarray, coeff: np.ndarray, side: str) -> np.ndarray:
@@ -77,7 +78,7 @@ def multi_ttv(temp: np.ndarray, coeff: np.ndarray, side: str) -> np.ndarray:
     if coeff.shape[1] != rank:
         raise ValueError(f"coeff has {coeff.shape[1]} columns, rank is {rank}")
     lead = retained[0]
-    rest = int(np.prod(retained[1:]))
+    rest = math.prod(retained[1:])
     # rank block r is blocks[r].T, the (lead, rest) leading-mode unfolding
     blocks = temp.T.reshape(rank, rest, lead)
     if side == "trailing":
@@ -108,19 +109,26 @@ class DimTree:
     def sweep(self, x: DenseTensor, factors):
         """Yield the MTTKRP of modes 1..N in order.
 
-        Mode n's Khatri-Rao products and leading multi-TTV read ``factors``
+        Mode n's Khatri-Rao products and leading multi-TTVs read ``factors``
         when mode n is requested, so a caller that replaces ``factors[n]``
         before asking for mode n+1 gets exactly the alternating-update
-        MTTKRPs.  A sweep cut short after mode 1 runs one partial MTTKRP.
+        MTTKRPs.  The right partial MTTKRP, run when mode S+1 is requested,
+        contracts modes 1..c and its leading multi-TTVs drop modes c+1..S,
+        all with their factors as updated this sweep.  A sweep cut short
+        after mode 1 runs one partial MTTKRP.
         """
         n, s, clock = x.order, self.split, self.clock
-        for lo, hi, side in ((0, s, "left"), (s, n, "right")):
+        c = s - 1 if s > 1 and math.prod(x.dims[:s]) > math.prod(x.dims[s:]) else s
+        for lo, hi, cut, side in ((0, s, s, "left"), (s, n, c, "right")):
             with clock("KRP"):
-                krp = khatri_rao(factors[s:] if side == "left" else factors[:s])
+                krp = khatri_rao(factors[s:] if side == "left" else factors[:cut])
             with clock("MTTKRP"):
-                temp = partial_mttkrp(x, krp, side, s)
+                temp = partial_mttkrp(x, krp, side, cut)
             del krp
             self.partial_calls += 1
+            for mode in range(cut, lo):
+                with clock("MultiTTV"):
+                    temp = multi_ttv(temp, factors[mode], "leading")
             for mode in range(lo, hi):
                 if mode > lo:
                     with clock("MultiTTV"):

@@ -77,8 +77,8 @@ class DenseTensor:
         """
         if not 1 <= split < self.order:
             raise ValueError(f"split must be in [1, {self.order - 1}], got {split}")
-        rows = int(np.prod(self.dims[:split]))
-        cols = int(np.prod(self.dims[split:]))
+        rows = math.prod(self.dims[:split])
+        cols = math.prod(self.dims[split:])
         return self.data.reshape((rows, cols), order="F")
 
     def norm_squared(self) -> float:
@@ -189,7 +189,7 @@ def choose_split_mode(dims) -> int:
     if n < 2:
         raise ValueError("need at least 2 modes")
     for s in range(1, n):
-        if int(np.prod(dims[:s])) >= int(np.prod(dims[s:])):
+        if math.prod(dims[:s]) >= math.prod(dims[s:]):
             return s
     return n - 1
 
@@ -223,7 +223,7 @@ def naive_mttkrp(x: DenseTensor, factors, mode: int) -> np.ndarray:
         lo, hi, t = s, n, khatri_rao(hs[:s]).T @ mat
     rank, dim = t.shape[0], x.dims[mode]
     if mode > lo:
-        lead = int(np.prod(x.dims[lo:mode]))
+        lead = math.prod(x.dims[lo:mode])
         t = t.reshape(rank, -1, lead) @ khatri_rao(hs[lo:mode]).T[:, :, None]
     t = t.reshape(rank, -1, dim)
     if mode < hi - 1:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,19 @@ class TestTemporaryLayout:
             assert np.allclose(t[..., k].ravel(order="F"), direct[:, k], rtol=0, atol=1e-12)
             assert t[..., k].flags.f_contiguous
 
+    def test_right_result_layout(self):
+        rng = np.random.default_rng(8)
+        dims, r = (3, 2, 4, 5), 3
+        x = DenseTensor(dims, rng.standard_normal(math.prod(dims)))
+        krp = rng.standard_normal((3, r))
+        t = partial_mttkrp(x, krp, "right", 1)
+        assert t.shape == dims[1:] + (r,)
+        assert t.flags.f_contiguous
+        direct = x.unfold_leading(1).T @ krp
+        for k in range(r):
+            assert np.allclose(t[..., k].ravel(order="F"), direct[:, k], rtol=0, atol=1e-12)
+            assert t[..., k].flags.f_contiguous
+
 
 def tree_all_modes(x, hs):
     tree = DimTree(choose_split_mode(x.dims))
@@ -255,10 +270,39 @@ class TestDimTreeMttkrp:
         tree = DimTree(choose_split_mode(dims))
         assert len(list(tree.sweep(x, hs))) == 3
         # a sweep's work is counted in calls: two partial MTTKRPs, and with
-        # split=2 two multi-TTVs on T{1:2}; mode 3 is the right partial
-        # itself (no TTV when S+1 == N)
+        # split=2 two multi-TTVs on T{1:2}; the right partial cuts at 1, so
+        # one leading multi-TTV drops mode 2 from T{2:3} and leaves mode 3
         assert tree.partial_calls == 2
-        assert len(ttvs) == 2
+        assert len(ttvs) == 3
+
+    @pytest.mark.parametrize(
+        "dims", [(3, 3, 3), (4, 4, 4, 4, 4), (5, 4, 3, 2), (6, 6, 6, 6), (9, 2, 2), (2, 2, 20)]
+    )
+    def test_right_partial_retains_the_larger_block(self, monkeypatch, dims):
+        calls = []
+        real = dimtree_mod.partial_mttkrp
+
+        def spied(x, krp, side, split):
+            calls.append((side, split))
+            return real(x, krp, side, split)
+
+        monkeypatch.setattr(dimtree_mod, "partial_mttkrp", spied)
+        rng = np.random.default_rng(len(dims))
+        x = DenseTensor(dims, rng.standard_normal(math.prod(dims)))
+        hs = [rng.standard_normal((d, 3)) for d in dims]
+        s = choose_split_mode(dims)
+        # the largest cut up to S whose leading block is no larger than the
+        # rest; with S = 1 and a larger first mode there is none, so c = 1
+        fits = [k for k in range(1, s + 1) if math.prod(dims[:k]) <= math.prod(dims[k:])]
+        c = max(fits, default=1)
+        modes = DimTree(s).sweep(x, hs)
+        for mode in range(len(dims)):
+            got = next(modes)
+            want = naive_mttkrp(x, hs, mode)
+            assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+        assert calls == [("left", s), ("right", c)]
+        if s > 1:
+            assert math.prod(dims[c:]) >= math.prod(dims[:c])
 
     def test_first_mode_shortcut(self, monkeypatch):
         ttvs = self.count_ttvs(monkeypatch)

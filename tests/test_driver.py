@@ -390,6 +390,23 @@ class TestParallelDriver:
         for a, b in zip(seq.model.factors, par.model.factors):
             assert np.allclose(a, b, rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("algo", ["ucp", "mu", "hals", "bpp", "admm", "nes"])
+    def test_order_five_grid(self, algo):
+        # each worker's local dims (2, 4, 4, 4, 4) split at S = 3, so its
+        # right partial MTTKRP cuts at 2 and drops mode 3 by a multi-TTV
+        x, _ = generate_synthetic(SyntheticSpec((4, 4, 4, 4, 4), 6, seed=14))
+        cfg = dict(rank=6, algorithm=algo, max_iters=4, tol=0.0, seed=7)
+        seq = nncp_sequential(x, RunConfig(**cfg))
+        par = nncp_parallel(x, RunConfig(grid=(2, 1, 1, 1, 1), **cfg))
+        again = nncp_parallel(x, RunConfig(grid=(2, 1, 1, 1, 1), **cfg))
+        assert np.allclose(seq.errors, par.errors, rtol=0, atol=1e-10)
+        for a, b in zip(seq.model.factors, par.model.factors):
+            assert np.allclose(a, b, rtol=0, atol=1e-10)
+        assert par.errors == again.errors
+        for a, b in zip(par.model.factors, again.model.factors):
+            assert np.array_equal(a, b)
+        assert np.array_equal(par.model.lam, again.model.lam)
+
     def test_empty_row_blocks_tolerated(self):
         # more slice members along a mode than factor rows for some of them
         x, _ = generate_synthetic(SyntheticSpec((5, 3, 4), 2, seed=13))
