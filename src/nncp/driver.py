@@ -96,8 +96,8 @@ class RunConfig:
             raise ValueError("rank must be at least 1")
         if not self.tol >= 0:
             raise ValueError(f"tol must be a nonnegative number, got {self.tol}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be nonnegative and below 2**64, got {self.seed}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
         if self.algorithm not in ALGORITHMS:
@@ -335,7 +335,8 @@ def _error_from_mttkrp(rt, alpha, mbar, shared, lam, grams):
 
 def _model_error(rt, tree, shared, lam, alpha):
     """Relative error of an arbitrary (possibly unnormalized) model given
-    by its slice-replicated blocks ``shared`` and weights ``lam``.
+    by its slice-replicated blocks ``shared`` and weights ``lam``, and the
+    model's All-Reduced Gram matrices.
 
     Costs one extra partial MTTKRP: a sweep of ``tree`` cut short after
     mode 1.
@@ -344,7 +345,7 @@ def _model_error(rt, tree, shared, lam, alpha):
         grams = _grams(rt, shared)
     with _clock(rt, "MTTKRP"):
         mbar = next(tree.sweep(rt.x_local, shared))
-    return _error_from_mttkrp(rt, alpha, mbar, shared, lam, grams)
+    return _error_from_mttkrp(rt, alpha, mbar, shared, lam, grams), grams
 
 
 def _run_spmd(rt, cfg: RunConfig, global_dims):
@@ -463,9 +464,10 @@ def _nes_accelerate(rt, tree, it, eps, alpha, grams, shared, lam, prev_shared, p
     The candidate H_i + s_i (H_i - H_{i-1}) with s_i = i^(1/N), formed on
     the slice-replicated blocks, is clamped at zero to stay feasible and
     replaces the current iterate only when its relative error is strictly
-    lower (one extra partial MTTKRP to find out).  Returns None when
-    rejected, else the renormalized candidate (shared, lam) and its
-    relative error.
+    lower (one extra partial MTTKRP to find out).  An accepted step runs
+    no collective: it rescales the candidate's Grams from that test.
+    Returns None when rejected, else the renormalized candidate (shared,
+    lam) and its relative error.
     """
     with _clock(rt, "Error"):
         step = float(it) ** (1.0 / len(shared))
@@ -473,21 +475,18 @@ def _nes_accelerate(rt, tree, it, eps, alpha, grams, shared, lam, prev_shared, p
             np.maximum(h + step * (h - hp), 0.0) for h, hp in zip(shared, prev_shared)
         ]
         cand_lam = np.maximum(lam + step * (lam - prev_lam), 0.0)
-    cand_eps = _model_error(rt, tree, cand, cand_lam, alpha)
+    cand_eps, cand_grams = _model_error(rt, tree, cand, cand_lam, alpha)
     if not cand_eps < eps:
         return None
-    # accepted: renormalize columns globally and refresh the Gram matrices
+    # accepted: the candidate's global Grams hold its squared column norms,
+    # so renormalizing and refreshing the Grams runs no collective
     with _clock(rt, "Error"):
-        nsq = []
-        for n, h in enumerate(cand):
-            own = h[rt.owned[n]]
-            nsq.append(np.sum(own * own, axis=0))
-        w = np.sqrt(rt.all_reduce(np.stack(nsq)))
+        w = np.sqrt([np.diag(g) for g in cand_grams])
         scale = np.where(w > 0.0, w, 1.0)
         shared = [h / scale[n] for n, h in enumerate(cand)]
         lam = cand_lam * np.prod(w, axis=0)
     with _clock(rt, "Gram"):
-        grams[:] = _grams(rt, shared)
+        grams[:] = [g / np.outer(c, c) for g, c in zip(cand_grams, scale)]
     return shared, lam, cand_eps
 
 

@@ -94,6 +94,8 @@ def read_tensor(path) -> DenseTensor:
         if len(dims_raw) < 8 * order:
             raise TruncatedFileError(f"{path}: file ends inside the dims block")
         dims = struct.unpack(f"<{order}Q", dims_raw)
+        if order < 2 or 0 in dims:
+            raise TensorFileError(f"{path}: need order >= 2 and positive dims, got {dims}")
         offset = _HEAD.size + 8 * order
         payload_bytes = os.fstat(fh.fileno()).st_size - offset
         if payload_bytes % 8 != 0:
@@ -129,8 +131,8 @@ class SyntheticSpec:
         self.dims = tuple(int(d) for d in self.dims)
         if any(d < 1 for d in self.dims) or self.rank < 1:
             raise ValueError("dims and rank must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be nonnegative and below 2**64, got {self.seed}")
 
 
 # salts the generator key away from the driver's factor initialization

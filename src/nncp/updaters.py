@@ -9,7 +9,8 @@ row of H, and every rule solves all rows of one update together.  BPP
 factors the live block of S (the columns with a positive diagonal) once per
 call and, when it is well conditioned, solves each pivoting round from
 S^{-1} on the rows' zero sets only; otherwise each round takes one
-Cholesky when its rows share a passive set, else one stacked LU.
+stacked LU.  UCP takes one Cholesky of S and falls back to least squares
+only when S is not positive definite.
 
 Every rule is row-local: MU, ADMM and Nesterov run a fixed inner step
 count, so no update communicates.
@@ -78,17 +79,22 @@ class BppCyclingError(RuntimeError):
 
 
 def ucp_update(inp: UpdateInputs) -> np.ndarray:
-    """Unconstrained solve S H^T = M^T via Cholesky (ridge fallback)."""
+    """Unconstrained solve S H^T = M^T by one Cholesky of S; when S is not
+    positive definite, a warning and least squares' minimum-norm rows.
+
+    Least squares runs on the live columns (positive diagonal) only, so a
+    dead column stays exactly 0, not rounding noise for normalization to
+    blow up into a unit column.
+    """
     s, m = inp.gram, inp.mttkrp_rows
     try:
         return cho_solve(cho_factor(s), m.T).T
     except LinAlgError:
-        ridge = 1e-12 * np.trace(s) / s.shape[0]
-        warnings.warn("singular gram in unconstrained update, adding ridge")
-        try:
-            return cho_solve(cho_factor(s + ridge * np.eye(s.shape[0])), m.T).T
-        except LinAlgError:
-            return np.linalg.lstsq(s, m.T, rcond=None)[0].T
+        warnings.warn("singular gram in unconstrained update, solving least squares")
+        live = np.diag(s) > 0.0
+        h = np.zeros_like(m)
+        h[:, live] = np.linalg.lstsq(s[np.ix_(live, live)], m[:, live].T, rcond=None)[0].T
+        return h
 
 
 def mu_update(inp: UpdateInputs) -> np.ndarray:
@@ -133,20 +139,9 @@ def hals_update(inp: UpdateInputs) -> np.ndarray:
 def _solve_passive(s: np.ndarray, m: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Rows x with x_P = S_PP^{-1} m_P and 0 off P, for each row's passive set P.
 
-    One Cholesky of S_PP when every row has the same P (none when P is
-    empty); otherwise, or when S_PP is not positive definite, one stacked LU
-    of S with each row's non-passive rows and columns replaced by the identity.
+    One stacked LU of S with each row's non-passive rows and columns
+    replaced by the identity, so an empty P solves to 0.
     """
-    shared = p[0]
-    if (p == shared).all():
-        x = np.zeros_like(m)
-        if not shared.any():
-            return x
-        try:
-            x[:, shared] = cho_solve(cho_factor(s[np.ix_(shared, shared)]), m[:, shared].T).T
-            return x
-        except LinAlgError:
-            pass
     a = np.where(p[:, :, None] & p[:, None, :], s, np.eye(s.shape[0]))
     x = np.linalg.solve(a, np.where(p, m, 0.0)[..., None])[..., 0]
     x[~p] = 0.0
@@ -215,9 +210,8 @@ def bpp_update(inp: UpdateInputs) -> np.ndarray:
     Z = S^{-1} and W = M Z, which needs no solve at all while every row's
     passive set holds all live columns (as in the first round when every
     row of M is positive), and dead columns stay exactly 0.  Otherwise each
-    round is ``_solve_passive``: one Cholesky when the rows share a passive
-    set, else one stacked LU.  A row still violating at its 5R+1st check
-    raises BppCyclingError with the lowest such row.
+    round is ``_solve_passive``, one stacked LU.  A row still violating at
+    its 5R+1st check raises BppCyclingError with the lowest such row.
     """
     s, m = inp.gram, inp.mttkrp_rows
     n, r = m.shape

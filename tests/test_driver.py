@@ -293,13 +293,19 @@ class TestSequentialDriver:
             nncp_parallel(x, RunConfig(rank=1, grid=(2, 2, 2)))
 
     @pytest.mark.parametrize(
-        "field, value", [("seed", -1), ("tol", float("nan")), ("tol", -1e-3)]
+        "field, value", [("seed", -1), ("seed", 2**64), ("tol", float("nan")), ("tol", -1e-3)]
     )
     def test_config_rejects_bad_seed_and_tol(self, field, value):
         x = DenseTensor((3, 3), np.ones(9))
         cfg = RunConfig(rank=1, max_iters=1, **{field: value})
         with pytest.raises(ValueError, match=f"^{field} must be"):
             nncp_sequential(x, cfg)
+
+    def test_largest_seed_runs(self):
+        # the generator key holds the seed as one uint64
+        x = DenseTensor((3, 3), np.arange(1.0, 10.0))
+        rep = nncp_sequential(x, RunConfig(rank=1, max_iters=1, seed=2**64 - 1))
+        assert np.isfinite(rep.errors).all()
 
     @pytest.mark.parametrize("count", [2, 4])
     @pytest.mark.parametrize("grid", [None, (2, 1, 1)])
@@ -390,6 +396,23 @@ class TestParallelDriver:
         for a, b in zip(seq.model.factors, par.model.factors):
             assert np.allclose(a, b, rtol=0, atol=1e-10)
 
+    def test_ucp_dead_column_stays_dead_on_a_grid(self):
+        # column 2 is zero in two factors, so every mode's S is singular;
+        # least squares over the dead column would return rounding noise,
+        # which normalization turns into a different unit column per grid
+        x, _ = generate_synthetic(SyntheticSpec((8, 6, 10), 4, seed=1))
+        rng = np.random.default_rng(1)
+        hs = [rng.random((d, 6)) for d in x.dims]
+        hs[0][:, 2] = hs[1][:, 2] = 0.0
+        cfg = dict(rank=6, algorithm="ucp", max_iters=6, tol=0.0,
+                   initial_factors=FactorSet(hs, np.ones(6)))
+        with pytest.warns(UserWarning, match="least squares"):
+            seq = nncp_sequential(x, RunConfig(**cfg))
+        with pytest.warns(UserWarning, match="least squares"):
+            par = nncp_parallel(x, RunConfig(grid=(2, 3, 2), **cfg))
+        assert seq.model.lam[2] == par.model.lam[2] == 0.0
+        assert np.abs(np.array(seq.errors) - np.array(par.errors)).max() <= 1e-10
+
     @pytest.mark.parametrize("algo", ["ucp", "mu", "hals", "bpp", "admm", "nes"])
     def test_order_five_grid(self, algo):
         # each worker's local dims (2, 4, 4, 4, 4) split at S = 3, so its
@@ -432,10 +455,11 @@ class TestParallelDriver:
         with pytest.raises(ValueError, match=r"^grid dims must be positive, got \("):
             solve(x, RunConfig(rank=2, max_iters=1, grid=grid))
 
-    def _outer_iteration_counter_delta(self, grid, algo="bpp", dims=(8, 8, 8), rank=2):
+    def _outer_iteration_counter_delta(self, grid, algo="bpp", dims=(8, 8, 8), rank=2, it=2):
+        """Collective counts of outer iteration ``it``."""
         x, _ = generate_synthetic(SyntheticSpec(dims, rank, seed=14))
         runs = []
-        for iters in (1, 2):
+        for iters in (it - 1, it):
             cfg = RunConfig(rank=rank, algorithm=algo, max_iters=iters, tol=0.0, seed=7, grid=grid)
             runs.append(nncp_parallel(x, cfg).counters)
         delta = {}
@@ -472,16 +496,16 @@ class TestParallelDriver:
         assert rs_in == (8 + 4 + 16) * p
 
     def test_nes_all_reduces_only_for_its_extrapolation(self):
-        # bpp's per-mode and error All-Reduces, two for the extrapolation
-        # test (candidate Grams, error scalar) and two more when the step is
-        # accepted (column norms, Grams); none inside the update
+        # bpp's per-mode and error All-Reduces and two for the extrapolation
+        # test (candidate Grams, error scalar); none inside the update, and
+        # none for the accepted step, which rescales the candidate's Grams
         p = 8
-        delta = self._outer_iteration_counter_delta((2, 2, 2), algo="nes")
-        # the helper's two-iteration run, for its second acceptance
-        cfg = RunConfig(rank=2, algorithm="nes", max_iters=2, tol=0.0, seed=7, grid=(2, 2, 2))
+        delta = self._outer_iteration_counter_delta((2, 2, 2), algo="nes", it=3)
+        # the helper's three-iteration run accepts its third extrapolation
+        cfg = RunConfig(rank=2, algorithm="nes", max_iters=3, tol=0.0, seed=7, grid=(2, 2, 2))
         x, _ = generate_synthetic(SyntheticSpec((8, 8, 8), 2, seed=14))
-        accepted = nncp_parallel(x, cfg).nes_accepted[1]
-        assert delta["AllReduce"][0] == (3 * 2 + 1) * p + 2 * p + (2 * p if accepted else 0)
+        assert nncp_parallel(x, cfg).nes_accepted == [False, False, True]
+        assert delta["AllReduce"][0] == (3 * 2 + 1) * p + 2 * p
 
     @pytest.mark.parametrize("grid", [(2, 2, 2), (1, 2, 4)])
     def test_setup_runs_no_all_gather(self, grid):
@@ -733,8 +757,11 @@ class TestModelError:
         cfg = RunConfig(rank=model.rank, initial_factors=model)
         shared, lam = driver_mod._initial_factors(rt, cfg, x.dims)
         tree = DimTree(choose_split_mode(rt.dims), partial(driver_mod._clock, rt))
-        err = driver_mod._model_error(rt, tree, shared, lam, x.norm_squared())
+        err, grams = driver_mod._model_error(rt, tree, shared, lam, x.norm_squared())
         assert tree.partial_calls == 1
+        # the All-Reduced Grams of the whole model, whatever the grid
+        for g, h in zip(grams, model.factors):
+            assert np.allclose(g, h.T @ h, rtol=1e-14, atol=0)
         return err
 
     @pytest.mark.parametrize("grid", [None, (2, 1, 2), (1, 3, 1)])

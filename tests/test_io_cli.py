@@ -1,5 +1,7 @@
 import csv
+import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -73,6 +75,15 @@ class TestTensorFile:
         path = tmp_path / "head.bin"
         path.write_bytes(MAGIC + b"\x01")
         with pytest.raises(TruncatedFileError):
+            read_tensor(path)
+
+    @pytest.mark.parametrize("dims", [(), (3,), (0, 3)])
+    def test_header_of_no_tensor_names_the_path(self, tmp_path, dims):
+        # the payload matches the header, so only the dims can fail
+        path = tmp_path / "dims.bin"
+        header = struct.pack("<4sHH", MAGIC, 1, len(dims)) + struct.pack(f"<{len(dims)}Q", *dims)
+        path.write_bytes(header + bytes(8 * math.prod(dims)))
+        with pytest.raises(TensorFileError, match=f"^{re.escape(str(path))}: need order >= 2"):
             read_tensor(path)
 
     def test_payload_mismatch(self, tmp_path):
@@ -357,6 +368,9 @@ class TestCli:
         [
             ("file", "--seed", "-1", "seed must be nonnegative"),
             ("synthetic", "--seed", "-1", "seed must be nonnegative"),
+            # the generator key holds the seed as one uint64
+            ("file", "--seed", str(2**64), "seed must be nonnegative and below 2**64"),
+            ("synthetic", "--seed", str(2**64), "seed must be nonnegative and below 2**64"),
             ("file", "--tol", "nan", "tol must be"),
         ],
     )
