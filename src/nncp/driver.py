@@ -5,10 +5,10 @@ mode layers the data distribution and collectives of an N-dimensional
 worker grid on top (block Cartesian tensor partition, block row factor
 partition, Reduce-Scatter / All-Gather on mode slices, All-Reduce for Gram
 matrices and norms).  Factors stay column-normalized with the scale in the
-weight vector.  Every reported error comes from ``relative_error``,
-which pairs a mode-n MTTKRP with the Gram matrices instead of forming the
-reconstruction, except near an exact fit, where each worker reconstructs
-its own tensor block; the collectives reach it as ``reduce``.
+weight vector.  Every reported error comes from ``_error``, which pairs a
+mode's MTTKRP, taken before the Reduce-Scatter, with that mode's slice rows
+and the All-Reduced Grams instead of forming the reconstruction, except
+near an exact fit, where each worker reconstructs its own tensor block.
 
 One clock, ``_clock``, times every region and books its self time: its
 wall time less what nested regions booked meanwhile, so the per-category
@@ -32,6 +32,7 @@ from .grid import CommCounters, Grid, Worker, block_partition, grid_shape
 from .tensor_ops import (
     DenseTensor,
     FactorSet,
+    as_int,
     choose_split_mode,
     gram,
     hadamard_grams_excluding,
@@ -92,6 +93,8 @@ class RunConfig:
     def validate(self, dims):
         """Reject a configuration that cannot run on a tensor of ``dims``."""
         order = len(dims)
+        for name in ("rank", "max_iters", "seed"):
+            as_int(name, getattr(self, name))
         if self.rank < 1:
             raise ValueError("rank must be at least 1")
         if not self.tol >= 0:
@@ -151,7 +154,7 @@ class RunReport:
     iteration i.  ``rows[i]`` maps each category to seconds, ``row_words``
     counts words moved by collectives, ``row_wall`` is the row's wall time.
     Row 0's error reuses iteration 1's mode-1 MTTKRP, so row 1 books its
-    ``relative_error`` call and scalar All-Reduce; a 0-iteration run books
+    ``_error`` call and scalar All-Reduce; a 0-iteration run books
     them in row 0, with the mode-1 MTTKRP from ``naive_mttkrp``.
     With ``nes``, row i's error is that of the model iteration i returns,
     and ``nes_accepted[i-1]`` tells whether its extrapolation was accepted;
@@ -316,21 +319,15 @@ def _grams(rt, shared):
     return list(rt.all_reduce(np.stack(local)))
 
 
-def _residual(rt, shared, lam):
-    """This worker's ||X - model||^2 for ``relative_error`` at an exact fit:
-    the slice-replicated blocks ``shared`` span its tensor block."""
-    return lambda: residual_norm_squared(rt.x_local, FactorSet(shared, lam))
-
-
-def _error_from_mttkrp(rt, alpha, mbar, shared, lam, grams):
-    """Relative error from ``mbar``, this worker's local mode-1 MTTKRP
-    before any Reduce-Scatter.  It pairs with the slice-replicated rows
-    ``shared[0]``, so one scalar All-Reduce completes beta; gamma takes the
-    last mode's split of ``grams``."""
+def _error(rt, alpha, n, mbar, shared, lam, grams):
+    """Relative error from ``mbar``, this worker's mode-n MTTKRP before the
+    Reduce-Scatter, and its slice rows ``shared[n]``; one scalar All-Reduce
+    completes beta.  Near an exact fit the slice blocks span this worker's
+    tensor block, which it then reconstructs."""
     with _clock(rt, "Error"):
-        s = hadamard_grams_excluding(grams, len(grams) - 1)
-        hhat, residual = shared[0] * lam, _residual(rt, shared, lam)
-        return relative_error(alpha, mbar, hhat, s, grams[-1], lam, rt.all_reduce, residual)
+        s_n, hhat = hadamard_grams_excluding(grams, n), shared[n] * lam
+        residual = lambda: residual_norm_squared(rt.x_local, FactorSet(shared, lam))
+        return relative_error(alpha, mbar, hhat, s_n, grams[n], lam, rt.all_reduce, residual)
 
 
 def _model_error(rt, tree, shared, lam, alpha):
@@ -345,12 +342,14 @@ def _model_error(rt, tree, shared, lam, alpha):
         grams = _grams(rt, shared)
     with _clock(rt, "MTTKRP"):
         mbar = next(tree.sweep(rt.x_local, shared))
-    return _error_from_mttkrp(rt, alpha, mbar, shared, lam, grams), grams
+    return _error(rt, alpha, 0, mbar, shared, lam, grams), grams
 
 
 def _run_spmd(rt, cfg: RunConfig, global_dims):
     """One worker's program; sequential execution is the P=1 special case.
-    The initial error takes iteration 1's mode-1 MTTKRP, or ``naive_mttkrp``'s."""
+    Each error pairs a mode's MTTKRP, taken before the Reduce-Scatter, with
+    that mode's slice rows: iteration 1's mode 1 (or ``naive_mttkrp``'s) for
+    the initial model, and the last mode's, after its update, for a sweep."""
     order = len(global_dims)
     report = rt.report
     update = _make_updater(cfg, order)
@@ -393,7 +392,7 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
     if cfg.max_iters == 0:
         with _clock(rt, "MTTKRP"):
             mbar0 = naive_mttkrp(rt.x_local, shared, 0)
-        errors.append(_error_from_mttkrp(rt, alpha, mbar0, shared, lam, grams))
+        errors.append(_error(rt, alpha, 0, mbar0, shared, lam, grams))
     report.row_wall[-1] = time.perf_counter() - wall0
     words_done = report.row_words[-1] = rt.counters.total_words()
 
@@ -414,7 +413,7 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
                 m_owned = rt.scatter_to_owned(n, mbar)
             if it == 1 and n == 0:
                 # mbar, grams and lam still describe the initial model
-                errors.append(_error_from_mttkrp(rt, alpha, mbar, shared, lam, grams))
+                errors.append(_error(rt, alpha, 0, mbar, shared, lam, grams))
             with _clock(rt, "Gram"):
                 s_n = hadamard_grams_excluding(grams, n)
             with _clock(rt, "NNLS"):
@@ -429,12 +428,10 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
             with _clock(rt, "Gram"):
                 grams[n] = rt.all_reduce(gram(h))
                 shared[n] = rt.gather_to_slice(n, h)
-        # release the sweep's last temporary before the error and NES steps
+        # release the sweep's last temporary before the error and NES steps;
+        # mbar, the last mode's MTTKRP, gives the sweep's error
         del modes
-        # the last mode's MTTKRP and update give the sweep's error
-        with _clock(rt, "Error"):
-            residual = _residual(rt, shared, lam)
-            eps = relative_error(alpha, m_owned, hhat, s_n, grams[-1], lam, rt.all_reduce, residual)
+        eps = _error(rt, alpha, order - 1, mbar, shared, lam, grams)
 
         if cfg.algorithm == "nes":
             step = _nes_accelerate(
@@ -537,7 +534,8 @@ def _merge_reports(results, dims, rank) -> RunReport:
     merged.tree_partial_calls = first.tree_partial_calls
     merged.nes_accepted = list(first.nes_accepted)
     for report, _, _, _ in results:
-        if not np.allclose(report.errors, first.errors, rtol=0, atol=1e-12):
+        # every worker holds the same All-Reduced terms, so the errors agree bitwise
+        if report.errors != first.errors:
             raise AssertionError("workers disagree on the error sequence")
         if report.nes_accepted != first.nes_accepted:
             raise AssertionError("workers disagree on the NES acceptances")

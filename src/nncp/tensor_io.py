@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_ops import DenseTensor, FactorSet, reconstruct
+from .tensor_ops import DenseTensor, FactorSet, as_int, reconstruct
 
 MAGIC = b"NNCP"
 VERSION = 1
@@ -128,7 +128,9 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        self.dims = tuple(int(d) for d in self.dims)
+        self.dims = tuple(as_int(f"dim {n + 1}", d) for n, d in enumerate(self.dims))
+        self.rank = as_int("rank", self.rank)
+        self.seed = as_int("seed", self.seed)
         if any(d < 1 for d in self.dims) or self.rank < 1:
             raise ValueError("dims and rank must be positive")
         if not 0 <= self.seed < 2**64:

@@ -16,6 +16,7 @@ line up with matricization columns without any permutation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,15 @@ SCAN_BLOCK = 1 << 16
 # an error radicand below this many units of rounding of ||X||^2 has no
 # correct digits left, so relative_error computes it directly
 EXACT_FIT_ULPS = 64
+
+
+def as_int(name, value) -> int:
+    """``value``, a Python or numpy integer, as an int; anything else,
+    a float with an integral value or a bool included, is a ValueError
+    naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 class DenseTensor:

@@ -234,6 +234,25 @@ class TestSynthetic:
             tracemalloc.stop()
         assert peak < 2 * x.data.nbytes
 
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            (((4.5, 4), 2), "dim 1"),
+            (((4, 4.0), 2), "dim 2"),
+            (((4, 4), 2.0), "rank"),
+            (((4, 4), 2, 2.5), "seed"),
+        ],
+    )
+    def test_non_integer_parameters_rejected(self, args, field):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            SyntheticSpec(*args)
+
+    def test_numpy_integers_accepted(self):
+        spec = SyntheticSpec((np.int64(4), np.int32(3)), np.int64(2), seed=np.uint64(2))
+        a, _ = generate_synthetic(spec)
+        b, _ = generate_synthetic(SyntheticSpec((4, 3), 2, seed=2))
+        assert np.array_equal(a.data, b.data)
+
     def test_element_budget_counts_beyond_int64(self):
         with pytest.raises(ValueError, match="budget"):
             generate_synthetic(SyntheticSpec((2**32, 2**32), 1, seed=0))
