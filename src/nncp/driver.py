@@ -20,6 +20,7 @@ driver asks it for mode n+1 only after replacing factor n.
 
 from __future__ import annotations
 
+import threading
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -153,9 +154,11 @@ class RunReport:
     Row 0 describes the initial model; row i the state after outer
     iteration i.  ``rows[i]`` maps each category to seconds, ``row_words``
     counts words moved by collectives, ``row_wall`` is the row's wall time.
-    Row 0's error reuses iteration 1's mode-1 MTTKRP, so row 1 books its
-    ``_error`` call and scalar All-Reduce; a 0-iteration run books
-    them in row 0, with the mode-1 MTTKRP from ``naive_mttkrp``.
+    Row 0's error reuses iteration 1's mode-1 MTTKRP, and the scan of X
+    for ||X||^2 runs behind that MTTKRP, so row 1 books the scan's join,
+    the All-Reduce of ||X||^2, and row 0's ``_error`` call with its scalar
+    All-Reduce; a 0-iteration run books them in row 0, with the mode-1
+    MTTKRP from ``naive_mttkrp``.
     With ``nes``, row i's error is that of the model iteration i returns,
     and ``nes_accepted[i-1]`` tells whether its extrapolation was accepted;
     the list is empty for the other rules.
@@ -345,25 +348,39 @@ def _model_error(rt, tree, shared, lam, alpha):
     return _error(rt, alpha, 0, mbar, shared, lam, grams), grams
 
 
-def _run_spmd(rt, cfg: RunConfig, global_dims):
-    """One worker's program; sequential execution is the P=1 special case.
-    Each error pairs a mode's MTTKRP, taken before the Reduce-Scatter, with
-    that mode's slice rows: iteration 1's mode 1 (or ``naive_mttkrp``'s) for
-    the initial model, and the last mode's, after its update, for a sweep."""
-    order = len(global_dims)
-    report = rt.report
-    update = _make_updater(cfg, order)
+def _scan_behind(rt, cfg: RunConfig, first_mttkrp):
+    """Run ``first_mttkrp()``, the run's first mode-1 MTTKRP, while one
+    helper thread makes the one pass over this worker's tensor block that
+    gives ||X||^2 and, for the rules that fit a nonnegative model, min(X);
+    ucp needs no minimum and keeps one dot.  The GEMM, ``np.dot`` and
+    ``ndarray.min`` release the GIL, so the two passes overlap.  The helper
+    is joined on every path and its exception re-raised in the caller; the
+    join wait is booked to Error.  Then ``alpha`` = ||X||^2 is All-Reduced
+    and X checked.  Returns (mbar, alpha)."""
+    x, found = rt.x_local, []
 
-    # -- initialization ----------------------------------------------------
-    report.begin_row()
-    wall0 = time.perf_counter()
-    # one pass over X gives ||X||^2 and, for the rules that fit a
-    # nonnegative model, min(X); ucp needs no minimum and keeps one dot
+    def scan():
+        try:
+            found.append(
+                (x.norm_squared(), 0.0) if cfg.algorithm == "ucp" else x.norm_squared_and_min()
+            )
+        except BaseException as exc:  # re-raised in the caller after the join
+            found.append(exc)
+
     with _clock(rt, "Error"):
-        if cfg.algorithm == "ucp":
-            local_sq, low = rt.x_local.norm_squared(), 0.0
-        else:
-            local_sq, low = rt.x_local.norm_squared_and_min()
+        # a plain thread that exits on its own: an executor's idle worker
+        # must be woken to shut down, a cross-CPU wake-up on the critical
+        # path that cost ucp 2-3 % of a 16^5 R48 solve on a 2-vCPU VM
+        helper = threading.Thread(target=scan, name="scan")
+        helper.start()
+        try:
+            with _clock(rt, "MTTKRP"):
+                mbar = first_mttkrp()
+        finally:
+            helper.join()
+        if isinstance(found[0], BaseException):
+            raise found[0]
+        local_sq, low = found[0]
         alpha = rt.all_reduce(local_sq)
     if low < 0.0:
         # each worker checks its own block, so this needs no collective
@@ -374,11 +391,27 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
         )
     if alpha == 0.0:
         # every worker sees alpha == 0 together, so the reduce is collective-safe
-        d = rt.x_local.data
+        d = x.data
         if rt.all_reduce(max(float(d.max()), -float(d.min())), "max") > 0.0:
             raise ValueError("tensor is nonzero but its squared norm underflows float64")
         raise ValueError("zero tensor has no relative error")
+    return mbar, alpha
 
+
+def _run_spmd(rt, cfg: RunConfig, global_dims):
+    """One worker's program; sequential execution is the P=1 special case.
+    Each error pairs a mode's MTTKRP, taken before the Reduce-Scatter, with
+    that mode's slice rows: iteration 1's mode 1 (or ``naive_mttkrp``'s) for
+    the initial model, and the last mode's, after its update, for a sweep.
+    The scan of X for ||X||^2 runs behind that first MTTKRP
+    (``_scan_behind``), so X is checked before any update rule runs."""
+    order = len(global_dims)
+    report = rt.report
+    update = _make_updater(cfg, order)
+
+    # -- initialization ----------------------------------------------------
+    report.begin_row()
+    wall0 = time.perf_counter()
     shared, lam = _initial_factors(rt, cfg, global_dims)
     with _clock(rt, "Gram"):
         grams = _grams(rt, shared)
@@ -387,11 +420,11 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
     report.split_mode = tree.split
 
     # initial model error from iteration 1's mode-1 MTTKRP, or from the
-    # same mode's GEMM MTTKRP when there is no iteration
+    # same mode's GEMM MTTKRP when there is no iteration; alpha comes from
+    # the scan that runs behind whichever of the two is taken
     errors = report.errors
     if cfg.max_iters == 0:
-        with _clock(rt, "MTTKRP"):
-            mbar0 = naive_mttkrp(rt.x_local, shared, 0)
+        mbar0, alpha = _scan_behind(rt, cfg, lambda: naive_mttkrp(rt.x_local, shared, 0))
         errors.append(_error(rt, alpha, 0, mbar0, shared, lam, grams))
     report.row_wall[-1] = time.perf_counter() - wall0
     words_done = report.row_words[-1] = rt.counters.total_words()
@@ -409,7 +442,10 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
         modes = tree.sweep(rt.x_local, shared)
         for n in range(order):
             with _clock(rt, "MTTKRP"):
-                mbar = next(modes)
+                if it == 1 and n == 0:
+                    mbar, alpha = _scan_behind(rt, cfg, partial(next, modes))
+                else:
+                    mbar = next(modes)
                 m_owned = rt.scatter_to_owned(n, mbar)
             if it == 1 and n == 0:
                 # mbar, grams and lam still describe the initial model

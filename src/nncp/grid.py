@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tensor_ops import as_int
+
 _REDUCTIONS = {"sum": np.add, "min": np.minimum, "max": np.maximum}
 
 
@@ -89,8 +91,9 @@ class Group:
 
 
 def grid_shape(shape) -> tuple:
-    """``shape`` as a tuple of ints, each at least 1."""
-    shape = tuple(int(p) for p in shape)
+    """``shape`` as a tuple of ints, each at least 1; a non-integer dim is
+    rejected, never truncated."""
+    shape = tuple(as_int(f"grid dim {n + 1}", p) for n, p in enumerate(shape))
     if any(p < 1 for p in shape):
         raise ValueError(f"grid dims must be positive, got {shape}")
     return shape

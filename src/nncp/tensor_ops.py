@@ -44,7 +44,7 @@ class DenseTensor:
     __slots__ = ("dims", "data")
 
     def __init__(self, dims, data=None):
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(as_int(f"tensor dim {n + 1}", d) for n, d in enumerate(dims))
         if len(dims) < 2:
             raise ValueError("tensor order must be at least 2")
         if any(d < 1 for d in dims):

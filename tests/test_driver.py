@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from functools import partial
@@ -497,6 +500,25 @@ class TestParallelDriver:
         with pytest.raises(ValueError, match=r"^grid dims must be positive, got \("):
             solve(x, RunConfig(rank=2, max_iters=1, grid=grid))
 
+    @pytest.mark.parametrize(
+        "grid, field", [((2.7, 1, 1), "grid dim 1"), ((2, 1.0, 1), "grid dim 2")]
+    )
+    @pytest.mark.parametrize("solve", [nncp_sequential, nncp_parallel])
+    def test_non_integer_grid_dim_rejected(self, monkeypatch, grid, field, solve):
+        def no_workers(self, fn):
+            raise AssertionError("workers started before the grid was checked")
+
+        monkeypatch.setattr(grid_mod.Grid, "run", no_workers)
+        x = DenseTensor((3, 3, 3), np.ones(27))
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            solve(x, RunConfig(rank=2, max_iters=1, grid=grid))
+
+    def test_numpy_integer_grid_dims_accepted(self):
+        x, _ = generate_synthetic(SyntheticSpec((4, 4, 4), 2, seed=1))
+        want = nncp_parallel(x, RunConfig(rank=2, max_iters=2, grid=(2, 1, 1))).errors
+        cfg = RunConfig(rank=2, max_iters=2, grid=(np.int64(2), np.int32(1), np.uint8(1)))
+        assert nncp_parallel(x, cfg).errors == want
+
     def _outer_iteration_counter_delta(self, grid, algo="bpp", dims=(8, 8, 8), rank=2, it=2):
         """Collective counts of outer iteration ``it``."""
         x, _ = generate_synthetic(SyntheticSpec(dims, rank, seed=14))
@@ -665,10 +687,138 @@ class TestInitialError:
         scalar = 2 * 8  # one word in and one out on each of the 8 workers
         zero = solve(x, grid, rank=2, algorithm="ucp", max_iters=0).row_words
         words = solve(x, grid, rank=2, algorithm="ucp", max_iters=3).row_words
-        assert words[0] == zero[0] - scalar
-        # rows 2 and 3 are plain sweeps; row 1 also completes row 0's error
-        assert words[1] == words[2] + scalar == words[3] + scalar
+        # the All-Reduces of ||X||^2 and of row 0's error both run behind
+        # iteration 1's mode-1 MTTKRP
+        assert words[0] == zero[0] - 2 * scalar
+        # rows 2 and 3 are plain sweeps; row 1 also completes alpha and row 0's error
+        assert words[1] == words[2] + 2 * scalar == words[3] + 2 * scalar
         assert sum(words) == zero[0] + 3 * words[2]
+
+
+class TestOverlappedScan:
+    """The scan of X for ||X||^2 runs on one helper thread behind the run's
+    first MTTKRP; X is still checked before any update rule runs, and the
+    helper is joined on every path."""
+
+    @staticmethod
+    def forbid_updates(monkeypatch):
+        def no_update(*args):
+            raise AssertionError("an update rule ran before X was checked")
+
+        for algo in ALGORITHMS:
+            name = "nesterov_update" if algo == "nes" else f"{algo}_update"
+            monkeypatch.setattr(driver_mod, name, no_update)
+
+    @staticmethod
+    def bad_tensor(kind):
+        x, _ = generate_synthetic(SyntheticSpec((6, 5, 4), 2, seed=1))
+        data = x.data.copy()
+        if kind == "inf":
+            data[7] = np.inf
+        elif kind == "nan":
+            data[7] = np.nan
+        elif kind == "zero":
+            data[:] = 0.0
+        else:
+            data *= 2.0 ** {"tiny": -600, "huge": 600}[kind]
+        return DenseTensor(x.dims, data)
+
+    @pytest.mark.parametrize("algo", ["ucp", "bpp"])
+    @pytest.mark.parametrize("grid", [None, (2, 1, 1)])
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("inf", "non-finite"),
+            ("nan", "non-finite"),
+            ("zero", "zero tensor"),
+            ("tiny", "underflows float64"),
+            ("huge", "overflows float64"),
+        ],
+    )
+    def test_bad_tensor_rejected_before_any_update(self, monkeypatch, kind, message, grid, algo):
+        self.forbid_updates(monkeypatch)
+        x = self.bad_tensor(kind)
+        threads = threading.active_count()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                solve(x, grid, rank=2, algorithm=algo, max_iters=2)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("iters", [0, 2])
+    @pytest.mark.parametrize("grid", [None, (2, 1, 1)])
+    def test_failing_mttkrp_leaves_no_helper_running(self, monkeypatch, grid, iters):
+        def failing(*args):
+            raise ZeroDivisionError("partial MTTKRP failed")
+
+        def slow_scan(self):
+            # still running when the MTTKRP fails, so only a join ends it
+            time.sleep(0.05)
+            return scan(self)
+
+        scan = DenseTensor.norm_squared_and_min
+        monkeypatch.setattr(DenseTensor, "norm_squared_and_min", slow_scan)
+        monkeypatch.setattr(dimtree_mod, "partial_mttkrp", failing)
+        monkeypatch.setattr(driver_mod, "naive_mttkrp", failing)
+        x, _ = generate_synthetic(SyntheticSpec((6, 5, 4), 2, seed=1))
+        threads = threading.active_count()
+        with pytest.raises(ZeroDivisionError, match="partial MTTKRP failed"):
+            solve(x, grid, rank=2, algorithm="bpp", max_iters=iters)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("grid", [None, (2, 1, 1)])
+    def test_failing_scan_reraises_in_the_caller(self, monkeypatch, grid):
+        def failing(self):
+            raise ZeroDivisionError("scan failed")
+
+        monkeypatch.setattr(DenseTensor, "norm_squared_and_min", failing)
+        self.forbid_updates(monkeypatch)
+        x, _ = generate_synthetic(SyntheticSpec((6, 5, 4), 2, seed=1))
+        threads = threading.active_count()
+        with pytest.raises(ZeroDivisionError, match="scan failed"):
+            solve(x, grid, rank=2, algorithm="mu", max_iters=2)
+        assert threading.active_count() == threads
+
+    def test_grid_repeat_bitwise_under_frequent_thread_switches(self):
+        # 4 workers and their 4 helpers, more threads than cores
+        x, _ = generate_synthetic(SyntheticSpec((8, 8, 8), 2, seed=14))
+        want = solve(x, (2, 2, 1), rank=2, algorithm="mu", max_iters=2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = solve(x, (2, 2, 1), rank=2, algorithm="mu", max_iters=2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.errors == want.errors
+
+    @pytest.mark.parametrize("grid", [None, (2, 1, 1)])
+    def test_negative_entry_still_warns(self, grid):
+        x, _ = generate_synthetic(SyntheticSpec((6, 5, 4), 2, seed=1))
+        x = DenseTensor(x.dims, np.where(np.arange(x.size) == 3, -0.5, x.data))
+        with pytest.warns(UserWarning, match="negative entries"):
+            rep = solve(x, grid, rank=2, algorithm="bpp", max_iters=2)
+        assert len(rep.errors) == 3
+
+    # final errors at K=4 on (12,10,8) R3 plus noise, as computed with the
+    # scan of X run on the main thread ahead of set-up (OpenBLAS, x86-64, 1
+    # or 2 BLAS threads); where the scan runs must not change any error
+    PINNED = {
+        "ucp": ("0x1.77ff82e2d0635p-4", "0x1.77ff82e2d05dcp-4"),
+        "mu": ("0x1.a8232ef2bb472p-4", "0x1.a8232ef2bb423p-4"),
+        "hals": ("0x1.597d2b7299d3bp-3", "0x1.597d2b7299d5fp-3"),
+        "bpp": ("0x1.593309eeb144bp-4", "0x1.593309eeb13b9p-4"),
+        "admm": ("0x1.1a659e3ba76adp-4", "0x1.1a659e3ba76aep-4"),
+        "nes": ("0x1.23cbe305b2072p-4", "0x1.23cbe305b2073p-4"),
+    }
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_final_errors_bitwise_pinned(self, algo):
+        x, _ = generate_synthetic(SyntheticSpec((12, 10, 8), 3, seed=21))
+        x = DenseTensor(x.dims, x.data + 0.05 * np.random.default_rng(21).random(x.size))
+        for grid, want in zip((None, (2, 1, 2)), self.PINNED[algo]):
+            cfg = RunConfig(rank=3, algorithm=algo, max_iters=4, tol=0.0, seed=5, grid=grid)
+            rep = nncp_parallel(x, cfg) if grid else nncp_sequential(x, cfg)
+            assert rep.errors[-1] == float.fromhex(want)
 
 
 class TestExtremeScales:

@@ -72,6 +72,15 @@ class TestDenseTensor:
         with pytest.raises(ValueError):
             DenseTensor((2, 3), np.zeros(5))
 
+    @pytest.mark.parametrize("dims, field", [((4.5, 4), "tensor dim 1"), ((4, 4.0), "tensor dim 2")])
+    def test_rejects_non_integer_dims(self, dims, field):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            DenseTensor(dims, np.zeros(16))
+
+    def test_accepts_numpy_integer_dims(self):
+        x = DenseTensor((np.int64(4), np.uint8(3)), np.arange(12.0))
+        assert x.dims == (4, 3) and all(type(d) is int for d in x.dims)
+
     def test_element_count_beyond_int64(self):
         # 2^32 * 2^32 elements wrap to 0 in int64
         with pytest.raises(ValueError, match="does not match"):
