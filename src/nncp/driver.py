@@ -4,11 +4,13 @@ Both execution modes run the same inner-iteration program; the parallel
 mode layers the data distribution and collectives of an N-dimensional
 worker grid on top (block Cartesian tensor partition, block row factor
 partition, Reduce-Scatter / All-Gather on mode slices, All-Reduce for Gram
-matrices and norms).  Factors stay column-normalized with the scale in the
-weight vector.  Every reported error comes from ``_error``, which pairs a
-mode's MTTKRP, taken before the Reduce-Scatter, with that mode's slice rows
-and the All-Reduced Grams instead of forming the reconstruction, except
-near an exact fit, where each worker reconstructs its own tensor block.
+matrices).  Factors stay column-normalized with the scale in the weight
+vector; an update's column norms come from the diagonal of its summed
+Gram, a mode's only All-Reduce.  Every reported error comes from
+``_error``, which pairs a mode's MTTKRP, taken before the Reduce-Scatter,
+with that mode's slice rows and the All-Reduced Grams instead of forming
+the reconstruction, except near an exact fit, where each worker
+reconstructs its own tensor block.
 
 One clock, ``_clock``, times every region and books its self time: its
 wall time less what nested regions booked meanwhile, so the per-category
@@ -460,9 +462,8 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
                     raise RuntimeError(
                         f"NNLS update failed at iteration {it}, mode {n + 1}"
                     ) from exc
-                h, lam = normalize_columns(hhat, rt.all_reduce)
             with _clock(rt, "Gram"):
-                grams[n] = rt.all_reduce(gram(h))
+                h, lam, grams[n] = normalize_columns(hhat, rt.all_reduce(gram(hhat)))
                 shared[n] = rt.gather_to_slice(n, h)
         # release the sweep's last temporary before the error and NES steps;
         # mbar, the last mode's MTTKRP, gives the sweep's error
@@ -498,9 +499,10 @@ def _nes_accelerate(rt, tree, it, eps, alpha, grams, shared, lam, prev_shared, p
     the slice-replicated blocks, is clamped at zero to stay feasible and
     replaces the current iterate only when its relative error is strictly
     lower (one extra partial MTTKRP to find out).  An accepted step runs
-    no collective: it rescales the candidate's Grams from that test.
-    Returns None when rejected, else the renormalized candidate (shared,
-    lam) and its relative error.
+    no collective: ``normalize_columns``, as in the sweep, renormalizes
+    each candidate factor from its Gram summed for that test.  Returns None
+    when rejected, else the renormalized candidate (shared, lam) and its
+    relative error.
     """
     with _clock(rt, "Error"):
         step = float(it) ** (1.0 / len(shared))
@@ -511,16 +513,11 @@ def _nes_accelerate(rt, tree, it, eps, alpha, grams, shared, lam, prev_shared, p
     cand_eps, cand_grams = _model_error(rt, tree, cand, cand_lam, alpha)
     if not cand_eps < eps:
         return None
-    # accepted: the candidate's global Grams hold its squared column norms,
-    # so renormalizing and refreshing the Grams runs no collective
-    with _clock(rt, "Error"):
-        w = np.sqrt([np.diag(g) for g in cand_grams])
-        scale = np.where(w > 0.0, w, 1.0)
-        shared = [h / scale[n] for n, h in enumerate(cand)]
-        lam = cand_lam * np.prod(w, axis=0)
+    # accepted: the candidate's summed Grams hold its squared column norms
     with _clock(rt, "Gram"):
-        grams[:] = [g / np.outer(c, c) for g, c in zip(cand_grams, scale)]
-    return shared, lam, cand_eps
+        shared, norms, grams[:] = zip(*map(normalize_columns, cand, cand_grams))
+        lam = cand_lam * np.prod(norms, axis=0)
+    return list(shared), lam, cand_eps
 
 
 def nncp_sequential(x: DenseTensor, cfg: RunConfig) -> RunReport:

@@ -264,15 +264,17 @@ def local_reduce(value, op: str = "sum"):
     return value
 
 
-def normalize_columns(h: np.ndarray, reduce=local_reduce):
-    """Scale each column to unit 2-norm; return (matrix, original norms).
+def normalize_columns(h: np.ndarray, g: np.ndarray = None):
+    """Scale each column to unit 2-norm; return (matrix, norms, its Gram).
 
-    Zero columns are left untouched and get weight 0.  ``reduce`` sums the
-    squared column norms across the row blocks of a distributed ``h``.
+    ``g``, the Gram of ``h`` summed over its row blocks, defaults to
+    ``gram(h)``; the norms are the roots of its diagonal.  Zero columns are
+    left untouched and get weight 0.
     """
-    norms = np.sqrt(reduce(np.sum(h * h, axis=0)))
+    g = gram(h) if g is None else g
+    norms = np.sqrt(np.diag(g))
     scale = np.where(norms > 0.0, norms, 1.0)
-    return h / scale, norms
+    return h / scale, norms, g / np.outer(scale, scale)
 
 
 def matrix_inner_product(a: np.ndarray, b: np.ndarray) -> float:

@@ -213,7 +213,7 @@ def test_c07_error_identity_matches_reconstruction():
         hs = []
         lam = rng.random(rank) + 0.1
         for d in dims:
-            h, w = normalize_columns(rng.random((d, rank)) + 0.05)
+            h, w, _ = normalize_columns(rng.random((d, rank)) + 0.05)
             lam = lam * w
             hs.append(h)
         model = FactorSet(hs, lam)
@@ -245,16 +245,17 @@ def test_c08_communication_accounting():
         ag_out = delta(None, "words_out", "AllGather")
         ar_in = delta(None, "words_in", "AllReduce")
         # per-member, per-mode volumes: Reduce-Scatter input and All-Gather
-        # output are R*I_n/P_n words; All-Reduce carries R^2 + R per inner
-        # iteration plus one scalar per outer iteration for the error term
+        # output are R*I_n/P_n words; All-Reduce carries the R^2 Gram, whose
+        # diagonal gives the column norms, per inner iteration plus one
+        # scalar per outer iteration for the error term
         per_mode = sum(rank * dims[n] // grid[n] for n in range(3))
         assert rs_in % p == 0 and ag_out % p == 0 and ar_in % p == 0
         assert rs_in // p == per_mode
         assert ag_out // p == per_mode
-        assert ar_in // p == 3 * (rank**2 + rank) + 1
+        assert ar_in // p == 3 * rank**2 + 1
         assert delta(None, "calls", "ReduceScatter") == 3 * p
         assert delta(None, "calls", "AllGather") == 3 * p
-        assert delta(None, "calls", "AllReduce") == (3 * 2 + 1) * p
+        assert delta(None, "calls", "AllReduce") == (3 + 1) * p
         # envelope: moved factor words stay within 4 R sum_n I_n/P_n per member
         moved = (
             delta(None, "words_in", "ReduceScatter")

@@ -377,22 +377,27 @@ class TestReconstruct:
 class TestNormalizeColumns:
     def test_three_four_five(self):
         h = np.array([[3.0], [4.0]])
-        out, w = normalize_columns(h)
+        out, w, _ = normalize_columns(h)
         assert np.allclose(out, np.array([[0.6], [0.8]]))
         assert np.allclose(w, [5.0])
 
     def test_unit_column_unchanged(self):
         h = np.array([[1.0], [0.0]])
-        out, w = normalize_columns(h)
+        out, w, g = normalize_columns(h)
         assert np.array_equal(out, h)
         assert np.array_equal(w, [1.0])
+        assert np.array_equal(g, [[1.0]])
 
     def test_zero_column_weight_zero(self):
-        h = np.zeros((3, 2))
+        # BPP's live block and UCP's live-column least squares rely on the
+        # dead column's Gram row and column staying exactly zero
+        h = np.zeros((3, 3))
         h[:, 0] = [1.0, 2.0, 2.0]
-        out, w = normalize_columns(h)
+        h[:, 2] = [0.3, 0.1, 0.7]
+        out, w, g = normalize_columns(h)
         assert np.array_equal(out[:, 1], np.zeros(3))
         assert w[1] == 0.0
+        assert np.array_equal(g[1], np.zeros(3)) and np.array_equal(g[:, 1], np.zeros(3))
 
     @given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
@@ -400,12 +405,20 @@ class TestNormalizeColumns:
         rng = np.random.default_rng(seed)
         h = rng.standard_normal((rows, r))
         h[:, rng.integers(0, r)] *= rng.integers(0, 2)  # sometimes a zero column
-        out, w = normalize_columns(h)
+        out, w, g = normalize_columns(h)
         assert np.allclose(out * w, h, rtol=0, atol=1e-13)
+        assert np.allclose(g, gram(out), rtol=0, atol=1e-13)
 
-    def test_default_norms_match_linalg_norm(self):
+    def test_norms_are_root_gram_diagonal(self):
         h = np.random.default_rng(4).standard_normal((37, 5))
-        assert np.array_equal(normalize_columns(h)[1], np.linalg.norm(h, axis=0))
+        g = gram(h)
+        for given_g in (None, g):
+            assert np.array_equal(normalize_columns(h, given_g)[1], np.sqrt(np.diag(g)))
+
+    def test_gram_exactly_symmetric(self):
+        h = np.random.default_rng(5).random((41, 6))
+        g = normalize_columns(h)[2]
+        assert np.array_equal(g, g.T)
 
 
 def row_blocks(a, b, local_term):
@@ -426,15 +439,17 @@ class TestRowBlockReduce:
     """A summing ``reduce`` over row blocks gives the whole-matrix result."""
 
     def test_normalize_columns(self):
+        # each block normalizes from the sum of the blocks' Grams
         rng = np.random.default_rng(8)
         h = rng.random((6, 3))
         h[:, 1] = 0.0
-        want, want_w = normalize_columns(h)
-        pairs, reducers = row_blocks(h, want, lambda b, _: np.sum(b * b, axis=0))
+        want, want_w, want_g = normalize_columns(h)
+        pairs, reducers = row_blocks(h, want, lambda b, _: gram(b))
         for (block, want_block), reduce in zip(pairs, reducers):
-            out, w = normalize_columns(block, reduce)
+            out, w, g = normalize_columns(block, reduce(gram(block)))
             assert np.allclose(w, want_w, rtol=1e-12, atol=0)
             assert np.allclose(out, want_block, rtol=1e-12, atol=1e-12)
+            assert np.allclose(g, want_g, rtol=1e-12, atol=1e-12)
 
     def test_relative_error(self):
         rng = np.random.default_rng(9)
