@@ -3,7 +3,9 @@
 
 Runs every algorithm from the same random initialization on the same
 synthetic tensor and prints the relative-error trajectory, mirroring the
-algorithm-comparison experiments at desk scale.
+algorithm-comparison experiments at desk scale.  Each algorithm's final
+error is printed next to its wall seconds (set-up and every iteration), so
+error per second reads off one run.
 
 Example:
     python scripts/convergence_comparison.py --dims 30,30,30 --rank 5 --iters 100
@@ -38,7 +40,8 @@ def main():
         curves[algo] = rep.errors
         nnls = sum(r["NNLS"] for r in rep.rows)
         mttkrp = sum(r["MTTKRP"] for r in rep.rows)
-        print(f"{algo:5s} final relerr {rep.errors[-1]:.3e}   "
+        wall = sum(rep.row_wall)
+        print(f"{algo:5s} final relerr {rep.errors[-1]:.3e}   wall {wall:.4f}s   "
               f"nnls {nnls:.2f}s   mttkrp {mttkrp:.2f}s")
 
     marks = [0, 1, 5, 10, 25, 50, args.iters]

@@ -10,10 +10,11 @@ factors the live block of S (the columns with a positive diagonal) once per
 call and, when it is well conditioned, solves each pivoting round from
 S^{-1} on the rows' zero sets only; otherwise each round takes one
 stacked LU.  UCP takes one Cholesky of S and falls back to least squares
-only when S is not positive definite.
+only when S is not positive definite.  MU and HALS repeat their step on
+the same M and S, which cost far more than one step.
 
-Every rule is row-local: MU, ADMM and Nesterov run a fixed inner step
-count, so no update communicates.
+Every rule is row-local: MU, HALS, ADMM and Nesterov run a fixed inner
+step count, so no update communicates.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from scipy.linalg.lapack import dpocon
 ADMM_INNER_CAP = 5
 NESTEROV_INNER_CAP = 20
 MU_INNER_STEPS = 10
+HALS_INNER_STEPS = 2
 MU_EPSILON = 1e-16
 HALS_FLOOR = 1e-16
 NESTEROV_PROX_FLOOR = 1e-6
@@ -114,26 +116,42 @@ def mu_update(inp: UpdateInputs) -> np.ndarray:
 
 
 def hals_update(inp: UpdateInputs) -> np.ndarray:
-    """One Gauss-Seidel sweep over columns, latest values in every step.
+    """HALS_INNER_STEPS Gauss-Seidel sweeps over columns, latest values in
+    every step.
 
-    Column r gets the closed-form update max(h_r + (m_r - H s_r)/S_rr,
-    HALS_FLOOR); the positive floor keeps each Gram diagonal nonzero, so a
-    collapsed column can come back (Gillis & Glineur 2012).  Every step is
-    row-local, so grid runs add no collective.  The returned matrix is the
-    raw sweep result; rescaling into unit columns happens in the driver's
-    normalization step.
+    Column r gets the closed-form update max(m_r/S_rr - sum_{j!=r}
+    (S_rj/S_rr) h_j, HALS_FLOOR); the positive floor keeps each Gram
+    diagonal nonzero, so a collapsed column can come back (Gillis & Glineur
+    2012).  M and S cost far more than a sweep, so every sweep reuses them,
+    as MU's steps do.  Once per call, the factor is stacked transposed on
+    top of (M/diag(S))^T, and each column gets one weight row (-S_rj/S_rr
+    on the factor, 1 on its own M row), so a column step is one dot
+    product and one floor written straight into the factor's contiguous
+    row.  A column with S_rr = 0 warns once and comes back exactly as
+    passed in.  Every step is row-local, so grid runs add no collective.
+    The returned matrix is the raw sweep result; rescaling into unit
+    columns happens in the driver's normalization step.
     """
     s, m = inp.gram, inp.mttkrp_rows
-    h = inp.current.copy()
-    for r in range(s.shape[0]):
-        d = s[r, r]
-        if d <= 0.0:
-            warnings.warn(f"zero gram diagonal in column {r}, skipping")
-            continue
-        col = h[:, r] + (m[:, r] - h @ s[:, r]) / d
-        np.maximum(col, HALS_FLOOR, out=col)
-        h[:, r] = col
-    return h
+    r = s.shape[0]
+    d = np.diag(s)
+    dead = d <= 0.0
+    for c in np.flatnonzero(dead):
+        warnings.warn(f"zero gram diagonal in column {c}, skipping")
+    live = np.flatnonzero(~dead)
+    k = np.arange(live.size)
+    z = np.concatenate([inp.current.T, (m[:, live] / d[live]).T])
+    w = np.zeros((live.size, z.shape[0]))
+    w[:, :r] = s[live] / -d[live, None]
+    w[k, live] = 0.0
+    w[k, r + k] = 1.0
+    cols = list(zip(w, [z[c] for c in live]))
+    buf = np.empty(z.shape[1])
+    for _ in range(HALS_INNER_STEPS):
+        for w_c, h_c in cols:
+            np.dot(w_c, z, out=buf)
+            np.maximum(buf, HALS_FLOOR, out=h_c)
+    return z[:r].T.copy()
 
 
 def _solve_passive(s: np.ndarray, m: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -826,7 +826,7 @@ class TestOverlappedScan:
     PINNED = {
         "ucp": ("0x1.77ff82e2d068fp-4", "0x1.77ff82e2d0609p-4"),
         "mu": ("0x1.a8232ef2bb3fbp-4", "0x1.a8232ef2bb44bp-4"),
-        "hals": ("0x1.597d2b7299d9cp-3", "0x1.597d2b7299d78p-3"),
+        "hals": ("0x1.d848600c14b7cp-4", "0x1.d848600c14b59p-4"),
         "bpp": ("0x1.593309eeb141ap-4", "0x1.593309eeb13b9p-4"),
         "admm": ("0x1.1a659e3ba7725p-4", "0x1.1a659e3ba75fap-4"),
         "nes": ("0x1.23cbe305b1fffp-4", "0x1.23cbe305b1fc5p-4"),

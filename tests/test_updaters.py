@@ -12,10 +12,12 @@ from nncp import (
     BppCyclingError,
     DenseTensor,
     RunConfig,
+    SyntheticSpec,
     UpdateInputs,
     UpdaterState,
     admm_update,
     bpp_update,
+    generate_synthetic,
     hals_update,
     mu_update,
     nesterov_update,
@@ -25,6 +27,8 @@ from nncp import (
 )
 from nncp.updaters import (
     BPP_BACKUP_TRIES,
+    HALS_FLOOR,
+    HALS_INNER_STEPS,
     MU_EPSILON,
     MU_INNER_STEPS,
     NESTEROV_INNER_CAP,
@@ -133,6 +137,27 @@ class TestMu:
         assert nnls_objective(a, b, h1) <= nnls_objective(a, b, h0) * (1 + 1e-12) + 1e-12
 
 
+def hals_sweep(s, m, h):
+    """One Gauss-Seidel sweep of HALS: the reference for hals_update.
+
+    Column r gets max(h_r + (m_r - H s_r)/S_rr, HALS_FLOOR) from the latest
+    values of the other columns; a column with S_rr = 0 is skipped.
+    """
+    h = h.copy()
+    for r in range(s.shape[0]):
+        d = s[r, r]
+        if d <= 0.0:
+            continue
+        h[:, r] = np.maximum(h[:, r] + (m[:, r] - h @ s[:, r]) / d, HALS_FLOOR)
+    return h
+
+
+def hals_sweeps(s, m, h, sweeps=HALS_INNER_STEPS):
+    for _ in range(sweeps):
+        h = hals_sweep(s, m, h)
+    return h
+
+
 class TestHals:
     def test_rank_one_closed_form(self):
         out = hals_update(inputs([[2.0]], [[4.0], [-2.0]], [[0.0], [0.0]]))
@@ -140,8 +165,19 @@ class TestHals:
 
     def test_gauss_seidel_ordering(self):
         s = np.array([[1.0, 0.5], [0.5, 1.0]])
-        out = hals_update(inputs(s, [[1.0, 1.0]], [[0.0, 0.0]]))
-        assert np.allclose(out, [[1.0, 0.5]])
+        m, h = np.array([[1.0, 1.0]]), np.zeros((1, 2))
+        # each column step reads the latest value of the other column
+        assert np.allclose(hals_sweeps(s, m, h, 1), [[1.0, 0.5]])
+        assert np.allclose(hals_sweeps(s, m, h, 2), [[0.75, 0.625]])
+        assert np.allclose(hals_update(UpdateInputs(s, m, h)), hals_sweeps(s, m, h))
+
+    def test_default_repeats_sweep_on_same_inputs(self):
+        rng = np.random.default_rng(4)
+        for r in (1, 3, 8):
+            s, m, _, _ = spd_instance(rng, r)
+            h = rng.random((3, r))
+            got = hals_update(UpdateInputs(s, m, h))
+            assert np.allclose(got, hals_sweeps(s, m, h), rtol=0, atol=1e-14)
 
     def test_fixed_point_at_optimum(self):
         # interior optimum: S x = m with positive solution stays put
@@ -154,9 +190,12 @@ class TestHals:
 
     def test_zero_diagonal_skips_with_warning(self):
         s = np.array([[1.0, 0.0], [0.0, 0.0]])
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             out = hals_update(inputs(s, [[1.0, 5.0]], [[0.0, 0.25]]))
-        assert np.allclose(out, [[1.0, 0.25]])  # column 2 untouched
+        # one warning for the one dead column, however many sweeps run
+        assert len(record) == 1
+        assert np.allclose(out, [[1.0, 0.25]])
+        assert out[0, 1] == 0.25  # column 2 untouched
 
     @pytest.mark.parametrize("dims, rank, cut", [((3, 4, 5), 10, 0.0), ((6, 6, 6), 6, 0.9)])
     def test_collapsed_columns_come_back(self, dims, rank, cut):
@@ -175,6 +214,25 @@ class TestHals:
         assert (hals.model.lam > 0).all()
         assert hals.errors[-1] <= run("bpp").errors[-1]
 
+    def test_repeated_sweeps_lower_the_driver_error(self, monkeypatch):
+        # order 5 with R above every dim, as in perfbench's order5_r48
+        x, _ = generate_synthetic(SyntheticSpec((6, 6, 6, 6, 6), 8, seed=3))
+        cfg = dict(rank=8, algorithm="hals", max_iters=3, tol=0.0, seed=3)
+        seq = nncp_sequential(x, RunConfig(**cfg))
+        par = nncp_parallel(x, RunConfig(grid=(2, 1, 1, 1, 1), **cfg))
+        again = nncp_parallel(x, RunConfig(grid=(2, 1, 1, 1, 1), **cfg))
+        assert all(b <= a for a, b in zip(seq.errors, seq.errors[1:]))
+        assert np.allclose(seq.errors, par.errors, rtol=0, atol=1e-10)
+        assert par.errors == again.errors
+        for a, b in zip(par.model.factors, again.model.factors):
+            assert np.array_equal(a, b)
+        monkeypatch.setattr(
+            driver_mod, "hals_update",
+            lambda inp: hals_sweep(inp.gram, inp.mttkrp_rows, inp.current),
+        )
+        one = nncp_sequential(x, RunConfig(**cfg))
+        assert seq.errors[-1] < one.errors[-1]
+
     @given(st.integers(0, 10**6))
     @settings(max_examples=50, deadline=None)
     def test_row_optimality_with_slack(self, seed):
@@ -185,8 +243,8 @@ class TestHals:
         s, m, _, _ = spd_instance(rng, r)
         x0 = rng.random((3, r))
         out = hals_update(UpdateInputs(s, m, x0))
-        # replay the sweep to check each column at its update moment
-        h = x0.copy()
+        # replay the last sweep to check each column at its update moment
+        h = hals_sweeps(s, m, x0, HALS_INNER_STEPS - 1)
         for c in range(r):
             h[:, c] = out[:, c]
             grad = h @ s[:, c] - m[:, c]
