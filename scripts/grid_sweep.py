@@ -2,9 +2,11 @@
 """Processor-grid sweep over the simulated worker runtime.
 
 Decomposes one synthetic tensor on several grid shapes and reports the
-per-category time breakdown, the communication volume and the number of
-collective calls (both summed over workers), plus the maximum
-deviation of each run's error curve from the sequential reference.
+per-category time breakdown (the mean over workers), the communication
+volume and the number of collective calls (both summed over workers), plus
+the maximum deviation of each run's error curve from the sequential
+reference.  The last two columns are the slowest worker's NNLS and MTTKRP
+seconds: each iteration's maximum over workers, summed over iterations.
 
 Example:
     python scripts/grid_sweep.py --dims 24,24,24 --rank 8 --grids 1,1,1 2,2,2 4,2,1 8,1,1
@@ -37,19 +39,22 @@ def main():
 
     labels = {"ReduceScatter": "RedScat", "AllGather": "AllGath", "AllReduce": "AllRed",
               "MultiTTV": "MulTTV"}
+    slowest = ("NNLS", "MTTKRP")
     header = f"{'grid':>10s} {'relerr':>10s} {'eps_dev':>9s} {'words':>10s} {'calls':>7s} " + "".join(
         f"{labels.get(c, c):>9s}" for c in CATEGORIES
-    )
+    ) + "".join(f"{'max' + c:>10s}" for c in slowest)
     print(header)
     for text in args.grids:
         grid = tuple(int(p) for p in text.split(","))
         rep = nncp_parallel(x, RunConfig(grid=grid, **base))
         dev = float(np.abs(np.array(rep.errors) - np.array(ref.errors)).max())
         totals = {c: sum(r[c] for r in rep.rows) for c in CATEGORIES}
+        peaks = {c: sum(r[c] for r in rep.rows_max) for c in slowest}
         words = sum(rep.row_words)
         calls = sum(rep.counters.calls.values())
         print(f"{text:>10s} {rep.errors[-1]:10.3e} {dev:9.1e} {words:10d} {calls:7d} "
-              + "".join(f"{totals[c]:9.4f}" for c in CATEGORIES))
+              + "".join(f"{totals[c]:9.4f}" for c in CATEGORIES)
+              + "".join(f"{peaks[c]:10.4f}" for c in slowest))
     return 0
 
 

@@ -156,6 +156,8 @@ class RunReport:
     Row 0 describes the initial model; row i the state after outer
     iteration i.  ``rows[i]`` maps each category to seconds, ``row_words``
     counts words moved by collectives, ``row_wall`` is the row's wall time.
+    ``rows_max[i]`` holds each category's maximum over workers, the slowest
+    worker beside ``rows``' mean; a sequential run's is ``rows`` itself.
     Row 0's error reuses iteration 1's mode-1 MTTKRP, and the scan of X
     for ||X||^2 runs behind that MTTKRP, so row 1 books the scan's join,
     the All-Reduce of ||X||^2, and row 0's ``_error`` call with its scalar
@@ -168,6 +170,7 @@ class RunReport:
 
     errors: list = field(default_factory=list)
     rows: list = field(default_factory=list)
+    rows_max: list = field(default_factory=list)
     row_words: list = field(default_factory=list)
     row_wall: list = field(default_factory=list)
     counters: CommCounters = field(default_factory=CommCounters)
@@ -528,6 +531,7 @@ def nncp_sequential(x: DenseTensor, cfg: RunConfig) -> RunReport:
     rt = _SequentialRuntime(x)
     shared, lam = _run_spmd(rt, cfg, x.dims)
     rt.report.model = FactorSet(shared, lam)
+    rt.report.rows_max = rt.report.rows
     rt.report.counters = rt.counters
     return rt.report
 
@@ -555,8 +559,9 @@ def _merge_reports(results, dims, rank) -> RunReport:
 
     Category seconds and wall time become per-worker averages, which keeps
     the rows internally additive (a max over workers would mix different
-    critical paths and could exceed any single worker's wall time); words
-    and counters sum across workers.
+    critical paths and could exceed any single worker's wall time), and
+    ``rows_max`` keeps each category's slowest worker; words and counters
+    sum across workers.
     """
     merged = RunReport()
     first = results[0][0]
@@ -576,6 +581,7 @@ def _merge_reports(results, dims, rank) -> RunReport:
         merged.begin_row()
         for cat in CATEGORIES:
             merged.rows[k][cat] = sum(r.rows[k][cat] for r, _, _, _ in results) / nworkers
+        merged.rows_max.append({c: max(r.rows[k][c] for r, *_ in results) for c in CATEGORIES})
         merged.row_words[k] = sum(r.row_words[k] for r, _, _, _ in results)
         merged.row_wall[k] = sum(r.row_wall[k] for r, _, _, _ in results) / nworkers
     counters = CommCounters()

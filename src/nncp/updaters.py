@@ -7,11 +7,13 @@ local factor rows.  All rules operate on the factor-row layout (I x R), so
 the textbook column problem min_{x>=0} ||A x - b|| appears here once per
 row of H, and every rule solves all rows of one update together.  BPP
 factors the live block of S (the columns with a positive diagonal) once per
-call and, when it is well conditioned, solves each pivoting round from
-S^{-1} on the rows' zero sets only; otherwise each round takes one
-stacked LU.  UCP takes one Cholesky of S and falls back to least squares
-only when S is not positive definite.  MU and HALS repeat their step on
-the same M and S, which cost far more than one step.
+call and, when it is well conditioned, pivots on the live columns and
+solves each round from S^{-1} on the rows' zero sets only; otherwise each
+round takes one stacked LU.  UCP takes one Cholesky of S and falls back to
+least squares only when S is not positive definite.  ADMM inverts S + rho I
+once per call, so each of its steps is one GEMM.  All three factor through
+one ``dpotrf`` helper.  MU and HALS repeat their step on the same M and S,
+which cost far more than one step.
 
 Every rule is row-local: MU, HALS, ADMM and Nesterov run a fixed inner
 step count, so no update communicates.
@@ -23,8 +25,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.linalg.lapack import dpocon
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
 
 
 ADMM_INNER_CAP = 5
@@ -80,6 +82,21 @@ class BppCyclingError(RuntimeError):
         self.row = row
 
 
+def _cholesky(s: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor of S, as scipy's cho_factor computes it: ValueError
+    when S is not finite, LinAlgError when it is not positive definite."""
+    c, info = dpotrf(np.asarray_chkfinite(s), clean=0)
+    if info != 0:
+        raise LinAlgError(f"{info}-th leading minor not positive definite")
+    return c
+
+
+def _cho_inverse(c: np.ndarray) -> np.ndarray:
+    """S^{-1}, symmetrized, from the upper Cholesky factor of S."""
+    z = dpotrs(c, np.eye(c.shape[0]))[0]
+    return 0.5 * (z + z.T)
+
+
 def ucp_update(inp: UpdateInputs) -> np.ndarray:
     """Unconstrained solve S H^T = M^T by one Cholesky of S; when S is not
     positive definite, a warning and least squares' minimum-norm rows.
@@ -90,7 +107,7 @@ def ucp_update(inp: UpdateInputs) -> np.ndarray:
     """
     s, m = inp.gram, inp.mttkrp_rows
     try:
-        return cho_solve(cho_factor(s), m.T).T
+        return dpotrs(_cholesky(s), m.T)[0].T
     except LinAlgError:
         warnings.warn("singular gram in unconstrained update, solving least squares")
         live = np.diag(s) > 0.0
@@ -180,14 +197,13 @@ def _live_inverse(s: np.ndarray, m: np.ndarray):
         return None
     sl = s[live][:, live]
     try:
-        factor = cho_factor(sl)
+        c = _cholesky(sl)
     except LinAlgError:
         return None
-    rcond, info = dpocon(factor[0], np.abs(sl).sum(axis=0).max())
+    rcond, info = dpocon(c, np.abs(sl).sum(axis=0).max())
     if info != 0 or not rcond >= BPP_RCOND_FLOOR:
         return None
-    z = cho_solve(factor, np.eye(sl.shape[0]))
-    return live, 0.5 * (z + z.T)
+    return live, _cho_inverse(c)
 
 
 def _solve_zero_sets(z: np.ndarray, w: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -223,57 +239,60 @@ def bpp_update(inp: UpdateInputs) -> np.ndarray:
     after that.  A row that runs out of those tries exchanges only its
     largest violating index for the rest of the call (Murty's rule, which
     terminates on a positive definite S).  The unfinished rows are then
-    re-solved together.  Once per call ``_live_inverse`` factors the live
-    block of S; when that succeeds, each round is ``_solve_zero_sets`` on
-    Z = S^{-1} and W = M Z, which needs no solve at all while every row's
-    passive set holds all live columns (as in the first round when every
-    row of M is positive), and dead columns stay exactly 0.  Otherwise each
-    round is ``_solve_passive``, one stacked LU.  A row still violating at
-    its 5R+1st check raises BppCyclingError with the lowest such row.
+    re-solved together (no row is gathered while every row is unfinished,
+    and no exchange rule is tracked when every one improved).  Once per call
+    ``_live_inverse`` factors the live block of S; when that succeeds, rows
+    pivot on the live columns alone (a dead column's y = -m >= 0 never
+    violates) and each round is ``_solve_zero_sets`` on Z = S^{-1} and
+    W = M Z, which needs no solve at all while every row's passive set
+    holds all live columns (as in the first round when every row of M is
+    positive), and dead columns stay exactly 0.  Otherwise each round is
+    ``_solve_passive``, one stacked LU.  A row still violating at its
+    5R+1st check raises BppCyclingError with the lowest such row.
     """
     s, m = inp.gram, inp.mttkrp_rows
     n, r = m.shape
     inverse = _live_inverse(s, m)
-    if inverse is not None:
-        live, z = inverse
-        w = m[:, live] @ z
-    passive = np.zeros((n, r), dtype=bool)
-    x = np.zeros((n, r))
+    live, z = inverse if inverse is not None else (slice(None), None)
+    if z is not None:
+        s, m = s[np.ix_(live, live)], m[:, live]
+        w = m @ z
+    passive = np.zeros(m.shape, dtype=bool)
+    x = np.zeros(m.shape)
     y = -m
     lowest = np.full(n, r + 1)
     backup = np.full(n, BPP_BACKUP_TRIES)
     for _ in range(5 * r + 1):
-        viol = (passive & (x < 0)) | (~passive & (y < 0))
+        viol = np.where(passive, x, y) < 0
         nviol = np.count_nonzero(viol, axis=1)
         todo = np.flatnonzero(nviol)
         if todo.size == 0:
-            return x
-        flip = viol[todo]
-        count = nviol[todo]
-        improved = count < lowest[todo]
-        retry = ~improved & (backup[todo] > 0)
-        single = np.flatnonzero(~improved & ~retry)
-        lowest[todo[improved]] = count[improved]
-        backup[todo[improved]] = BPP_BACKUP_TRIES
-        backup[todo[retry]] -= 1
-        # no count improves on 0, so these rows keep the single exchange
-        lowest[todo[single]] = 0
-        last = r - 1 - np.argmax(flip[single, ::-1], axis=1)
-        flip[single] = False
-        flip[single, last] = True
-        p = passive[todo] ^ flip
-        passive[todo] = p
-        mt = m[todo]
-        if inverse is None:
-            xt = _solve_passive(s, mt, p)
+            out = np.zeros((n, r))
+            out[:, live] = x
+            return out
+        rows = todo if todo.size < n else slice(None)
+        flip, count = viol[rows], nviol[rows]
+        improved = count < lowest[rows]
+        if improved.all():
+            lowest[rows], backup[rows] = count, BPP_BACKUP_TRIES
         else:
-            # dead columns are never passive, and stay exactly 0
-            xt = np.zeros_like(mt)
-            xt[:, live] = _solve_zero_sets(z, w[todo], p[:, live])
+            retry = ~improved & (backup[todo] > 0)
+            single = np.flatnonzero(~improved & ~retry)
+            lowest[todo[improved]] = count[improved]
+            backup[todo[improved]] = BPP_BACKUP_TRIES
+            backup[todo[retry]] -= 1
+            # no count improves on 0, so these rows keep the single exchange
+            lowest[todo[single]] = 0
+            last = flip.shape[1] - 1 - np.argmax(flip[single, ::-1], axis=1)
+            flip[single] = False
+            flip[single, last] = True
+        passive[rows] = p = passive[rows] ^ flip
+        mt = m[rows]
+        xt = _solve_passive(s, mt, p) if z is None else _solve_zero_sets(z, w[rows], p)
         yt = xt @ s - mt
         yt[p] = 0.0
-        x[todo] = xt
-        y[todo] = yt
+        x[rows] = xt
+        y[rows] = yt
     raise BppCyclingError(int(todo[0]))
 
 
@@ -286,20 +305,23 @@ def default_admm_rho(gram: np.ndarray) -> float:
 def admm_update(inp: UpdateInputs, state: UpdaterState) -> np.ndarray:
     """ADMM_INNER_CAP rounds of the three-step ADMM splitting.
 
-    Xhat solves the least squares regularized by rho = default_admm_rho(S)
-    through a Cholesky factorization cached for the whole call; X is the
-    nonnegative projection of Xhat - U; U accumulates the residual and
-    persists in ``state`` across calls.  A fixed step count needs no global
-    norm, so every step is row-local and grid runs add no collective.
+    Xhat = (M + rho (X + U)) A solves the least squares regularized by
+    rho = default_admm_rho(S), with A = (S + rho I)^{-1} formed once per
+    call from one Cholesky factor, so a step is one GEMM (X + U) @ rho A.
+    The eigenvalues of S lie in [0, trace(S)], so cond(S + rho I) <= R + 1
+    and A is as accurate as triangular solves.  X is the nonnegative
+    projection of Xhat - U; U accumulates the residual and persists in
+    ``state`` across calls.  A fixed step count needs no global norm, so
+    every step is row-local and grid runs add no collective.
     """
     s, m = inp.gram, inp.mttkrp_rows
-    r = s.shape[0]
     rho = default_admm_rho(s)
-    chol = cho_factor(s + rho * np.eye(r))
+    a = _cho_inverse(_cholesky(s + rho * np.eye(s.shape[0])))
+    ma, rho_a = m @ a, rho * a
     x = inp.current
     u = state.admm_dual if state.admm_dual is not None else np.zeros_like(x)
     for _ in range(ADMM_INNER_CAP):
-        xhat = cho_solve(chol, (m + rho * (x + u)).T).T
+        xhat = ma + (x + u) @ rho_a
         x = np.maximum(xhat - u, 0.0)
         u = u + x - xhat
     state.admm_dual = u

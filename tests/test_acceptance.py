@@ -38,6 +38,7 @@ from nncp import (
 )
 from nncp.cli import run_cli
 from nncp.tensor_io import BadMagicError, PayloadMismatchError, TruncatedFileError
+from test_updaters import admm_steps, nesterov_steps, relative_gap
 
 
 def report(line):
@@ -318,26 +319,37 @@ def test_c10_tensor_file_round_trip(tmp_path):
 
 
 def test_c11_inner_iteration_caps():
+    # a call runs exactly its cap of steps: 5 reference ADMM steps and 20
+    # plain Nesterov steps reproduce it, 4 and 19 do not
     rng = np.random.default_rng(111)
     q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
     s = q @ np.diag(np.logspace(0, 10, 8)) @ q.T
     s = 0.5 * (s + s.T)
     m = rng.standard_normal((6, 8)) * 1e3
     x0 = np.abs(m)
+    zero = np.zeros_like(x0)
     admm_state = UpdaterState()
-    admm_update(UpdateInputs(s, m, x0), admm_state)
+    got = admm_update(UpdateInputs(s, m, x0), admm_state)
     assert admm_state.last_inner_iters == 5
+    assert relative_gap(got, admm_steps(s, m, x0, zero, 5)[0]) <= 1e-12
+    assert relative_gap(got, admm_steps(s, m, x0, zero, 4)[0]) > 1e-12
     nes_state = UpdaterState()
-    nesterov_update(UpdateInputs(s, m, x0), nes_state)
+    got = nesterov_update(UpdateInputs(s, m, x0), nes_state)
     assert nes_state.last_inner_iters == 20
-    # caps are never exceeded on a spread of random instances
+    assert np.array_equal(got, nesterov_steps(s, m, x0, x0, 20))
+    assert not np.array_equal(got, nesterov_steps(s, m, x0, x0, 19))
+    # and so on a spread of random instances, the dual included
     for _ in range(25):
         r = int(rng.integers(1, 7))
         a = rng.standard_normal((r + 2, r))
         s2, m2 = a.T @ a, rng.standard_normal((3, r))
+        x2 = np.abs(m2)
         st1, st2 = UpdaterState(), UpdaterState()
-        admm_update(UpdateInputs(s2, m2, np.abs(m2)), st1)
-        nesterov_update(UpdateInputs(s2, m2, np.abs(m2)), st2)
-        assert st1.last_inner_iters <= 5
-        assert st2.last_inner_iters <= 20
+        got = admm_update(UpdateInputs(s2, m2, x2), st1)
+        want, dual = admm_steps(s2, m2, x2, np.zeros_like(x2), 5)
+        assert relative_gap(got, want) <= 1e-12 and relative_gap(st1.admm_dual, dual) <= 1e-12
+        got = nesterov_update(UpdateInputs(s2, m2, x2), st2)
+        assert np.array_equal(got, nesterov_steps(s2, m2, x2, x2, 20))
+        assert st1.last_inner_iters == 5
+        assert st2.last_inner_iters == 20
     report("11 PASS: ADMM stops within 5 inner steps, Nesterov within 20")

@@ -177,6 +177,19 @@ class TestRecordCategory:
             assert row["ReduceScatter"] > 0 and row["AllGather"] > 0
             assert row["AllReduce"] > 0
 
+    def test_slowest_worker_bounds_the_mean(self):
+        x, _ = generate_synthetic(SyntheticSpec((6, 5, 4), 2, seed=15))
+        seq = solve(x, rank=2, algorithm="bpp", max_iters=3)
+        assert seq.rows_max == seq.rows
+        rep = solve(x, (2, 1, 1), rank=2, algorithm="bpp", max_iters=3)
+        assert len(rep.rows_max) == len(rep.rows) == 4
+        for mean, slowest in zip(rep.rows, rep.rows_max):
+            assert list(slowest) == list(CATEGORIES)
+            for cat in CATEGORIES:
+                assert mean[cat] <= slowest[cat] <= 2 * mean[cat]
+        # two workers' clocks never agree in every cell
+        assert any(s[c] > m[c] for m, s in zip(rep.rows, rep.rows_max) for c in CATEGORIES)
+
 
 class TestInitFactor:
     def test_deterministic(self):
@@ -822,13 +835,14 @@ class TestOverlappedScan:
     # final errors at K=4 on (12,10,8) R3 plus noise, as computed with the
     # scan of X run on the main thread ahead of the first MTTKRP (OpenBLAS,
     # x86-64, 1 or 2 BLAS threads); where the scan runs must not change any
-    # error
+    # error.  admm's pins are those of its step as one GEMM by
+    # (S + rho I)^{-1}
     PINNED = {
         "ucp": ("0x1.77ff82e2d068fp-4", "0x1.77ff82e2d0609p-4"),
         "mu": ("0x1.a8232ef2bb3fbp-4", "0x1.a8232ef2bb44bp-4"),
         "hals": ("0x1.d848600c14b7cp-4", "0x1.d848600c14b59p-4"),
         "bpp": ("0x1.593309eeb141ap-4", "0x1.593309eeb13b9p-4"),
-        "admm": ("0x1.1a659e3ba7725p-4", "0x1.1a659e3ba75fap-4"),
+        "admm": ("0x1.1a659e3ba7636p-4", "0x1.1a659e3ba7672p-4"),
         "nes": ("0x1.23cbe305b1fffp-4", "0x1.23cbe305b1fc5p-4"),
     }
 

@@ -42,12 +42,18 @@ def test_grid_sweep():
         "grid_sweep.py", "--dims", "8,8,8", "--rank", "2", "--iters", "2",
         "--grids", "1,1,1", "2,1,1",
     )
-    assert lines[0].split()[:5] == ["grid", "relerr", "eps_dev", "words", "calls"]
+    header = lines[0].split()
+    assert header[:5] == ["grid", "relerr", "eps_dev", "words", "calls"]
+    assert header[-2:] == ["maxNNLS", "maxMTTKRP"]
     assert [row.split()[0] for row in lines[1:]] == ["1,1,1", "2,1,1"]
     for row in lines[1:]:
-        dev = float(row.split()[2])
-        assert dev <= 1e-10
-        assert int(row.split()[4]) > 0
+        cells = dict(zip(header, row.split()))
+        assert len(cells) == len(header)
+        assert float(cells["eps_dev"]) <= 1e-10
+        assert int(cells["calls"]) > 0
+        # the slowest worker's seconds are at least the mean's
+        assert float(cells["maxNNLS"]) >= float(cells["NNLS"])
+        assert float(cells["maxMTTKRP"]) >= float(cells["MTTKRP"])
 
 
 def test_perfbench_self_test():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 import nncp.driver as driver_mod
 import nncp.updaters as updaters_mod
@@ -26,6 +27,7 @@ from nncp import (
     ucp_update,
 )
 from nncp.updaters import (
+    ADMM_INNER_CAP,
     BPP_BACKUP_TRIES,
     HALS_FLOOR,
     HALS_INNER_STEPS,
@@ -92,6 +94,13 @@ class TestUcp:
         live = [0, 1, 3, 4]
         want = np.linalg.solve(s[np.ix_(live, live)], m[:, live].T).T
         assert np.allclose(out[:, live], want, rtol=0, atol=1e-12)
+
+    def test_matches_scipy_cholesky_solve_bitwise(self):
+        rng = np.random.default_rng(10)
+        for r in (1, 5, 16, 48):
+            s = spd_spectrum(rng, r, 1e-6)
+            m = rng.standard_normal((20, r))
+            assert np.array_equal(ucp_update(inputs(s, m)), cho_solve(cho_factor(s), m.T).T)
 
 
 class TestMu:
@@ -635,6 +644,38 @@ class TestBpp:
             assert np.abs(alone - out[i]).max() <= 1e-12 * max(1.0, np.abs(out[i]).max())
 
 
+def admm_steps(s, m, x, u, steps=ADMM_INNER_CAP):
+    """``steps`` ADMM steps, each a pair of triangular solves with the
+    Cholesky factor of S + rho I: the reference for admm_update.
+
+    Returns the factor and the dual after the last step.
+    """
+    rho = default_admm_rho(s)
+    chol = cho_factor(s + rho * np.eye(s.shape[0]))
+    for _ in range(steps):
+        xhat = cho_solve(chol, (m + rho * (x + u)).T).T
+        x = np.maximum(xhat - u, 0.0)
+        u = u + x - xhat
+    return x, u
+
+
+def nesterov_steps(s, m, x, xstar, steps=NESTEROV_INNER_CAP):
+    """``steps`` steps of the plain accelerated projected gradient loop."""
+    lam, alpha, beta = nesterov_hyperparams(s)
+    y = x
+    for _ in range(steps):
+        grad = y @ s - m + lam * (y - xstar)
+        xn = np.maximum(y - alpha * grad, 0.0)
+        y = xn + beta * (xn - x)
+        x = xn
+    return x
+
+
+def relative_gap(got, want):
+    """Largest entry of |got - want| over the largest of |want| (0 when both are 0)."""
+    return np.abs(got - want).max() / max(np.abs(want).max(), np.finfo(float).tiny)
+
+
 class TestAdmm:
     def test_scalar_one_step(self, monkeypatch):
         # S = [[1]] gives rho = 1
@@ -677,11 +718,43 @@ class TestAdmm:
         assert state.admm_dual.shape == u1.shape
         assert not np.array_equal(state.admm_dual, np.zeros_like(u1))
 
+    @pytest.mark.parametrize("case", ["zero_gram", "zero_column", "cond_1e10"])
+    def test_two_calls_match_reference_steps(self, case):
+        rng = np.random.default_rng(16)
+        m = rng.standard_normal((6, 8))
+        x0 = rng.random((6, 8))
+        if case == "zero_gram":
+            s = np.zeros((8, 8))
+        elif case == "zero_column":
+            s = spd_spectrum(rng, 8, 1e-2)
+            s[3, :] = s[:, 3] = m[:, 3] = x0[:, 3] = 0.0
+        else:
+            s = spd_spectrum(rng, 8, 1e-10)
+        state = UpdaterState()
+        x, u = x0, np.zeros_like(x0)
+        for _call in range(2):
+            got = admm_update(UpdateInputs(s, m, x), state)
+            x, u = admm_steps(s, m, x, u)
+            assert relative_gap(got, x) <= 1e-12
+            assert relative_gap(state.admm_dual, u) <= 1e-12
+            if case == "zero_column":
+                assert (got[:, 3] == 0.0).all() and (state.admm_dual[:, 3] == 0.0).all()
+            x = got
+
+    @given(st.integers(1, 48), st.integers(1, 60), st.floats(0.0, 12.0), st.integers(0, 10**6))
+    @settings(max_examples=50, deadline=None)
+    def test_regularized_gram_is_well_conditioned(self, r, rows, decay, seed):
+        # S's eigenvalues lie in [0, trace(S)], so rho = trace(S)/R puts
+        # those of S + rho I in [rho, (R + 1) rho]; rank one reaches the bound
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((rows, r)) * np.logspace(0, -decay, r)
+        s = a.T @ a
+        rho = default_admm_rho(s)
+        assert np.linalg.cond(s + rho * np.eye(r)) <= (r + 1) * (1.0 + 1e-12)
+
     def test_gap_trend_statistical(self):
         # per-step monotonicity of ||X - Xhat|| does not hold on every seed;
         # it is logged, and only the aggregate downward trend is asserted
-        from scipy.linalg import cho_factor, cho_solve
-
         rng = np.random.default_rng(7)
         nonmono = 0
         ratios = []
@@ -890,6 +963,16 @@ class TestDeterminism:
         a = fn(UpdateInputs(s.copy(), m.copy(), x0.copy()))
         b = fn(UpdateInputs(s.copy(), m.copy(), x0.copy()))
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", ["ucp", "admm"])
+@pytest.mark.parametrize("entry", [(1, 1), (1, 2)])
+def test_non_finite_gram_raises(name, entry):
+    s = np.eye(3)
+    s[entry] = s[entry[::-1]] = np.nan
+    inp = inputs(s, np.ones((2, 3)))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        ucp_update(inp) if name == "ucp" else admm_update(inp, UpdaterState())
 
 
 @pytest.mark.parametrize("name", ["mu", "hals", "bpp", "admm", "nes"])
