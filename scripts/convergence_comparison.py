@@ -5,10 +5,13 @@ Runs every algorithm from the same random initialization on the same
 synthetic tensor and prints the relative-error trajectory, mirroring the
 algorithm-comparison experiments at desk scale.  Each algorithm's final
 error is printed next to its wall seconds (set-up and every iteration), so
-error per second reads off one run.
+error per second reads off one run.  The line ends with the rule's inner
+step count per mode ("-" for ucp and bpp, which run none), so a run on a
+large tensor shows the MU steps and HALS sweeps it was given.
 
-Example:
+Examples:
     python scripts/convergence_comparison.py --dims 30,30,30 --rank 5 --iters 100
+    python scripts/convergence_comparison.py --dims 384,384,384 --rank 16 --iters 20 --algos mu,hals
 """
 
 import argparse
@@ -41,8 +44,9 @@ def main():
         nnls = sum(r["NNLS"] for r in rep.rows)
         mttkrp = sum(r["MTTKRP"] for r in rep.rows)
         wall = sum(rep.row_wall)
+        inner = ",".join(map(str, rep.inner_steps)) or "-"
         print(f"{algo:5s} final relerr {rep.errors[-1]:.3e}   wall {wall:.4f}s   "
-              f"nnls {nnls:.2f}s   mttkrp {mttkrp:.2f}s")
+              f"nnls {nnls:.2f}s   mttkrp {mttkrp:.2f}s   inner {inner}")
 
     marks = [0, 1, 5, 10, 25, 50, args.iters]
     marks = sorted({m for m in marks if m < len(next(iter(curves.values())))})

@@ -51,6 +51,7 @@ from .updaters import (
     admm_update,
     bpp_update,
     hals_update,
+    inner_steps,
     mu_update,
     nesterov_update,
     ucp_update,
@@ -165,7 +166,9 @@ class RunReport:
     MTTKRP from ``naive_mttkrp``.
     With ``nes``, row i's error is that of the model iteration i returns,
     and ``nes_accepted[i-1]`` tells whether its extrapolation was accepted;
-    the list is empty for the other rules.
+    the list is empty for the other rules.  ``inner_steps[n]`` is the
+    inner step count of every mode-n update of mu, hals, admm and nes
+    (``updaters.inner_steps`` of the global dims); empty for ucp and bpp.
     """
 
     errors: list = field(default_factory=list)
@@ -179,6 +182,7 @@ class RunReport:
     split_mode: int = None
     tree_partial_calls: int = 0
     nes_accepted: list = field(default_factory=list)
+    inner_steps: list = field(default_factory=list)
 
     def begin_row(self):
         self.rows.append({c: 0.0 for c in CATEGORIES})
@@ -201,25 +205,28 @@ def init_factor(seed: int, mode: int, rows: int, rank: int) -> np.ndarray:
     return gen.random((rows, rank))
 
 
-def _make_updater(cfg: RunConfig, order: int):
-    """Per-run update dispatcher holding one UpdaterState per mode."""
-    states = [UpdaterState() for _ in range(order)]
+def _make_updater(cfg: RunConfig, global_dims):
+    """Per-run update dispatcher holding one UpdaterState per mode, and the
+    per-mode inner step counts it runs, computed from the global dims so
+    every worker runs the same steps."""
+    states = [UpdaterState() for _ in global_dims]
     algo = cfg.algorithm
+    steps = inner_steps(algo, global_dims, cfg.rank)
 
     def update(mode: int, inputs: UpdateInputs):
         if algo == "ucp":
             return ucp_update(inputs)
         if algo == "mu":
-            return mu_update(inputs)
+            return mu_update(inputs, steps[mode])
         if algo == "hals":
-            return hals_update(inputs)
+            return hals_update(inputs, steps[mode])
         if algo == "bpp":
             return bpp_update(inputs)
         if algo == "admm":
             return admm_update(inputs, states[mode])
         return nesterov_update(inputs, states[mode])
 
-    return update
+    return update, steps
 
 
 class _SequentialRuntime:
@@ -412,7 +419,7 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
     (``_scan_behind``), so X is checked before any update rule runs."""
     order = len(global_dims)
     report = rt.report
-    update = _make_updater(cfg, order)
+    update, report.inner_steps = _make_updater(cfg, global_dims)
 
     # -- initialization ----------------------------------------------------
     report.begin_row()
@@ -571,12 +578,15 @@ def _merge_reports(results, dims, rank) -> RunReport:
     merged.converged = first.converged
     merged.tree_partial_calls = first.tree_partial_calls
     merged.nes_accepted = list(first.nes_accepted)
+    merged.inner_steps = list(first.inner_steps)
     for report, _, _, _ in results:
         # every worker holds the same All-Reduced terms, so the errors agree bitwise
         if report.errors != first.errors:
             raise AssertionError("workers disagree on the error sequence")
         if report.nes_accepted != first.nes_accepted:
             raise AssertionError("workers disagree on the NES acceptances")
+        if report.inner_steps != first.inner_steps:
+            raise AssertionError("workers disagree on the inner step counts")
     for k in range(len(first.rows)):
         merged.begin_row()
         for cat in CATEGORIES:

@@ -13,14 +13,16 @@ round takes one stacked LU.  UCP takes one Cholesky of S and falls back to
 least squares only when S is not positive definite.  ADMM inverts S + rho I
 once per call, so each of its steps is one GEMM.  All three factor through
 one ``dpotrf`` helper.  MU and HALS repeat their step on the same M and S,
-which cost far more than one step.
+which cost far more than one step, and ``inner_steps`` sizes their counts
+to that cost: more steps where the MTTKRP dwarfs one step.
 
-Every rule is row-local: MU, HALS, ADMM and Nesterov run a fixed inner
-step count, so no update communicates.
+Every rule is row-local: MU, HALS, ADMM and Nesterov run a step count fixed
+before the run starts, so no update communicates.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -31,8 +33,16 @@ from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
 
 ADMM_INNER_CAP = 5
 NESTEROV_INNER_CAP = 20
+# fewest MU steps and HALS sweeps per update; ``inner_steps`` adds more
 MU_INNER_STEPS = 10
 HALS_INNER_STEPS = 2
+# flops of MU or HALS steps an update may spend per flop of its mode's
+# share of the MTTKRP GEMMs; it gives 384^3 R16 ten HALS sweeps, under 1 %
+# of its solve time, and every smaller test shape the floors
+INNER_STEP_BUDGET = 1 / 180
+# fixed cost of one numpy call, in flops: steps on a few hundred rows run at
+# about 13 GFLOP/s on one core, and each call adds about 0.6 us
+CALL_FLOPS = 8000
 MU_EPSILON = 1e-16
 HALS_FLOOR = 1e-16
 NESTEROV_PROX_FLOOR = 1e-6
@@ -76,6 +86,37 @@ class UpdaterState:
     last_inner_iters: int = 0
 
 
+def inner_steps(rule: str, dims, rank: int) -> list:
+    """Per-mode inner step counts of ``rule`` on a tensor of global ``dims``.
+
+    MU steps and HALS sweeps are sized to the MTTKRP they reuse.  Mode n's
+    share of a sweep's two partial-MTTKRP GEMMs is 4 |X| R / N flops.  One
+    MU step on I_n x R rows costs 2 I_n R^2 + 3 I_n R flops in 4 numpy
+    calls; one HALS sweep costs R column steps of 4 I_n R + I_n flops in 2
+    calls each; every call adds CALL_FLOPS.  The count is INNER_STEP_BUDGET
+    times the MTTKRP share over one step's cost, and never below the floor,
+    MU_INNER_STEPS or HALS_INNER_STEPS.  ADMM and Nesterov run their caps;
+    UCP and BPP run no inner steps, so their list is empty.  Only global
+    dims enter, so every worker of every grid runs the same steps.
+    """
+    order, r = len(dims), rank
+    if rule == "admm":
+        return [ADMM_INNER_CAP] * order
+    if rule == "nes":
+        return [NESTEROV_INNER_CAP] * order
+    if rule not in ("mu", "hals"):
+        return []
+    share = 4.0 * math.prod(dims) * r / order
+
+    def step(i):
+        if rule == "mu":
+            return 2 * i * r * r + 3 * i * r + 4 * CALL_FLOPS
+        return r * (4 * i * r + i + 2 * CALL_FLOPS)
+
+    floor = MU_INNER_STEPS if rule == "mu" else HALS_INNER_STEPS
+    return [max(floor, int(INNER_STEP_BUDGET * share / step(i))) for i in dims]
+
+
 class BppCyclingError(RuntimeError):
     def __init__(self, row: int):
         super().__init__(f"block principal pivoting cycled on row {row}")
@@ -116,38 +157,46 @@ def ucp_update(inp: UpdateInputs) -> np.ndarray:
         return h
 
 
-def mu_update(inp: UpdateInputs) -> np.ndarray:
-    """MU_INNER_STEPS multiplicative updates H <- H * M / (H S + MU_EPSILON),
+def mu_update(inp: UpdateInputs, steps: int = MU_INNER_STEPS) -> np.ndarray:
+    """``steps`` multiplicative updates H <- H * M / (H S + MU_EPSILON),
     elementwise.
 
     M and S cost far more than one step, so every step reuses them (the
-    accelerated MU of Gillis & Glineur 2012).  Each step is row-local and
-    never increases the objective; a fixed count needs no global
-    reduction, so grid runs add no collective.
+    accelerated MU of Gillis & Glineur 2012), and the driver takes
+    ``steps`` from ``inner_steps``.  Each step writes into two buffers
+    allocated once per call, rounding as the expression above does.  Each
+    step is row-local and never increases the objective; a fixed count
+    needs no global reduction, so grid runs add no collective.
     """
     s, m = inp.gram, inp.mttkrp_rows
     h = inp.current
-    for _ in range(MU_INNER_STEPS):
-        h = h * m / (h @ s + MU_EPSILON)
+    hs, out = np.empty(m.shape), np.empty(m.shape)
+    for _ in range(steps):
+        np.matmul(h, s, out=hs)
+        hs += MU_EPSILON
+        np.multiply(h, m, out=out)
+        out /= hs
+        h = out
     return h
 
 
-def hals_update(inp: UpdateInputs) -> np.ndarray:
-    """HALS_INNER_STEPS Gauss-Seidel sweeps over columns, latest values in
-    every step.
+def hals_update(inp: UpdateInputs, steps: int = HALS_INNER_STEPS) -> np.ndarray:
+    """``steps`` Gauss-Seidel sweeps over columns, latest values in every
+    step.
 
     Column r gets the closed-form update max(m_r/S_rr - sum_{j!=r}
     (S_rj/S_rr) h_j, HALS_FLOOR); the positive floor keeps each Gram
     diagonal nonzero, so a collapsed column can come back (Gillis & Glineur
     2012).  M and S cost far more than a sweep, so every sweep reuses them,
-    as MU's steps do.  Once per call, the factor is stacked transposed on
-    top of (M/diag(S))^T, and each column gets one weight row (-S_rj/S_rr
-    on the factor, 1 on its own M row), so a column step is one dot
-    product and one floor written straight into the factor's contiguous
-    row.  A column with S_rr = 0 warns once and comes back exactly as
-    passed in.  Every step is row-local, so grid runs add no collective.
-    The returned matrix is the raw sweep result; rescaling into unit
-    columns happens in the driver's normalization step.
+    as MU's steps do, and the driver takes ``steps`` from ``inner_steps``.
+    Once per call, the factor is stacked transposed on top of
+    (M/diag(S))^T, and each column gets one weight row (-S_rj/S_rr on the
+    factor, 1 on its own M row), so a column step is one dot product and
+    one floor written straight into the factor's contiguous row.  A column
+    with S_rr = 0 warns once and comes back exactly as passed in.  Every
+    step is row-local, so grid runs add no collective.  The returned matrix
+    is the raw sweep result; rescaling into unit columns happens in the
+    driver's normalization step.
     """
     s, m = inp.gram, inp.mttkrp_rows
     r = s.shape[0]
@@ -164,7 +213,7 @@ def hals_update(inp: UpdateInputs) -> np.ndarray:
     w[k, r + k] = 1.0
     cols = list(zip(w, [z[c] for c in live]))
     buf = np.empty(z.shape[1])
-    for _ in range(HALS_INNER_STEPS):
+    for _ in range(steps):
         for w_c, h_c in cols:
             np.dot(w_c, z, out=buf)
             np.maximum(buf, HALS_FLOOR, out=h_c)

@@ -136,8 +136,9 @@ def test_c04b_admm_converges_on_exact_data():
 
 
 def test_c04c_mu_converges_on_exact_data():
-    # MU repeats its multiplicative step MU_INNER_STEPS times on each MTTKRP
-    # and Gram; this instance reaches 1.3e-3.  Over data seeds 10-19 x init
+    # MU repeats its multiplicative step on each MTTKRP and Gram; a 30^3
+    # rank-5 tensor gets the floor, MU_INNER_STEPS steps, from
+    # updaters.inner_steps.  This instance reaches 1.3e-3.  Over data seeds 10-19 x init
     # seeds 0-2 the worst of the 30 runs reaches 6.6e-3, while a single step
     # per update reaches 1e-2 on none of them (5.5e-2 median, 9.4e-2 worst).
     err, elapsed = _c4_run("mu")

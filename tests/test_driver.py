@@ -11,6 +11,7 @@ import pytest
 import nncp.dimtree as dimtree_mod
 import nncp.driver as driver_mod
 import nncp.grid as grid_mod
+import nncp.updaters as updaters_mod
 from nncp import (
     ALGORITHMS,
     DenseTensor,
@@ -879,6 +880,71 @@ class TestExtremeScales:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="overflows float64"):
                 solve(huge, grid, rank=2, algorithm="ucp", max_iters=2)
+
+
+class TestInnerSteps:
+    """MU and HALS run per-mode counts computed once from the global dims;
+    every run reports the counts of its fixed-count rule."""
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    @pytest.mark.parametrize("grid", [None, (2, 1, 1)])
+    def test_report_holds_the_counts(self, algo, grid):
+        x, _ = generate_synthetic(SyntheticSpec((6, 5, 4), 2, seed=8))
+        want = {
+            "mu": updaters_mod.MU_INNER_STEPS,
+            "hals": updaters_mod.HALS_INNER_STEPS,
+            "admm": updaters_mod.ADMM_INNER_CAP,
+            "nes": updaters_mod.NESTEROV_INNER_CAP,
+        }
+        rep = solve(x, grid, rank=2, algorithm=algo, max_iters=2)
+        assert rep.inner_steps == ([want[algo]] * 3 if algo in want else [])
+
+    def test_merge_rejects_workers_that_disagree(self):
+        results = []
+        for steps in ([10, 10, 10], [10, 11, 10]):
+            rep = RunReport(errors=[0.5], inner_steps=steps)
+            rep.begin_row()
+            results.append((rep, [np.ones((1, 1))] * 3, np.ones(1), [slice(0, 1)] * 3))
+        with pytest.raises(AssertionError, match="inner step counts"):
+            driver_mod._merge_reports(results, (1, 1, 1), 1)
+
+    @pytest.mark.parametrize("algo", ["mu", "hals"])
+    def test_counts_above_the_floors(self, algo, monkeypatch):
+        # a budget that lifts this small tensor above the floors, as the
+        # default one lifts 384^3 R16
+        dims, rank = (24, 16, 12), 3
+        x, _ = generate_synthetic(SyntheticSpec(dims, rank, seed=5))
+        floor = {"mu": updaters_mod.MU_INNER_STEPS, "hals": updaters_mod.HALS_INNER_STEPS}
+        monkeypatch.setattr(updaters_mod, "INNER_STEP_BUDGET", 50.0)
+        steps = updaters_mod.inner_steps(algo, dims, rank)
+        assert min(steps) > 2 * floor[algo]
+        # a worker of the (2,1,1) grid holds 12 x 16 x 12, which would give
+        # mode 1 another count
+        assert updaters_mod.inner_steps(algo, (12, 16, 12), rank)[0] != steps[0]
+        seen = []
+
+        def spied(rule, global_dims, r):
+            seen.append(tuple(global_dims))
+            return updaters_mod.inner_steps(rule, global_dims, r)
+
+        monkeypatch.setattr(driver_mod, "inner_steps", spied)
+        seq = solve(x, rank=rank, algorithm=algo, max_iters=8)
+        par = solve(x, (2, 1, 1), rank=rank, algorithm=algo, max_iters=8)
+        again = solve(x, (2, 1, 1), rank=rank, algorithm=algo, max_iters=8)
+        assert set(seen) == {dims}
+        assert seq.inner_steps == par.inner_steps == steps
+        assert all(b <= a for a, b in zip(seq.errors, seq.errors[1:]))
+        assert np.allclose(seq.errors, par.errors, rtol=0, atol=1e-10)
+        assert par.errors == again.errors
+        for a, b in zip(par.model.factors, again.model.factors):
+            assert np.array_equal(a, b)
+        # the benchmark reads the error after K=2 sweeps; the extra steps
+        # lower it on every one of data seeds 1-30 here, while after 5 or
+        # more sweeps of this tiny tensor the gap changes sign on some seeds
+        monkeypatch.setattr(updaters_mod, "INNER_STEP_BUDGET", 0.0)
+        floors = solve(x, rank=rank, algorithm=algo, max_iters=2)
+        assert floors.inner_steps == [floor[algo]] * 3
+        assert seq.errors[2] < floors.errors[-1]
 
 
 def noisy_nes_instance():

@@ -24,12 +24,19 @@ def run_script(name, *args):
 def test_convergence_comparison():
     lines = run_script("convergence_comparison.py", "--dims", "8,8,8", "--rank", "2", "--iters", "3")
     header = next(i for i, line in enumerate(lines) if line.startswith("iteration"))
-    # one summary line per rule: final relerr next to wall seconds
+    # one summary line per rule: final relerr next to wall seconds, then
+    # the inner step count of each of the three modes
     summary = [line.split() for line in lines[:header] if line.strip()]
     assert [row[0] for row in summary] == ["ucp", "mu", "hals", "bpp", "admm", "nes"]
+    inner = {}
     for row in summary:
         assert row[1:3] == ["final", "relerr"] and float(row[3]) >= 0.0
         assert row[4] == "wall" and row[5].endswith("s") and float(row[5][:-1]) >= 0.0
+        assert row[-2] == "inner"
+        inner[row[0]] = [] if row[-1] == "-" else [int(n) for n in row[-1].split(",")]
+    assert inner == {
+        "ucp": [], "mu": [10] * 3, "hals": [2] * 3, "bpp": [], "admm": [5] * 3, "nes": [20] * 3,
+    }
     assert lines[header].split()[1:] == ["ucp", "mu", "hals", "bpp", "admm", "nes"]
     table = lines[header + 1:]
     # marks 0, 1 and 3 of the six error curves

@@ -35,6 +35,7 @@ from nncp.updaters import (
     MU_INNER_STEPS,
     NESTEROV_INNER_CAP,
     default_admm_rho,
+    inner_steps,
     nesterov_hyperparams,
 )
 
@@ -145,6 +146,19 @@ class TestMu:
         h1 = mu_update(UpdateInputs(s, m, h0))
         assert nnls_objective(a, b, h1) <= nnls_objective(a, b, h0) * (1 + 1e-12) + 1e-12
 
+    def test_steps_argument_sets_the_count(self):
+        rng = np.random.default_rng(5)
+        s, m, _, _ = spd_instance(rng, 5, nonneg=True)
+        h = rng.random((3, 5))
+        kept = h.copy()
+        for steps in (1, 3, 27):
+            want = h
+            for _ in range(steps):
+                want = want * m / (want @ s + MU_EPSILON)
+            assert np.array_equal(mu_update(UpdateInputs(s, m, h), steps), want)
+        # the step buffers never alias the caller's factor
+        assert np.array_equal(h, kept)
+
 
 def hals_sweep(s, m, h):
     """One Gauss-Seidel sweep of HALS: the reference for hals_update.
@@ -197,6 +211,14 @@ class TestHals:
         out = hals_update(UpdateInputs(s, m, h))
         assert np.allclose(out, h, rtol=1e-10)
 
+    def test_steps_argument_sets_the_count(self):
+        rng = np.random.default_rng(6)
+        s, m, _, _ = spd_instance(rng, 4)
+        h = rng.random((3, 4))
+        for steps in (1, 5, 10):
+            got = hals_update(UpdateInputs(s, m, h), steps)
+            assert np.allclose(got, hals_sweeps(s, m, h, steps), rtol=0, atol=1e-14)
+
     def test_zero_diagonal_skips_with_warning(self):
         s = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.warns(UserWarning) as record:
@@ -237,7 +259,7 @@ class TestHals:
             assert np.array_equal(a, b)
         monkeypatch.setattr(
             driver_mod, "hals_update",
-            lambda inp: hals_sweep(inp.gram, inp.mttkrp_rows, inp.current),
+            lambda inp, steps: hals_sweep(inp.gram, inp.mttkrp_rows, inp.current),
         )
         one = nncp_sequential(x, RunConfig(**cfg))
         assert seq.errors[-1] < one.errors[-1]
@@ -260,6 +282,66 @@ class TestHals:
             assert (out[:, c] >= 0).all()
             assert (grad >= -1e-10 * max(1.0, np.abs(m).max())).all()
             assert (np.abs(grad * out[:, c]) <= 1e-10 * max(1.0, np.abs(m).max() ** 2)).all()
+
+
+# (dims, rank) of the decompositions the driver and acceptance tests run,
+# the largest first, and of perfbench's order5_r48 and toy workloads
+FLOOR_SHAPES = [
+    ((96, 96, 96), 16),
+    ((64, 64, 64), 16),
+    ((48, 48, 48), 8),
+    ((48, 48, 48), 4),
+    ((30, 30, 30), 5),
+    ((20, 20, 20), 4),
+    ((12, 10, 8), 3),
+    ((16,) * 5, 48),
+    ((6,) * 5, 8),
+    ((4,) * 5, 6),
+    ((2,) * 14, 2),
+    ((6, 5, 4, 3), 2),
+    ((8, 8, 8), 2),
+    ((6, 6, 6), 6),
+    ((3, 4, 5), 10),
+    ((6, 5, 4), 2),
+    ((5, 40), 4),
+    ((4, 4, 4), 2),
+]
+
+
+class TestInnerSteps:
+    """MU steps and HALS sweeps per update, sized to the MTTKRP they reuse."""
+
+    @pytest.mark.parametrize("dims, rank", FLOOR_SHAPES)
+    def test_floors_on_test_shapes(self, dims, rank):
+        assert inner_steps("mu", dims, rank) == [MU_INNER_STEPS] * len(dims)
+        assert inner_steps("hals", dims, rank) == [HALS_INNER_STEPS] * len(dims)
+
+    def test_cube384_r16(self):
+        # the MTTKRP streams 453 MB per mode; one step reads a few dozen KB
+        assert inner_steps("mu", (384,) * 3, 16) == [27] * 3
+        assert inner_steps("hals", (384,) * 3, 16) == [10] * 3
+
+    def test_call_cost_keeps_short_rows_below_the_cube(self, monkeypatch):
+        # 64^4 R8 has fewer flops per HALS sweep than the cube, but a sweep
+        # of 64 x 8 rows costs mostly its 16 numpy calls
+        cube, short = ((384,) * 3, 16), ((64,) * 4, 8)
+        assert inner_steps("hals", *short)[0] < inner_steps("hals", *cube)[0]
+        assert inner_steps("mu", *short)[0] < inner_steps("mu", *cube)[0]
+        monkeypatch.setattr(updaters_mod, "CALL_FLOPS", 0)
+        assert inner_steps("hals", *short)[0] > inner_steps("hals", *cube)[0]
+
+    def test_each_mode_sized_by_its_own_rows(self):
+        # equal MTTKRP shares, so the mode with the fewest rows steps most
+        for rule in ("mu", "hals"):
+            steps = inner_steps(rule, (1536, 384, 96), 16)
+            assert steps[0] < steps[1] < steps[2]
+
+    def test_other_rules(self):
+        for dims in ((384,) * 3, (6, 5, 4, 3)):
+            n = len(dims)
+            assert inner_steps("admm", dims, 16) == [ADMM_INNER_CAP] * n
+            assert inner_steps("nes", dims, 16) == [NESTEROV_INNER_CAP] * n
+            assert inner_steps("ucp", dims, 16) == [] == inner_steps("bpp", dims, 16)
 
 
 def enumerate_nnls(s, m):
