@@ -18,10 +18,14 @@ modes c+1..S with the factors already updated this sweep.
 
 ``DimTree.sweep`` is a generator that yields the mode-1..N MTTKRPs in
 order; the live temporary is one of its local variables, and each
-Khatri-Rao product is released once its GEMM or multi-TTV is done.  The
-NES acceptance test runs a sweep cut short after mode 1: one more left
-partial MTTKRP.  Each step is timed through the ``clock`` the tree is
-given, the driver's self-time clock in a run.
+Khatri-Rao product is released once its GEMM or multi-TTV is done.  Both
+partial MTTKRPs of every sweep write their GEMM into one flat workspace the
+tree owns, so the largest temporary is allocated once per run rather than
+once per side, and every yielded MTTKRP is a fresh array, never a view of
+the workspace.  The NES acceptance test runs a sweep cut short after mode
+1: one more left partial MTTKRP, into the same workspace.  Each step is
+timed through the ``clock`` the tree is given, the driver's self-time clock
+in a run.
 
 Temporaries are plain ``(retained..., R)`` arrays in F order: the retained
 indices vary fastest and the rank index slowest, so the r-th rank block is
@@ -39,7 +43,9 @@ import numpy as np
 from .tensor_ops import DenseTensor, khatri_rao
 
 
-def partial_mttkrp(x: DenseTensor, krp: np.ndarray, side: str, split: int) -> np.ndarray:
+def partial_mttkrp(
+    x: DenseTensor, krp: np.ndarray, side: str, split: int, out: np.ndarray = None
+) -> np.ndarray:
     """Contract one side of the root split against a Khatri-Rao product.
 
     ``side='left'`` retains modes 1..split and contracts the trailing modes;
@@ -51,6 +57,10 @@ def partial_mttkrp(x: DenseTensor, krp: np.ndarray, side: str, split: int) -> np
     ``(matricization.T @ krp).T`` plus its re-layout copy, on every shape
     tried: 77 against 83 ms for a 100000x400 matricization, 83 against
     120 ms for 400x100000 and 31 against 34 ms for 4096x4096.
+
+    ``out``, a flat float64 buffer of at least R * prod(retained) entries,
+    receives the GEMM, and the result is a view of its head; without it
+    the GEMM allocates.  It is the same GEMM call either way.
     """
     mat = x.unfold_leading(split)
     if side == "left":
@@ -61,7 +71,11 @@ def partial_mttkrp(x: DenseTensor, krp: np.ndarray, side: str, split: int) -> np
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if krp.shape[0] != mat.shape[0]:
         raise ValueError(f"krp has {krp.shape[0]} rows, contracted side has {mat.shape[0]}")
-    return (krp.T @ mat).ravel().reshape(retained + (krp.shape[1],), order="F")
+    rank = krp.shape[1]
+    if out is not None:
+        out = out[: rank * mat.shape[1]].reshape(rank, -1)
+    out = np.matmul(krp.T, mat, out=out)
+    return out.ravel().reshape(retained + (rank,), order="F")
 
 
 def multi_ttv(temp: np.ndarray, coeff: np.ndarray, side: str) -> np.ndarray:
@@ -98,13 +112,16 @@ class DimTree:
 
     ``clock(category)`` returns a context manager that times one step; the
     default times nothing.  ``partial_calls`` counts the partial MTTKRPs
-    of every sweep so far.
+    of every sweep so far.  ``workspace`` is the flat buffer both partial
+    MTTKRPs write into, sized on the first sweep for the larger of the two
+    results (and grown if a later sweep needs more); None before.
     """
 
     def __init__(self, split: int, clock=nullcontext):
         self.split = split
         self.clock = clock
         self.partial_calls = 0
+        self.workspace = None
 
     def sweep(self, x: DenseTensor, factors):
         """Yield the MTTKRP of modes 1..N in order.
@@ -115,15 +132,23 @@ class DimTree:
         MTTKRPs.  The right partial MTTKRP, run when mode S+1 is requested,
         contracts modes 1..c and its leading multi-TTVs drop modes c+1..S,
         all with their factors as updated this sweep.  A sweep cut short
-        after mode 1 runs one partial MTTKRP.
+        after mode 1 runs one partial MTTKRP.  Both partial MTTKRPs write
+        into ``workspace``, so a sweep must finish or be dropped before the
+        next one starts; every yielded array is fresh, so the caller may
+        keep it across sweeps.
         """
         n, s, clock = x.order, self.split, self.clock
         c = s - 1 if s > 1 and math.prod(x.dims[:s]) > math.prod(x.dims[s:]) else s
+        rank = factors[0].shape[1]
+        need = rank * max(math.prod(x.dims[:s]), math.prod(x.dims[c:]))
+        if self.workspace is None or self.workspace.size < need:
+            self.workspace = np.empty(need)
+        work = self.workspace
         for lo, hi, cut, side in ((0, s, s, "left"), (s, n, c, "right")):
             with clock("KRP"):
                 krp = khatri_rao(factors[s:] if side == "left" else factors[:cut])
             with clock("MTTKRP"):
-                temp = partial_mttkrp(x, krp, side, cut)
+                temp = partial_mttkrp(x, krp, side, cut, work)
             del krp
             self.partial_calls += 1
             for mode in range(cut, lo):
@@ -134,6 +159,10 @@ class DimTree:
                     with clock("MultiTTV"):
                         temp = multi_ttv(temp, factors[mode - 1], "leading")
                 if mode == hi - 1:
+                    if np.may_share_memory(temp, work):
+                        # no multi-TTV ran on this side: copy the root block
+                        # out, even where it already is C-ordered
+                        temp = temp.copy(order="C")
                     yield np.ascontiguousarray(temp)
                     continue
                 with clock("KRP"):

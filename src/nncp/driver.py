@@ -169,6 +169,9 @@ class RunReport:
     the list is empty for the other rules.  ``inner_steps[n]`` is the
     inner step count of every mode-n update of mu, hals, admm and nes
     (``updaters.inner_steps`` of the global dims); empty for ucp and bpp.
+    ``booked`` is the running sum of the current row's categories, kept by
+    ``begin_row`` and ``record`` so that a clock reads it without summing
+    the row.
     """
 
     errors: list = field(default_factory=list)
@@ -183,17 +186,20 @@ class RunReport:
     tree_partial_calls: int = 0
     nes_accepted: list = field(default_factory=list)
     inner_steps: list = field(default_factory=list)
+    booked: float = 0.0
 
     def begin_row(self):
         self.rows.append({c: 0.0 for c in CATEGORIES})
         self.row_words.append(0)
         self.row_wall.append(0.0)
+        self.booked = 0.0
 
     def record(self, category: str, elapsed: float):
         """Accumulate one timed event into the current row."""
         if category not in CATEGORIES:
             raise ValueError(f"unknown category {category!r}")
         self.rows[-1][category] += elapsed
+        self.booked += elapsed
 
 
 def init_factor(seed: int, mode: int, rows: int, rank: int) -> np.ndarray:
@@ -294,9 +300,10 @@ class _clock:
     """Charge a region's self time to one category of the current row.
 
     The region's wall time, less what nested clocks added to the row
-    meanwhile, so nested regions are never counted twice.  The row sum is
-    read inside the timed window, so its own cost is charged too and the
-    categories cover the row's wall time.
+    meanwhile, so nested regions are never counted twice.  The row's
+    running total, ``RunReport.booked``, is read inside the timed window,
+    so its own cost is charged too and the categories cover the row's wall
+    time.
     """
 
     __slots__ = ("rt", "category", "t0", "base")
@@ -307,10 +314,10 @@ class _clock:
 
     def __enter__(self):
         self.t0 = time.perf_counter()
-        self.base = sum(self.rt.report.rows[-1].values())
+        self.base = self.rt.report.booked
 
     def __exit__(self, *exc):
-        nested = sum(self.rt.report.rows[-1].values()) - self.base
+        nested = self.rt.report.booked - self.base
         self.rt.report.record(self.category, time.perf_counter() - self.t0 - nested)
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-import secrets
 import struct
 from dataclasses import dataclass
 
@@ -53,7 +52,7 @@ def write_tensor(path, x: DenseTensor):
     tensor's buffer, with no intermediate copy on little-endian hosts.
     """
     path = os.fspath(path)
-    tmp = f"{path}.{os.getpid()}.{secrets.token_hex(4)}.tmp"
+    tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
     try:
         with open(tmp, "xb") as fh:
             fh.write(_HEAD.pack(MAGIC, VERSION, x.order))

@@ -9,10 +9,11 @@ row of H, and every rule solves all rows of one update together.  BPP
 factors the live block of S (the columns with a positive diagonal) once per
 call and, when it is well conditioned, pivots on the live columns and
 solves each round from S^{-1} on the rows' zero sets only; otherwise each
-round takes one stacked LU.  UCP takes one Cholesky of S and falls back to
+round takes one stacked LU.  UCP multiplies M by S^{-1} and falls back to
 least squares only when S is not positive definite.  ADMM inverts S + rho I
-once per call, so each of its steps is one GEMM.  All three factor through
-one ``dpotrf`` helper.  MU and HALS repeat their step on the same M and S,
+once per call, so each of its steps is one GEMM.  All three form their
+inverse the same way, from numpy's Cholesky factor, so the package runs on
+numpy alone.  MU and HALS repeat their step on the same M and S,
 which cost far more than one step, and ``inner_steps`` sizes their counts
 to that cost: more steps where the MTTKRP dwarfs one step.
 
@@ -27,8 +28,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
+from numpy.linalg import LinAlgError
 
 
 ADMM_INNER_CAP = 5
@@ -47,9 +47,9 @@ MU_EPSILON = 1e-16
 HALS_FLOOR = 1e-16
 NESTEROV_PROX_FLOOR = 1e-6
 BPP_BACKUP_TRIES = 3
-# smallest reciprocal condition number of S's live block that BPP solves
-# through its inverse: any solve is off by about u * cond, so above cond
-# 1e4 the inverse and a row's own LU solve can differ by more than 1e-12
+# smallest reciprocal 1-norm condition number of S's live block that BPP
+# solves through its inverse: any solve is off by about u * cond, so above
+# cond 1e4 the inverse and a row's own LU solve can differ by more than 1e-12
 BPP_RCOND_FLOOR = 1e-4
 
 
@@ -123,24 +123,22 @@ class BppCyclingError(RuntimeError):
         self.row = row
 
 
-def _cholesky(s: np.ndarray) -> np.ndarray:
-    """Upper Cholesky factor of S, as scipy's cho_factor computes it: ValueError
-    when S is not finite, LinAlgError when it is not positive definite."""
-    c, info = dpotrf(np.asarray_chkfinite(s), clean=0)
-    if info != 0:
-        raise LinAlgError(f"{info}-th leading minor not positive definite")
-    return c
+def _cho_inverse(s: np.ndarray) -> np.ndarray:
+    """S^{-1} = L^{-T} L^{-1} from numpy's lower Cholesky factor L of S:
+    ValueError when S is not finite, LinAlgError when it is not positive
+    definite.
 
-
-def _cho_inverse(c: np.ndarray) -> np.ndarray:
-    """S^{-1}, symmetrized, from the upper Cholesky factor of S."""
-    z = dpotrs(c, np.eye(c.shape[0]))[0]
-    return 0.5 * (z + z.T)
+    numpy's matmul runs ``a.T @ a`` as one SYRK and mirrors its triangle,
+    so the result is exactly symmetric.
+    """
+    li = np.linalg.inv(np.linalg.cholesky(np.asarray_chkfinite(s)))
+    return li.T @ li
 
 
 def ucp_update(inp: UpdateInputs) -> np.ndarray:
-    """Unconstrained solve S H^T = M^T by one Cholesky of S; when S is not
-    positive definite, a warning and least squares' minimum-norm rows.
+    """Unconstrained solve H = M S^{-1}, with S^{-1} from one Cholesky of S
+    (``_cho_inverse``); when S is not positive definite, a warning and least
+    squares' minimum-norm rows.
 
     Least squares runs on the live columns (positive diagonal) only, so a
     dead column stays exactly 0, not rounding noise for normalization to
@@ -148,7 +146,7 @@ def ucp_update(inp: UpdateInputs) -> np.ndarray:
     """
     s, m = inp.gram, inp.mttkrp_rows
     try:
-        return dpotrs(_cholesky(s), m.T)[0].T
+        return m @ _cho_inverse(s)
     except LinAlgError:
         warnings.warn("singular gram in unconstrained update, solving least squares")
         live = np.diag(s) > 0.0
@@ -238,21 +236,23 @@ def _live_inverse(s: np.ndarray, m: np.ndarray):
 
     Some column must be live.  A dead column must have an all-zero row of S
     and no positive entry of M, so that its optimum is exactly 0.  S_LL must
-    be positive definite with LAPACK's reciprocal condition estimate at
-    least BPP_RCOND_FLOOR.
+    be positive definite, and its reciprocal 1-norm condition number
+    1 / (||S_LL||_1 ||S_LL^{-1}||_1), read exactly off the inverse formed
+    here, at least BPP_RCOND_FLOOR.  LAPACK's ``dpocon`` estimate can only
+    under-estimate ||S_LL^{-1}||_1, so this test is never less strict.
     """
     live = np.diag(s) > 0.0
     if not live.any() or s[~live].any() or (m[:, ~live] > 0.0).any():
         return None
     sl = s[live][:, live]
     try:
-        c = _cholesky(sl)
+        z = _cho_inverse(sl)
     except LinAlgError:
         return None
-    rcond, info = dpocon(c, np.abs(sl).sum(axis=0).max())
-    if info != 0 or not rcond >= BPP_RCOND_FLOOR:
+    rcond = 1.0 / (np.abs(sl).sum(axis=0).max() * np.abs(z).sum(axis=0).max())
+    if not rcond >= BPP_RCOND_FLOOR:
         return None
-    return live, _cho_inverse(c)
+    return live, z
 
 
 def _solve_zero_sets(z: np.ndarray, w: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -365,7 +365,7 @@ def admm_update(inp: UpdateInputs, state: UpdaterState) -> np.ndarray:
     """
     s, m = inp.gram, inp.mttkrp_rows
     rho = default_admm_rho(s)
-    a = _cho_inverse(_cholesky(s + rho * np.eye(s.shape[0])))
+    a = _cho_inverse(s + rho * np.eye(s.shape[0]))
     ma, rho_a = m @ a, rho * a
     x = inp.current
     u = state.admm_dual if state.admm_dual is not None else np.zeros_like(x)

@@ -172,6 +172,75 @@ class TestTemporaryLayout:
             assert t[..., k].flags.f_contiguous
 
 
+class TestWorkspace:
+    """Both partial MTTKRPs write into one workspace the tree owns; nothing
+    the tree yields is a view of it."""
+
+    @pytest.mark.parametrize("side, split", [("left", 2), ("right", 1), ("right", 2)])
+    def test_out_is_the_same_gemm(self, side, split):
+        rng = np.random.default_rng(30 + split)
+        dims, r = (3, 4, 5), 2
+        x = DenseTensor(dims, rng.standard_normal(math.prod(dims)))
+        contracted = math.prod(dims[split:] if side == "left" else dims[:split])
+        krp = rng.standard_normal((contracted, r))
+        work = np.full(2 * math.prod(dims) * r, np.nan)
+        got = partial_mttkrp(x, krp, side, split, out=work)
+        want = partial_mttkrp(x, krp, side, split)
+        assert got.shape == want.shape and got.flags.f_contiguous
+        assert np.array_equal(got, want)
+        # the result is the head of the workspace
+        assert np.shares_memory(got, work[: got.size])
+        assert np.isnan(work[got.size :]).all()
+
+    def test_out_too_small_rejected(self):
+        x = DenseTensor((3, 4, 5), np.ones(60))
+        with pytest.raises(ValueError):
+            partial_mttkrp(x, np.ones((5, 2)), "left", 2, out=np.empty(23))
+
+    @pytest.mark.parametrize(
+        "dims, r, split",
+        [
+            ((5, 3), 3, 1),  # order 2: each side's root block is a mode's result
+            ((5, 3), 1, 1),  # R = 1: an F-ordered block is C-ordered too
+            ((9, 2, 2), 2, None),  # S = 1: the left root block is mode 1's result
+            ((9, 2, 2), 1, None),
+            ((2, 2, 20), 1, None),  # the right root block is mode 3's result
+        ],
+    )
+    def test_yields_are_fresh(self, dims, r, split):
+        rng = np.random.default_rng(len(dims) + r)
+        x = DenseTensor(dims, rng.standard_normal(math.prod(dims)))
+        hs = [rng.standard_normal((d, r)) for d in dims]
+        tree = DimTree(choose_split_mode(dims) if split is None else split)
+        first = list(tree.sweep(x, hs))
+        work = tree.workspace
+        second = list(tree.sweep(x, hs))
+        # one workspace for every sweep, sized for the larger partial result
+        assert tree.workspace is work
+        s = tree.split
+        c = s - 1 if s > 1 and math.prod(dims[:s]) > math.prod(dims[s:]) else s
+        assert work.size == r * max(math.prod(dims[:s]), math.prod(dims[c:]))
+        for mode, (a, b) in enumerate(zip(first, second)):
+            assert not np.shares_memory(a, work)
+            assert not np.shares_memory(b, work)
+            assert a.flags.c_contiguous
+            # a later sweep leaves earlier results alone
+            assert np.array_equal(a, b)
+            assert np.allclose(a, naive_mttkrp(x, hs, mode), rtol=0, atol=1e-12)
+
+    def test_cut_short_sweep_reuses_the_workspace(self):
+        rng = np.random.default_rng(31)
+        dims, r = (4, 3, 5, 2), 2
+        x = DenseTensor(dims, rng.standard_normal(math.prod(dims)))
+        hs = [rng.standard_normal((d, r)) for d in dims]
+        tree = DimTree(choose_split_mode(dims))
+        full = list(tree.sweep(x, hs))
+        work = tree.workspace
+        got = next(tree.sweep(x, hs))
+        assert tree.workspace is work and not np.shares_memory(got, work)
+        assert np.array_equal(got, full[0])
+
+
 def tree_all_modes(x, hs):
     tree = DimTree(choose_split_mode(x.dims))
     return tree, list(tree.sweep(x, hs))
@@ -282,9 +351,9 @@ class TestDimTreeMttkrp:
         calls = []
         real = dimtree_mod.partial_mttkrp
 
-        def spied(x, krp, side, split):
+        def spied(x, krp, side, split, out=None):
             calls.append((side, split))
-            return real(x, krp, side, split)
+            return real(x, krp, side, split, out=out)
 
         monkeypatch.setattr(dimtree_mod, "partial_mttkrp", spied)
         rng = np.random.default_rng(len(dims))

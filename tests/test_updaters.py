@@ -1,5 +1,9 @@
 import collections
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,12 +100,29 @@ class TestUcp:
         want = np.linalg.solve(s[np.ix_(live, live)], m[:, live].T).T
         assert np.allclose(out[:, live], want, rtol=0, atol=1e-12)
 
-    def test_matches_scipy_cholesky_solve_bitwise(self):
+    def test_matches_numpy_cholesky_inverse_bitwise(self):
         rng = np.random.default_rng(10)
         for r in (1, 5, 16, 48):
             s = spd_spectrum(rng, r, 1e-6)
             m = rng.standard_normal((20, r))
-            assert np.array_equal(ucp_update(inputs(s, m)), cho_solve(cho_factor(s), m.T).T)
+            got = ucp_update(inputs(s, m))
+            # M S^{-1}, S^{-1} = L^{-T} L^{-1} from numpy's lower Cholesky factor
+            li = np.linalg.inv(np.linalg.cholesky(s))
+            assert np.array_equal(got, m @ (li.T @ li))
+            # scipy's triangular solves, a test-only reference
+            want = cho_solve(cho_factor(s), m.T).T
+            tol = 1e-12 * np.linalg.cond(s) * np.abs(want).max()
+            assert np.abs(got - want).max() <= tol
+
+
+def test_cho_inverse_is_exactly_symmetric():
+    # BPP's zero-set solves and ADMM's steps read S^{-1} as symmetric
+    rng = np.random.default_rng(11)
+    for r in (1, 5, 16, 48):
+        s = spd_spectrum(rng, r, 1e-4)
+        z = updaters_mod._cho_inverse(s)
+        assert np.array_equal(z, z.T)
+        assert np.abs(z @ s - np.eye(r)).max() <= 1e-9
 
 
 class TestMu:
@@ -1078,3 +1099,40 @@ def test_constrained_updaters_stay_nonnegative(name):
         else:
             out = nesterov_update(UpdateInputs(s, m, x0), UpdaterState())
         assert (out >= 0).all()
+
+
+def test_runs_without_scipy_and_imports_without_openssl():
+    # a fresh interpreter, since this one has scipy loaded as a reference:
+    # importing nncp loads neither, and no rule or fallback loads scipy
+    script = """
+import sys
+import warnings
+import numpy as np
+import nncp
+from nncp import updaters
+
+loaded = lambda names: sorted(k for k in sys.modules if k.split(".")[0] in names)
+print(loaded(("scipy", "_hashlib")))
+x, _ = nncp.generate_synthetic(nncp.SyntheticSpec((6, 5, 4), 2, seed=1))
+for algo in nncp.ALGORITHMS:
+    nncp.nncp_sequential(x, nncp.RunConfig(rank=2, algorithm=algo, max_iters=1))
+# a singular S sends UCP to least squares
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    nncp.ucp_update(nncp.UpdateInputs(np.ones((2, 2)), np.ones((1, 2)), np.zeros((1, 2))))
+assert any("least squares" in str(w.message) for w in caught)
+# cond(S) = 1e6 is above 1 / BPP_RCOND_FLOOR, so BPP takes the stacked LU
+s, m = np.diag([1.0, 1e-6]), np.array([[1.0, 1e-6]])
+assert updaters._live_inverse(s, m) is None
+assert np.allclose(nncp.bpp_update(nncp.UpdateInputs(s, m, np.zeros((1, 2)))), 1.0)
+# numpy.random imports secrets, and so hashlib, on first use
+print(loaded(("scipy",)))
+"""
+    env = dict(os.environ)
+    src = str(Path(driver_mod.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "[]"]
