@@ -1,22 +1,23 @@
 """Alternating-update NNCP driver, sequential and grid-parallel.
 
-Both execution modes run the same inner-iteration program; the parallel
-mode layers the data distribution and collectives of an N-dimensional
-worker grid on top (block Cartesian tensor partition, block row factor
-partition, Reduce-Scatter / All-Gather on mode slices, All-Reduce for Gram
-matrices).  Factors stay column-normalized with the scale in the weight
-vector; an update's column norms come from the diagonal of its summed
-Gram, a mode's only All-Reduce.  Every reported error comes from
-``_error``, which pairs a mode's MTTKRP, taken before the Reduce-Scatter,
-with that mode's slice rows and the All-Reduced Grams instead of forming
-the reconstruction, except near an exact fit, where each worker
-reconstructs its own tensor block.
+One runtime: every run is ``_run_spmd`` on the workers of an N-dimensional
+grid (block Cartesian tensor partition, block row factor partition,
+Reduce-Scatter / All-Gather on mode slices, All-Reduce for Gram matrices),
+and a sequential run is the 1-worker grid, run in the caller's thread,
+whose one-member collectives return their inputs and move no words.
+Factors stay column-normalized with the scale in the weight vector; an
+update's column norms come from the diagonal of its summed Gram, a mode's
+only All-Reduce.  Every reported error comes from ``_error``, which pairs
+a mode's MTTKRP, taken before the Reduce-Scatter, with that mode's slice
+rows and the All-Reduced Grams instead of forming the reconstruction,
+except near an exact fit, where each worker reconstructs its own tensor
+block.
 
 One clock, ``_clock``, times every region and books its self time: its
 wall time less what nested regions booked meanwhile, so the per-category
 columns never overlap.  The dimension tree and each grid worker take it as
-their ``clock``, so every KRP, partial MTTKRP, multi-TTV and collective is
-booked through it.  Each sweep is one ``DimTree.sweep`` generator; the
+their ``clock``, so every KRP, partial MTTKRP, multi-TTV and exchanging
+collective is booked through it.  Each sweep is one ``DimTree.sweep`` generator; the
 driver asks it for mode n+1 only after replacing factor n.
 """
 
@@ -26,7 +27,7 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -39,7 +40,6 @@ from .tensor_ops import (
     choose_split_mode,
     gram,
     hadamard_grams_excluding,
-    local_reduce,
     naive_mttkrp,
     normalize_columns,
     relative_error,
@@ -158,7 +158,7 @@ class RunReport:
     iteration i.  ``rows[i]`` maps each category to seconds, ``row_words``
     counts words moved by collectives, ``row_wall`` is the row's wall time.
     ``rows_max[i]`` holds each category's maximum over workers, the slowest
-    worker beside ``rows``' mean; a sequential run's is ``rows`` itself.
+    worker beside ``rows``' mean; with one worker it equals ``rows``.
     Row 0's error reuses iteration 1's mode-1 MTTKRP, and the scan of X
     for ||X||^2 runs behind that MTTKRP, so row 1 books the scan's join,
     the All-Reduce of ||X||^2, and row 0's ``_error`` call with its scalar
@@ -235,27 +235,6 @@ def _make_updater(cfg: RunConfig, global_dims):
     return update, steps
 
 
-class _SequentialRuntime:
-    """Single-context execution: every collective is the identity."""
-
-    def __init__(self, x: DenseTensor):
-        self.x_local = x
-        self.dims = x.dims
-        self.slice_rows = [slice(0, d) for d in x.dims]
-        self.owned = [slice(None)] * x.order
-        self.counters = CommCounters()
-        self.report = RunReport()
-
-    def all_reduce(self, value, op="sum"):
-        return local_reduce(value, op)
-
-    def scatter_to_owned(self, mode, marr):
-        return marr
-
-    def gather_to_slice(self, mode, h_owned):
-        return h_owned
-
-
 class _WorkerRuntime:
     """Per-worker execution over the block-distributed tensor."""
 
@@ -263,7 +242,8 @@ class _WorkerRuntime:
         self.worker = worker
         self.counters = worker.counters
         self.report = RunReport()
-        worker.clock = partial(_clock, self)
+        # the clock holds the report, not this runtime: no reference cycle
+        worker.clock = partial(_clock, self.report)
         grid = worker.grid
         self.groups = [
             grid.slice_group(n, worker.coord[n]) for n in range(len(grid.shape))
@@ -306,19 +286,19 @@ class _clock:
     time.
     """
 
-    __slots__ = ("rt", "category", "t0", "base")
+    __slots__ = ("report", "category", "t0", "base")
 
-    def __init__(self, rt, category):
-        self.rt = rt
+    def __init__(self, report, category):
+        self.report = report
         self.category = category
 
     def __enter__(self):
         self.t0 = time.perf_counter()
-        self.base = self.rt.report.booked
+        self.base = self.report.booked
 
     def __exit__(self, *exc):
-        nested = self.rt.report.booked - self.base
-        self.rt.report.record(self.category, time.perf_counter() - self.t0 - nested)
+        nested = self.report.booked - self.base
+        self.report.record(self.category, time.perf_counter() - self.t0 - nested)
 
 
 def _initial_factors(rt, cfg: RunConfig, global_dims):
@@ -346,7 +326,7 @@ def _error(rt, alpha, n, mbar, shared, lam, grams):
     Reduce-Scatter, and its slice rows ``shared[n]``; one scalar All-Reduce
     completes beta.  Near an exact fit the slice blocks span this worker's
     tensor block, which it then reconstructs."""
-    with _clock(rt, "Error"):
+    with _clock(rt.report, "Error"):
         s_n, hhat = hadamard_grams_excluding(grams, n), shared[n] * lam
         residual = lambda: residual_norm_squared(rt.x_local, FactorSet(shared, lam))
         return relative_error(alpha, mbar, hhat, s_n, grams[n], lam, rt.all_reduce, residual)
@@ -360,9 +340,9 @@ def _model_error(rt, tree, shared, lam, alpha):
     Costs one extra partial MTTKRP: a sweep of ``tree`` cut short after
     mode 1.
     """
-    with _clock(rt, "Gram"):
+    with _clock(rt.report, "Gram"):
         grams = _grams(rt, shared)
-    with _clock(rt, "MTTKRP"):
+    with _clock(rt.report, "MTTKRP"):
         mbar = next(tree.sweep(rt.x_local, shared))
     return _error(rt, alpha, 0, mbar, shared, lam, grams), grams
 
@@ -386,14 +366,14 @@ def _scan_behind(rt, cfg: RunConfig, first_mttkrp):
         except BaseException as exc:  # re-raised in the caller after the join
             found.append(exc)
 
-    with _clock(rt, "Error"):
+    with _clock(rt.report, "Error"):
         # a plain thread that exits on its own: an executor's idle worker
         # must be woken to shut down, a cross-CPU wake-up on the critical
         # path that cost ucp 2-3 % of a 16^5 R48 solve on a 2-vCPU VM
         helper = threading.Thread(target=scan, name="scan")
         helper.start()
         try:
-            with _clock(rt, "MTTKRP"):
+            with _clock(rt.report, "MTTKRP"):
                 mbar = first_mttkrp()
         finally:
             helper.join()
@@ -418,7 +398,8 @@ def _scan_behind(rt, cfg: RunConfig, first_mttkrp):
 
 
 def _run_spmd(rt, cfg: RunConfig, global_dims):
-    """One worker's program; sequential execution is the P=1 special case.
+    """One worker's program, on every grid shape; a sequential run is the
+    1-worker grid.
     Each error pairs a mode's MTTKRP, taken before the Reduce-Scatter, with
     that mode's slice rows: iteration 1's mode 1 (or ``naive_mttkrp``'s) for
     the initial model, and the last mode's, after its update, for a sweep.
@@ -432,10 +413,10 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
     report.begin_row()
     wall0 = time.perf_counter()
     shared, lam = _initial_factors(rt, cfg, global_dims)
-    with _clock(rt, "Gram"):
+    with _clock(rt.report, "Gram"):
         grams = _grams(rt, shared)
 
-    tree = DimTree(choose_split_mode(rt.dims), partial(_clock, rt))
+    tree = DimTree(choose_split_mode(rt.dims), partial(_clock, rt.report))
     report.split_mode = tree.split
 
     # initial model error from iteration 1's mode-1 MTTKRP, or from the
@@ -460,7 +441,7 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
             prev_shared, prev_lam = list(shared), lam
         modes = tree.sweep(rt.x_local, shared)
         for n in range(order):
-            with _clock(rt, "MTTKRP"):
+            with _clock(rt.report, "MTTKRP"):
                 if it == 1 and n == 0:
                     mbar, alpha = _scan_behind(rt, cfg, partial(next, modes))
                 else:
@@ -469,9 +450,9 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
             if it == 1 and n == 0:
                 # mbar, grams and lam still describe the initial model
                 errors.append(_error(rt, alpha, 0, mbar, shared, lam, grams))
-            with _clock(rt, "Gram"):
+            with _clock(rt.report, "Gram"):
                 s_n = hadamard_grams_excluding(grams, n)
-            with _clock(rt, "NNLS"):
+            with _clock(rt.report, "NNLS"):
                 try:
                     own = shared[n][rt.owned[n]]
                     hhat = update(n, UpdateInputs(s_n, m_owned, own * lam))
@@ -479,7 +460,7 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
                     raise RuntimeError(
                         f"NNLS update failed at iteration {it}, mode {n + 1}"
                     ) from exc
-            with _clock(rt, "Gram"):
+            with _clock(rt.report, "Gram"):
                 h, lam, grams[n] = normalize_columns(hhat, rt.all_reduce(gram(hhat)))
                 shared[n] = rt.gather_to_slice(n, h)
         # release the sweep's last temporary before the error and NES steps;
@@ -521,7 +502,7 @@ def _nes_accelerate(rt, tree, it, eps, alpha, grams, shared, lam, prev_shared, p
     when rejected, else the renormalized candidate (shared, lam) and its
     relative error.
     """
-    with _clock(rt, "Error"):
+    with _clock(rt.report, "Error"):
         step = float(it) ** (1.0 / len(shared))
         cand = [
             np.maximum(h + step * (h - hp), 0.0) for h, hp in zip(shared, prev_shared)
@@ -531,23 +512,18 @@ def _nes_accelerate(rt, tree, it, eps, alpha, grams, shared, lam, prev_shared, p
     if not cand_eps < eps:
         return None
     # accepted: the candidate's summed Grams hold its squared column norms
-    with _clock(rt, "Gram"):
+    with _clock(rt.report, "Gram"):
         shared, norms, grams[:] = zip(*map(normalize_columns, cand, cand_grams))
         lam = cand_lam * np.prod(norms, axis=0)
     return list(shared), lam, cand_eps
 
 
 def nncp_sequential(x: DenseTensor, cfg: RunConfig) -> RunReport:
-    """Alternating-update NNCP in a single execution context."""
+    """Alternating-update NNCP on the 1-worker grid, in the caller's thread."""
     cfg.validate(x.dims)
     if cfg.grid is not None and int(np.prod(cfg.grid)) != 1:
         raise ValueError("sequential driver got a nontrivial grid; use nncp_parallel")
-    rt = _SequentialRuntime(x)
-    shared, lam = _run_spmd(rt, cfg, x.dims)
-    rt.report.model = FactorSet(shared, lam)
-    rt.report.rows_max = rt.report.rows
-    rt.report.counters = rt.counters
-    return rt.report
+    return _solve(x, cfg, (1,) * x.order)
 
 
 def nncp_parallel(x: DenseTensor, cfg: RunConfig) -> RunReport:
@@ -556,7 +532,11 @@ def nncp_parallel(x: DenseTensor, cfg: RunConfig) -> RunReport:
     cfg.validate(x.dims)
     if cfg.grid is None:
         raise ValueError("parallel driver needs a grid shape")
-    grid = Grid(cfg.grid)
+    return _solve(x, cfg, cfg.grid)
+
+
+def _solve(x: DenseTensor, cfg: RunConfig, shape) -> RunReport:
+    """``_run_spmd`` on every worker of a ``shape`` grid, reports merged."""
 
     def program(worker):
         rt = _WorkerRuntime(worker, x)
@@ -564,8 +544,7 @@ def nncp_parallel(x: DenseTensor, cfg: RunConfig) -> RunReport:
         rt.report.counters = rt.counters
         return rt.report, shared, lam, rt.slice_rows
 
-    results = grid.run(program)
-    return _merge_reports(results, x.dims, cfg.rank)
+    return _merge_reports(Grid(shape).run(program), x.dims, cfg.rank)
 
 
 def _merge_reports(results, dims, rank) -> RunReport:
@@ -575,36 +554,25 @@ def _merge_reports(results, dims, rank) -> RunReport:
     the rows internally additive (a max over workers would mix different
     critical paths and could exceed any single worker's wall time), and
     ``rows_max`` keeps each category's slowest worker; words and counters
-    sum across workers.
+    sum across workers.  Worker 0's report, whose run-wide fields every
+    worker shares, becomes the merged one.
     """
-    merged = RunReport()
-    first = results[0][0]
-    nworkers = len(results)
-    merged.errors = list(first.errors)
-    merged.split_mode = first.split_mode
-    merged.converged = first.converged
-    merged.tree_partial_calls = first.tree_partial_calls
-    merged.nes_accepted = list(first.nes_accepted)
-    merged.inner_steps = list(first.inner_steps)
-    for report, _, _, _ in results:
+    reports = [r for r, *_ in results]
+    merged, nworkers = reports[0], len(reports)
+    for report in reports[1:]:
         # every worker holds the same All-Reduced terms, so the errors agree bitwise
-        if report.errors != first.errors:
+        if report.errors != merged.errors:
             raise AssertionError("workers disagree on the error sequence")
-        if report.nes_accepted != first.nes_accepted:
+        if report.nes_accepted != merged.nes_accepted:
             raise AssertionError("workers disagree on the NES acceptances")
-        if report.inner_steps != first.inner_steps:
+        if report.inner_steps != merged.inner_steps:
             raise AssertionError("workers disagree on the inner step counts")
-    for k in range(len(first.rows)):
-        merged.begin_row()
-        for cat in CATEGORIES:
-            merged.rows[k][cat] = sum(r.rows[k][cat] for r, _, _, _ in results) / nworkers
-        merged.rows_max.append({c: max(r.rows[k][c] for r, *_ in results) for c in CATEGORIES})
-        merged.row_words[k] = sum(r.row_words[k] for r, _, _, _ in results)
-        merged.row_wall[k] = sum(r.row_wall[k] for r, _, _, _ in results) / nworkers
-    counters = CommCounters()
-    for report, _, _, _ in results:
-        counters = counters.merged_with(report.counters)
-    merged.counters = counters
+    by_row = list(zip(*(r.rows for r in reports)))
+    merged.rows = [{c: sum(r[c] for r in k) / nworkers for c in CATEGORIES} for k in by_row]
+    merged.rows_max = [{c: max(r[c] for r in k) for c in CATEGORIES} for k in by_row]
+    merged.row_words = [sum(w) for w in zip(*(r.row_words for r in reports))]
+    merged.row_wall = [sum(w) / nworkers for w in zip(*(r.row_wall for r in reports))]
+    merged.counters = reduce(CommCounters.merged_with, (r.counters for r in reports))
 
     # slice members hold equal copies of their slice rows
     factors = [np.zeros((i, rank)) for i in dims]

@@ -2,12 +2,15 @@
 
 Workers are threads running the same program (SPMD) and interacting only
 through blocking collectives -- All-Reduce, All-Gather, Reduce-Scatter.
-Each collective goes through its ``Group``'s slot exchange: every member
-posts its array, then reads all of them.  Reductions always combine
+A 1-worker grid runs its program inline in the caller's thread.  Each
+collective goes through its ``Group``'s slot exchange: every member posts
+its array, then reads all of them.  Reductions always combine
 contributions in ascending rank order, so results are bitwise
 deterministic regardless of scheduling.  Word counters track the
 communication volume of every collective; no latency model is simulated.
-A worker times each collective through its ``clock``, which the driver
+A collective over a one-member group returns its input and counts the
+call with 0 words, as the collective cost model charges it.  A worker
+times each exchanging collective through its ``clock``, which the driver
 sets to its own self-time clock.
 
 Rank linearization follows the tensor layout: rank = p_1 + P_1 p_2 + ...
@@ -17,6 +20,7 @@ is the set of workers sharing its n-th coordinate (P/P_n of them).
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -104,15 +108,17 @@ class Grid:
 
     def __init__(self, shape):
         self.shape = grid_shape(shape)
-        self.total = int(np.prod(self.shape))
+        self.total = math.prod(self.shape)
         self.all_procs = Group(range(self.total))
-        # slice_groups[n][c] = workers whose n-th coordinate equals c
+        # slice_groups[n][c] = workers whose n-th coordinate equals c.  An
+        # unsplit mode's one slice is every worker, and it shares all_procs'
+        # exchange: every member calls the collectives in the same order
         self.slice_groups = []
         for n, pn in enumerate(self.shape):
             groups = [[] for _ in range(pn)]
             for rank in range(self.total):
                 groups[self.coord_of(rank)[n]].append(rank)
-            self.slice_groups.append([Group(g) for g in groups])
+            self.slice_groups.append([self.all_procs] if pn == 1 else [Group(g) for g in groups])
 
     def coord_of(self, rank: int):
         coord = []
@@ -133,10 +139,13 @@ class Grid:
     def run(self, fn):
         """Execute ``fn(worker)`` on every rank; list of results.
 
-        The first worker exception aborts all pending collectives and is
+        A 1-worker grid runs ``fn`` inline in the caller's thread.  Otherwise
+        the first worker exception aborts all pending collectives and is
         re-raised in the caller.
         """
         workers = [Worker(rank, self) for rank in range(self.total)]
+        if self.total == 1:
+            return [fn(workers[0])]
         results = [None] * self.total
         failures = [None] * self.total
 
@@ -167,7 +176,9 @@ class Worker:
     """Execution context of one rank: coordinates, counters, collectives.
 
     ``clock(category)`` returns a context manager that times each
-    collective under its own name; the default times nothing.
+    collective under its own name; the default times nothing.  A
+    collective over a one-member group checks its arguments, then returns
+    its input untimed and counts the call with 0 words.
     """
 
     def __init__(self, rank: int, grid: Grid):
@@ -177,12 +188,19 @@ class Worker:
         self.counters = CommCounters()
         self.clock = nullcontext
 
+    def _alone(self, name: str, local):
+        """A one-member collective moves no words: count it, return ``local``."""
+        self.counters.record(name, 0, 0)
+        return local
+
     def all_reduce(self, group: Group, local, op: str = "sum"):
         """Elementwise reduction in ascending rank order, same result for
         every member."""
         fn = _REDUCTIONS.get(op)
         if fn is None:
             raise ValueError(f"unknown reduction {op!r}")
+        if group.size == 1:
+            return self._alone("AllReduce", local)
         with self.clock("AllReduce"):
             scalar = np.ndim(local) == 0
             arr = np.atleast_1d(np.asarray(local, dtype=np.float64))
@@ -197,6 +215,8 @@ class Worker:
 
     def all_gather(self, group: Group, local: np.ndarray) -> np.ndarray:
         """Concatenation of the members' arrays in ascending rank order."""
+        if group.size == 1:
+            return self._alone("AllGather", local)
         with self.clock("AllGather"):
             arr = np.asarray(local, dtype=np.float64)
             slots = group.exchange(group.index[self.rank], arr)
@@ -210,16 +230,16 @@ class Worker:
         ``parts`` holds one contiguous row slice per member, in rank order,
         as ``block_partition`` returns them.
         """
+        arr = np.asarray(local, dtype=np.float64)
+        if len(parts) != group.size:
+            raise ValueError(f"partition has {len(parts)} blocks for a group of {group.size}")
+        if parts[-1].stop != arr.shape[0]:
+            raise ValueError(
+                f"partition covers {parts[-1].stop} rows, local array has {arr.shape[0]}"
+            )
+        if group.size == 1:
+            return self._alone("ReduceScatter", local)
         with self.clock("ReduceScatter"):
-            arr = np.asarray(local, dtype=np.float64)
-            if len(parts) != group.size:
-                raise ValueError(
-                    f"partition has {len(parts)} blocks for a group of {group.size}"
-                )
-            if parts[-1].stop != arr.shape[0]:
-                raise ValueError(
-                    f"partition covers {parts[-1].stop} rows, local array has {arr.shape[0]}"
-                )
             index = group.index[self.rank]
             slots = group.exchange(index, arr)
             if any(s.shape != slots[0].shape for s in slots):

@@ -257,13 +257,6 @@ def reconstruct(model: FactorSet) -> DenseTensor:
     return out
 
 
-def local_reduce(value, op: str = "sum"):
-    """Identity reduction for the single-contributor (sequential) case."""
-    if op not in ("sum", "min", "max"):
-        raise ValueError(f"unknown reduction {op!r}")
-    return value
-
-
 def normalize_columns(h: np.ndarray, g: np.ndarray = None):
     """Scale each column to unit 2-norm; return (matrix, norms, its Gram).
 
@@ -292,17 +285,18 @@ def residual_norm_squared(x: DenseTensor, model: FactorSet) -> float:
 
 
 def relative_error(
-    alpha, mttkrp_n, h_n_unnormalized, s_n, g_n, lam, reduce=local_reduce, residual=None
+    alpha, mttkrp_n, h_n_unnormalized, s_n, g_n, lam, reduce=lambda v: v, residual=None
 ) -> float:
     """Relative error ||X - model|| / ||X|| from mode-n quantities.
 
     err^2 = (alpha - 2 beta + gamma) / alpha with alpha = ||X||^2,
     beta = <M_n, Hhat_n> for the pre-normalization factor Hhat_n and
     gamma = lam' (S_n * G_n) lam.  ``reduce`` sums beta across the row
-    blocks of a distributed M_n.  Near an exact fit the radicand cancels
-    to rounding noise: below EXACT_FIT_ULPS units of rounding of alpha,
-    ``residual`` (when given) returns this block's ||X - model||^2, and
-    ``reduce`` sums those instead.
+    blocks of a distributed M_n; the default, the identity, fits one
+    block.  Near an exact fit the radicand cancels to rounding noise: below
+    EXACT_FIT_ULPS units of rounding of alpha, ``residual`` (when given)
+    returns this block's ||X - model||^2, and ``reduce`` sums those
+    instead.
     """
     if alpha <= 0.0:
         raise ValueError("zero tensor has no relative error")

@@ -1,3 +1,4 @@
+import gc
 import sys
 import threading
 import time
@@ -444,6 +445,35 @@ class TestParallelDriver:
             assert np.array_equal(a, b)
         assert np.array_equal(seq.model.lam, par.model.lam)
 
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_one_member_collectives_move_no_words(self, algo):
+        # a collective over one worker moves 0 words, so a sequential run
+        # and the 1-worker grid report the same calls and no words; a sweep
+        # makes the same calls on every grid shape, so each (2,2,2) worker
+        # makes the sequential run's calls too
+        x, _ = generate_synthetic(SyntheticSpec((8, 8, 8), 2, seed=14))
+        seq = solve(x, rank=2, algorithm=algo, max_iters=2)
+        one = solve(x, (1, 1, 1), rank=2, algorithm=algo, max_iters=2)
+        cube = solve(x, (2, 2, 2), rank=2, algorithm=algo, max_iters=2)
+        assert seq.errors == one.errors
+        assert seq.counters.calls == one.counters.calls
+        assert seq.row_words == one.row_words == [0, 0, 0]
+        assert set(seq.counters.calls) == {"AllReduce", "ReduceScatter", "AllGather"}
+        assert cube.counters.calls == {k: 8 * c for k, c in seq.counters.calls.items()}
+
+    @pytest.mark.parametrize("grid", [None, (2, 1, 1)])
+    def test_run_leaves_no_reference_cycle(self, grid):
+        # a cycle through a worker's runtime would keep its view of X alive
+        # until the next full collection
+        x, _ = generate_synthetic(SyntheticSpec((8, 8, 8), 2, seed=14))
+        gc.collect()
+        gc.disable()
+        try:
+            solve(x, grid, rank=2, algorithm="nes", max_iters=2)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     @pytest.mark.parametrize("algo", ["ucp", "mu", "hals", "bpp", "admm", "nes"])
     def test_uneven_dims_and_blocks(self, algo):
         x, _ = generate_synthetic(SyntheticSpec((7, 5, 6), 2, seed=12))
@@ -563,6 +593,15 @@ class TestParallelDriver:
         ar_calls, ar_in, ar_out = delta["AllReduce"]
         assert ar_calls == (3 + 1) * p
         assert ar_in == (3 * 4 + 1) * p
+
+    def test_one_member_slices_move_no_factor_words(self):
+        # on (2,1,1) each mode-1 slice holds one worker, so mode 1's
+        # Reduce-Scatter and All-Gather move nothing; modes 2 and 3 each
+        # scatter R*I_n = 16 words in and 8 out per worker
+        p = 2
+        delta = self._outer_iteration_counter_delta((2, 1, 1))
+        assert delta["ReduceScatter"] == (3 * p, 32 * p, 16 * p)
+        assert delta["AllGather"] == (3 * p, 16 * p, 32 * p)
 
     def test_collective_pattern_mixed_grid(self):
         # mode-dependent volumes: (2,4,1) on 8x8x8, R=2 gives Reduce-Scatter
@@ -1058,7 +1097,7 @@ class TestModelError:
         rt.report.begin_row()
         cfg = RunConfig(rank=model.rank, initial_factors=model)
         shared, lam = driver_mod._initial_factors(rt, cfg, x.dims)
-        tree = DimTree(choose_split_mode(rt.dims), partial(driver_mod._clock, rt))
+        tree = DimTree(choose_split_mode(rt.dims), partial(driver_mod._clock, rt.report))
         err, grams = driver_mod._model_error(rt, tree, shared, lam, x.norm_squared())
         assert tree.partial_calls == 1
         # the All-Reduced Grams of the whole model, whatever the grid
@@ -1071,12 +1110,10 @@ class TestModelError:
         x, _ = generate_synthetic(SyntheticSpec((5, 6, 4), 3, seed=2))
         model = self.model(x.dims, 4)
         want = direct_error(x, model)
-        if grid is None:
-            got = [self.model_error(driver_mod._SequentialRuntime(x), x, model)]
-        else:
-            got = Grid(grid).run(
-                lambda w: self.model_error(driver_mod._WorkerRuntime(w, x), x, model)
-            )
+        # None: the 1-worker grid of a sequential run
+        got = Grid(grid or (1,) * x.order).run(
+            lambda w: self.model_error(driver_mod._WorkerRuntime(w, x), x, model)
+        )
         assert len(set(got)) == 1
         assert abs(got[0] - want) <= 1e-12
 

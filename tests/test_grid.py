@@ -1,9 +1,21 @@
+import sys
+import threading
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nncp import Grid, block_partition
+from nncp import (
+    Grid,
+    RunConfig,
+    SyntheticSpec,
+    block_partition,
+    generate_synthetic,
+    nncp_parallel,
+    nncp_sequential,
+)
 
 
 class TestLinearization:
@@ -34,6 +46,41 @@ class TestSliceGroups:
         g = Grid((1, 1, 1))
         for n in range(3):
             assert g.slice_groups[n][0].ranks == (0,)
+
+    def test_unsplit_modes_share_all_procs(self):
+        g = Grid((2, 1, 3))
+        assert g.slice_groups[1] == [g.all_procs]
+        assert all(grp is not g.all_procs for n in (0, 2) for grp in g.slice_groups[n])
+
+    def test_shared_exchange_under_stress(self):
+        # (4,1,1): the mode-2 and mode-3 slices are every worker, so their
+        # collectives and the global All-Reduce take turns on one exchange;
+        # four workers on fewer cores, switching threads as often as possible
+        g = Grid((4, 1, 1))
+        steps = 200
+
+        def fn(w):
+            out = []
+            for k in range(steps):
+                local = np.full(4, float(w.rank + k))
+                s = w.reduce_scatter(w.grid.slice_group(1, 0), local, block_partition(4, 4))
+                t = w.all_reduce(w.grid.all_procs, float(w.rank * k))
+                u = w.all_gather(w.grid.slice_group(2, 0), s)
+                out.append((float(s[0]), t, u.tolist()))
+            return out
+
+        results = []
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=lambda: results.extend(g.run(fn)))
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not runner.is_alive()
+        want = [(6.0 + 4 * k, 6.0 * k, [6.0 + 4 * k] * 4) for k in range(steps)]
+        assert results == [want] * 4
 
     def test_groups_partition_ranks(self):
         g = Grid((2, 3, 2))
@@ -264,3 +311,75 @@ class TestFailurePropagation:
     def test_zero_grid_dim_rejected(self):
         with pytest.raises(ValueError):
             Grid((2, 0))
+
+
+class TestOneMemberGroup:
+    """A collective over one member returns its input, untimed, and counts
+    the call with 0 words; its argument checks still run."""
+
+    @pytest.mark.parametrize(
+        "name, call",
+        [
+            ("AllReduce", lambda w, a: w.all_reduce(w.grid.all_procs, a)),
+            ("AllGather", lambda w, a: w.all_gather(w.grid.all_procs, a)),
+            ("ReduceScatter", lambda w, a: w.reduce_scatter(w.grid.all_procs, a, (slice(0, 3),))),
+        ],
+    )
+    def test_returns_input_and_moves_no_words(self, name, call):
+        local = np.arange(6.0).reshape(3, 2)
+        timed = []
+
+        def fn(w):
+            w.clock = lambda category: timed.append(category) or nullcontext()
+            return call(w, local), w.counters
+
+        ((out, counters),) = Grid((1,)).run(fn)
+        assert out is local
+        assert counters.calls == {name: 1}
+        assert counters.words_in == counters.words_out == {name: 0}
+        assert timed == []
+
+    def test_unknown_op_rejected(self):
+        with pytest.raises(ValueError, match="unknown reduction 'prod'"):
+            Grid((1,)).run(lambda w: w.all_reduce(w.grid.all_procs, np.ones(2), "prod"))
+
+    def test_bad_partition_rejected(self):
+        def too_many(w):
+            return w.reduce_scatter(w.grid.all_procs, np.ones(2), block_partition(2, 2))
+
+        with pytest.raises(ValueError, match="partition has 2 blocks for a group of 1"):
+            Grid((1,)).run(too_many)
+
+        def short(w):
+            return w.reduce_scatter(w.grid.all_procs, np.ones(3), (slice(0, 2),))
+
+        with pytest.raises(ValueError, match="partition covers 2 rows, local array has 3"):
+            Grid((1,)).run(short)
+
+
+class TestRunThreads:
+    def test_one_worker_runs_in_callers_thread(self):
+        assert Grid((1, 1)).run(lambda w: threading.get_ident()) == [threading.get_ident()]
+
+    def test_one_worker_exception_reraised(self):
+        def fn(w):
+            raise RuntimeError("boom on worker 0")
+
+        with pytest.raises(RuntimeError, match="boom on worker 0"):
+            Grid((1,)).run(fn)
+
+    def test_sequential_run_starts_only_the_scan(self, monkeypatch):
+        x, _ = generate_synthetic(SyntheticSpec((4, 4, 4), 2, seed=1))
+        started = []
+        real = threading.Thread.start
+
+        def start(thread):
+            started.append(thread.name)
+            real(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        nncp_sequential(x, RunConfig(rank=2, max_iters=2))
+        assert started == ["scan"]
+        started.clear()
+        nncp_parallel(x, RunConfig(rank=2, max_iters=2, grid=(2, 1, 1)))
+        assert sorted(started) == ["scan", "scan", "worker-0", "worker-1"]

@@ -16,6 +16,7 @@ import nncp.updaters as updaters_mod
 from nncp import (
     BppCyclingError,
     DenseTensor,
+    Grid,
     RunConfig,
     SyntheticSpec,
     UpdateInputs,
@@ -980,9 +981,9 @@ class TestOuterAcceleration:
 
     @staticmethod
     def accelerate(monkeypatch, it, eps, cand_eps, shared, prev_shared, lam, prev_lam):
-        """Run one step on a sequential runtime whose model error is
-        ``cand_eps``; returns the step's result (None when rejected), the
-        grams and the candidate."""
+        """Run one step on the 1-worker runtime of a sequential run, whose
+        model error is ``cand_eps``; returns the step's result (None when
+        rejected), the grams and the candidate."""
         seen = {}
 
         def model_error(rt, ctx, shared, lam, alpha):
@@ -990,12 +991,17 @@ class TestOuterAcceleration:
             return cand_eps, [h.T @ h for h in shared]
 
         monkeypatch.setattr(driver_mod, "_model_error", model_error)
-        rt = driver_mod._SequentialRuntime(DenseTensor(tuple(len(h) for h in shared)))
-        rt.report.begin_row()
+        x = DenseTensor(tuple(len(h) for h in shared))
         grams = [h.T @ h for h in shared]
-        out = driver_mod._nes_accelerate(
-            rt, None, it, eps, 1.0, grams, shared, lam, prev_shared, prev_lam
-        )
+
+        def step(worker):
+            rt = driver_mod._WorkerRuntime(worker, x)
+            rt.report.begin_row()
+            return driver_mod._nes_accelerate(
+                rt, None, it, eps, 1.0, grams, shared, lam, prev_shared, prev_lam
+            )
+
+        (out,) = Grid((1,) * x.order).run(step)
         return out, grams, seen
 
     def test_stationary_candidate_rejected(self, monkeypatch):
