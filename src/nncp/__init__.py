@@ -1,9 +1,10 @@
 """Nonnegative CP decomposition of dense tensors.
 
 Alternating-updating solvers (unconstrained, multiplicative, HALS, block
-principal pivoting, ADMM, Nesterov-type) over a dimension-tree MTTKRP,
-runnable either in-process or across a simulated distributed worker grid
-with communication accounting.
+principal pivoting, ADMM, Nesterov-type) over a dimension-tree MTTKRP, run
+on a simulated distributed worker grid with communication accounting.  One
+entry point, ``nncp_parallel`` (also named ``nncp_sequential``), runs
+``RunConfig.grid``; without a grid it is the 1-worker grid, in-process.
 """
 
 from .dimtree import DimTree, multi_ttv, partial_mttkrp

@@ -8,9 +8,7 @@ import argparse
 import csv
 import sys
 
-import numpy as np
-
-from .driver import ALGORITHMS, CATEGORIES, RunConfig, nncp_parallel, nncp_sequential
+from .driver import ALGORITHMS, CATEGORIES, RunConfig, nncp_parallel
 from .tensor_io import (
     SyntheticSpec,
     generate_synthetic,
@@ -102,10 +100,7 @@ def run_cli(argv=None) -> int:
         grid=args.grid,
     )
     try:
-        if args.grid is not None:
-            report = nncp_parallel(x, cfg)
-        else:
-            report = nncp_sequential(x, cfg)
+        report = nncp_parallel(x, cfg)
     except Exception as exc:
         print(f"nncp: {exc}", file=sys.stderr)
         return 1

@@ -1,10 +1,11 @@
-"""Alternating-update NNCP driver, sequential and grid-parallel.
+"""Alternating-update NNCP driver: one entry point for every grid.
 
-One runtime: every run is ``_run_spmd`` on the workers of an N-dimensional
-grid (block Cartesian tensor partition, block row factor partition,
-Reduce-Scatter / All-Gather on mode slices, All-Reduce for Gram matrices),
-and a sequential run is the 1-worker grid, run in the caller's thread,
-whose one-member collectives return their inputs and move no words.
+``nncp_parallel``, also bound as ``nncp_sequential``, runs ``_run_spmd`` on
+the workers of the N-dimensional grid ``RunConfig.grid`` (block Cartesian
+tensor partition, block row factor partition, Reduce-Scatter / All-Gather
+on mode slices, All-Reduce for Gram matrices).  Without a grid the run is
+the 1-worker grid, run in the caller's thread, whose one-member
+collectives return their inputs and move no words.
 Factors stay column-normalized with the scale in the weight vector; an
 update's column norms come from the diagonal of its summed Gram, a mode's
 only All-Reduce.  Every reported error comes from ``_error``, which pairs
@@ -40,6 +41,7 @@ from .tensor_ops import (
     choose_split_mode,
     gram,
     hadamard_grams_excluding,
+    init_factor,
     naive_mttkrp,
     normalize_columns,
     relative_error,
@@ -84,7 +86,8 @@ ALGORITHMS = ("ucp", "mu", "hals", "bpp", "admm", "nes")
 
 @dataclass
 class RunConfig:
-    """Knobs of one decomposition run."""
+    """Knobs of one decomposition run.  ``grid`` is the worker grid shape
+    P_1 x ... x P_N; None runs the 1-worker grid."""
 
     rank: int
     algorithm: str = "bpp"
@@ -202,15 +205,6 @@ class RunReport:
         self.booked += elapsed
 
 
-def init_factor(seed: int, mode: int, rows: int, rank: int) -> np.ndarray:
-    """Uniform [0,1) factor from a counter-based generator keyed by
-    (seed, mode); entry (i, r) is draw i*rank + r, so any row block of the
-    same global matrix can be reproduced on any worker."""
-    key = np.array([np.uint64(seed), np.uint64(mode)], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.random((rows, rank))
-
-
 def _make_updater(cfg: RunConfig, global_dims):
     """Per-run update dispatcher holding one UpdaterState per mode, and the
     per-mode inner step counts it runs, computed from the global dims so
@@ -240,8 +234,7 @@ class _WorkerRuntime:
 
     def __init__(self, worker: Worker, x: DenseTensor):
         self.worker = worker
-        self.counters = worker.counters
-        self.report = RunReport()
+        self.report = RunReport(counters=worker.counters)
         # the clock holds the report, not this runtime: no reference cycle
         worker.clock = partial(_clock, self.report)
         grid = worker.grid
@@ -427,12 +420,11 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
         mbar0, alpha = _scan_behind(rt, cfg, lambda: naive_mttkrp(rt.x_local, shared, 0))
         errors.append(_error(rt, alpha, 0, mbar0, shared, lam, grams))
     report.row_wall[-1] = time.perf_counter() - wall0
-    words_done = report.row_words[-1] = rt.counters.total_words()
+    words_done = report.row_words[-1] = report.counters.total_words()
 
     prev_shared = prev_lam = None
 
     # -- outer iterations ----------------------------------------------------
-    converged = False
     for it in range(1, cfg.max_iters + 1):
         report.begin_row()
         wall0 = time.perf_counter()
@@ -478,14 +470,13 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
         errors.append(eps)
 
         report.row_wall[-1] = time.perf_counter() - wall0
-        words_total = rt.counters.total_words()
+        words_total = report.counters.total_words()
         report.row_words[-1] = words_total - words_done
         words_done = words_total
         if eps <= cfg.tol:
-            converged = True
+            report.converged = True
             break
 
-    report.converged = converged
     report.tree_partial_calls = tree.partial_calls
     return shared, lam
 
@@ -518,33 +509,23 @@ def _nes_accelerate(rt, tree, it, eps, alpha, grams, shared, lam, prev_shared, p
     return list(shared), lam, cand_eps
 
 
-def nncp_sequential(x: DenseTensor, cfg: RunConfig) -> RunReport:
-    """Alternating-update NNCP on the 1-worker grid, in the caller's thread."""
-    cfg.validate(x.dims)
-    if cfg.grid is not None and int(np.prod(cfg.grid)) != 1:
-        raise ValueError("sequential driver got a nontrivial grid; use nncp_parallel")
-    return _solve(x, cfg, (1,) * x.order)
-
-
 def nncp_parallel(x: DenseTensor, cfg: RunConfig) -> RunReport:
-    """Grid-parallel decomposition over simulated workers; semantically
-    equivalent to the sequential driver for identical seeds."""
+    """Alternating-update NNCP: ``_run_spmd`` on every worker of the
+    ``cfg.grid`` grid, reports merged.  Without a grid the run is the
+    1-worker grid, in the caller's thread."""
     cfg.validate(x.dims)
-    if cfg.grid is None:
-        raise ValueError("parallel driver needs a grid shape")
-    return _solve(x, cfg, cfg.grid)
-
-
-def _solve(x: DenseTensor, cfg: RunConfig, shape) -> RunReport:
-    """``_run_spmd`` on every worker of a ``shape`` grid, reports merged."""
 
     def program(worker):
         rt = _WorkerRuntime(worker, x)
         shared, lam = _run_spmd(rt, cfg, x.dims)
-        rt.report.counters = rt.counters
         return rt.report, shared, lam, rt.slice_rows
 
+    shape = (1,) * x.order if cfg.grid is None else cfg.grid
     return _merge_reports(Grid(shape).run(program), x.dims, cfg.rank)
+
+
+# one program for every grid: the sequential name is the same function
+nncp_sequential = nncp_parallel
 
 
 def _merge_reports(results, dims, rank) -> RunReport:

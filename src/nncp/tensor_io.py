@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_ops import DenseTensor, FactorSet, as_int, reconstruct
+from .tensor_ops import DenseTensor, FactorSet, as_int, init_factor, reconstruct
 
 MAGIC = b"NNCP"
 VERSION = 1
@@ -136,7 +136,7 @@ class SyntheticSpec:
             raise ValueError(f"seed must be nonnegative and below 2**64, got {self.seed}")
 
 
-# salts the generator key away from the driver's factor initialization
+# salts the mode key away from the driver's factor initialization
 _SYNTHETIC_SALT = np.uint64(1) << np.uint64(32)
 
 
@@ -148,13 +148,8 @@ def generate_synthetic(spec: SyntheticSpec):
     size = math.prod(spec.dims)
     if size > DEFAULT_ELEM_BUDGET:
         raise ValueError(f"synthetic tensor of {size} elements exceeds the budget")
-    factors = []
-    for mode, rows in enumerate(spec.dims):
-        key = np.array(
-            [np.uint64(spec.seed), _SYNTHETIC_SALT | np.uint64(mode)],
-            dtype=np.uint64,
-        )
-        gen = np.random.Generator(np.random.Philox(key=key))
-        factors.append(gen.random((rows, spec.rank)))
-    truth = FactorSet(factors)
+    truth = FactorSet([
+        init_factor(spec.seed, _SYNTHETIC_SALT | np.uint64(mode), rows, spec.rank)
+        for mode, rows in enumerate(spec.dims)
+    ])
     return reconstruct(truth), truth

@@ -152,6 +152,15 @@ class FactorSet:
         return FactorSet([h.copy() for h in self.factors], self.lam.copy())
 
 
+def init_factor(seed: int, mode: int, rows: int, rank: int) -> np.ndarray:
+    """Uniform [0,1) factor from a counter-based generator keyed by
+    (seed, mode); entry (i, r) is draw i*rank + r, so any row block of the
+    same global matrix can be reproduced on any worker."""
+    key = np.array([np.uint64(seed), np.uint64(mode)], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    return gen.random((rows, rank))
+
+
 def khatri_rao(factors) -> np.ndarray:
     """Khatri-Rao product of a list of (I_j, R) matrices.
 

@@ -373,9 +373,8 @@ class TestSequentialDriver:
         x, _ = generate_synthetic(SyntheticSpec((4, 3, 2), 2, seed=1))
         start = FactorSet([np.ones((d, 2)) for d in (4, 3, 2, 5)[:count]])
         cfg = RunConfig(rank=2, max_iters=1, grid=grid, initial_factors=start)
-        solve = nncp_sequential if grid is None else nncp_parallel
         with pytest.raises(ValueError, match=f"{count} initial factors for a tensor of order 3"):
-            solve(x, cfg)
+            nncp_parallel(x, cfg)
 
     @pytest.mark.parametrize("grid", [None, (2, 1, 1)])
     def test_initial_factor_rows_must_match_dims(self, monkeypatch, grid):
@@ -387,9 +386,8 @@ class TestSequentialDriver:
             raise AssertionError("workers started before the input was checked")
 
         monkeypatch.setattr(grid_mod.Grid, "run", no_workers)
-        solve = nncp_sequential if grid is None else nncp_parallel
         with pytest.raises(ValueError, match="initial factor of mode 2 has 4 rows, tensor dim is 5"):
-            solve(x, cfg)
+            nncp_parallel(x, cfg)
 
     @pytest.mark.parametrize("grid", [None, (2, 1, 1)])
     @pytest.mark.parametrize(
@@ -420,9 +418,8 @@ class TestSequentialDriver:
             raise AssertionError("workers started before the input was checked")
 
         monkeypatch.setattr(grid_mod.Grid, "run", no_workers)
-        solve = nncp_sequential if grid is None else nncp_parallel
         with pytest.raises(ValueError, match=message):
-            solve(x, cfg)
+            nncp_parallel(x, cfg)
 
     def test_ucp_accepts_negative_start(self):
         x, _ = generate_synthetic(SyntheticSpec((6, 5, 4), 2, seed=1))
@@ -445,10 +442,26 @@ class TestParallelDriver:
             assert np.array_equal(a, b)
         assert np.array_equal(seq.model.lam, par.model.lam)
 
+    def test_one_entry_point(self):
+        # both names, in the package and in the driver, are one function
+        assert nncp_sequential is nncp_parallel
+        assert driver_mod.nncp_sequential is driver_mod.nncp_parallel
+
+    def test_sequential_name_runs_the_configured_grid(self):
+        x, _ = generate_synthetic(SyntheticSpec((6, 5, 4), 2, seed=13))
+        cfg = RunConfig(rank=2, algorithm="hals", max_iters=3, tol=0.0, seed=1, grid=(2, 1, 1))
+        seq = nncp_sequential(x, cfg)
+        par = nncp_parallel(x, cfg)
+        assert all(w > 0 for w in seq.row_words[1:])
+        assert seq.errors == par.errors
+        assert seq.counters == par.counters
+        assert seq.row_words == par.row_words
+
     @pytest.mark.parametrize("algo", ALGORITHMS)
     def test_one_member_collectives_move_no_words(self, algo):
         # a collective over one worker moves 0 words, so a sequential run
-        # and the 1-worker grid report the same calls and no words; a sweep
+        # (``solve`` without a grid: nncp_parallel with grid=None) and the
+        # 1-worker grid report the same calls and no words; a sweep
         # makes the same calls on every grid shape, so each (2,2,2) worker
         # makes the sequential run's calls too
         x, _ = generate_synthetic(SyntheticSpec((8, 8, 8), 2, seed=14))
@@ -693,7 +706,7 @@ class TestParallelDriver:
 
 def solve(x, grid=None, **kw):
     cfg = RunConfig(tol=0.0, seed=3, grid=grid, **kw)
-    return nncp_parallel(x, cfg) if grid else nncp_sequential(x, cfg)
+    return nncp_parallel(x, cfg)
 
 
 class TestInitialError:
@@ -895,7 +908,7 @@ class TestOverlappedScan:
         x = DenseTensor(x.dims, x.data + 0.05 * np.random.default_rng(21).random(x.size))
         for grid, want in zip((None, (2, 1, 2)), self.PINNED[algo]):
             cfg = RunConfig(rank=3, algorithm=algo, max_iters=4, tol=0.0, seed=5, grid=grid)
-            rep = nncp_parallel(x, cfg) if grid else nncp_sequential(x, cfg)
+            rep = nncp_parallel(x, cfg)
             assert rep.errors[-1] == float.fromhex(want)
 
 
@@ -1008,7 +1021,7 @@ class TestNesReport:
     def run(grid, iters, tol=0.0):
         cfg = RunConfig(rank=4, algorithm="nes", max_iters=iters, tol=tol, seed=1, grid=grid)
         x = noisy_nes_instance()
-        return x, nncp_parallel(x, cfg) if grid else nncp_sequential(x, cfg)
+        return x, nncp_parallel(x, cfg)
 
     @pytest.mark.parametrize("grid", [None, (2, 1, 2)])
     @pytest.mark.parametrize("iters", [5, 17, 20])

@@ -19,7 +19,6 @@ from nncp import (
     SyntheticSpec,
     generate_synthetic,
     nncp_parallel,
-    nncp_sequential,
     read_matrix,
     read_tensor,
     reconstruct,
@@ -192,7 +191,7 @@ print("ok")
         runs = []
         for tensor in (x, read_tensor(path)):
             cfg = RunConfig(rank=2, algorithm=algorithm, max_iters=4, tol=0.0, grid=grid)
-            runs.append((nncp_parallel if grid else nncp_sequential)(tensor, cfg).errors)
+            runs.append(nncp_parallel(tensor, cfg).errors)
         assert runs[0] == runs[1]
 
     def test_error_types_are_distinct(self):
@@ -208,6 +207,12 @@ class TestSynthetic:
         assert np.array_equal(a.data, b.data)
         c, _ = generate_synthetic(SyntheticSpec((4, 5, 6), 3, seed=3))
         assert not np.array_equal(a.data, c.data)
+
+    def test_truth_is_drawn_by_init_factor(self):
+        # the driver's keyed generator, with the mode salted by 2**32
+        _, truth = generate_synthetic(SyntheticSpec((4, 3, 5), 2, seed=6))
+        for n, h in enumerate(truth.factors):
+            assert np.array_equal(h, nncp.init_factor(6, (1 << 32) | n, h.shape[0], 2))
 
     def test_nonnegative(self):
         x, _ = generate_synthetic(SyntheticSpec((5, 5, 5), 4, seed=4))
@@ -414,18 +419,27 @@ class TestCli:
         assert code == 0
         assert len(self.read_csv(prefix)) == 4
 
-    def test_grid_run_matches_sequential_csv(self, tmp_path):
+    @pytest.mark.parametrize("grid", ["2,2,1", "1,1,1"])
+    def test_grid_run_matches_sequential_csv(self, tmp_path, grid):
         args = ["--dims", "6,6,6", "--synthetic-rank", "2", "--rank", "2",
                 "--algo", "mu", "--iters", "5", "--seed", "3", "--tol", "0"]
         (tmp_path / "s").mkdir()
         (tmp_path / "p").mkdir()
         code_s, prefix_s = self.run(tmp_path / "s", *args)
-        code_p, prefix_p = self.run(tmp_path / "p", *args, "--grid", "2,2,1")
+        code_p, prefix_p = self.run(tmp_path / "p", *args, "--grid", grid)
         assert code_s == 0 and code_p == 0
         rows_s = self.read_csv(prefix_s)
         rows_p = self.read_csv(prefix_p)
+        assert len(rows_s) == len(rows_p) == 6
         for a, b in zip(rows_s, rows_p):
             assert abs(float(a["relerr"]) - float(b["relerr"])) <= 1e-10
+        if grid == "1,1,1":
+            # the 1-worker grid is the run without --grid, byte for byte
+            for col in ("relerr", "words_communicated"):
+                assert [r[col] for r in rows_s] == [r[col] for r in rows_p]
+            for n in (1, 2, 3):
+                name = f"out_factors_{n}.bin"
+                assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "p" / name).read_bytes()
 
     def test_words_column_zero_for_sequential(self, tmp_path):
         code, prefix = self.run(
