@@ -7,7 +7,7 @@ entry point, ``nncp_parallel`` (also named ``nncp_sequential``), runs
 ``RunConfig.grid``; without a grid it is the 1-worker grid, in-process.
 """
 
-from .dimtree import DimTree, multi_ttv, partial_mttkrp
+from .dimtree import DimTree, multi_ttv, naive_mttkrp, partial_mttkrp
 from .driver import (
     ALGORITHMS,
     CATEGORIES,
@@ -35,7 +35,6 @@ from .tensor_ops import (
     hadamard_grams_excluding,
     khatri_rao,
     matrix_inner_product,
-    naive_mttkrp,
     normalize_columns,
     reconstruct,
     relative_error,

@@ -25,7 +25,7 @@ once per side, and every yielded MTTKRP is a fresh array, never a view of
 the workspace.  The NES acceptance test runs a sweep cut short after mode
 1: one more left partial MTTKRP, into the same workspace.  Each step is
 timed through the ``clock`` the tree is given, the driver's self-time clock
-in a run.
+in a run.  ``naive_mttkrp`` is one mode's MTTKRP from a sweep of a fresh tree.
 
 Temporaries are plain ``(retained..., R)`` arrays in F order: the retained
 indices vary fastest and the rank index slowest, so the r-th rank block is
@@ -37,10 +37,11 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
+from itertools import islice
 
 import numpy as np
 
-from .tensor_ops import DenseTensor, khatri_rao
+from .tensor_ops import DenseTensor, FactorSet, choose_split_mode, khatri_rao
 
 
 def partial_mttkrp(
@@ -171,3 +172,24 @@ class DimTree:
                     out = multi_ttv(temp, krp, "trailing")
                 del krp
                 yield np.ascontiguousarray(out)
+
+
+def naive_mttkrp(x: DenseTensor, factors, mode: int) -> np.ndarray:
+    """MTTKRP in ``mode``: M(i, r) = sum over i_1..i_N (i_mode = i) of
+    X(i_1..i_N) * prod of the other factors' (i_m, r) entries.
+
+    The ``mode``-th result of a sweep of a fresh ``DimTree``, which no run
+    counts.  The factor of ``mode`` is never read: the sweep's dropped
+    earlier results see zeros in its place.  The driver calls it only for
+    the mode-1 initial error of a zero-iteration run.
+    """
+    hs = list(factors.factors) if isinstance(factors, FactorSet) else list(factors)
+    if len(hs) != x.order:
+        raise ValueError("factor count does not match tensor order")
+    for m, h in enumerate(hs):
+        if m != mode and h.shape[0] != x.dims[m]:
+            raise ValueError(f"factor {m} has {h.shape[0]} rows, tensor dim is {x.dims[m]}")
+    # hs[mode - 1] is another mode's factor, the last one for mode 0
+    hs[mode] = np.zeros((x.dims[mode], hs[mode - 1].shape[1]))
+    sweep = DimTree(choose_split_mode(x.dims)).sweep(x, hs)
+    return next(islice(sweep, mode, None))

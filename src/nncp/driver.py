@@ -29,10 +29,11 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from functools import partial, reduce
+from itertools import chain
 
 import numpy as np
 
-from .dimtree import DimTree
+from .dimtree import DimTree, naive_mttkrp
 from .grid import CommCounters, Grid, Worker, block_partition, grid_shape
 from .tensor_ops import (
     DenseTensor,
@@ -42,7 +43,6 @@ from .tensor_ops import (
     gram,
     hadamard_grams_excluding,
     init_factor,
-    naive_mttkrp,
     normalize_columns,
     relative_error,
     residual_norm_squared,
@@ -166,7 +166,7 @@ class RunReport:
     for ||X||^2 runs behind that MTTKRP, so row 1 books the scan's join,
     the All-Reduce of ||X||^2, and row 0's ``_error`` call with its scalar
     All-Reduce; a 0-iteration run books them in row 0, with the mode-1
-    MTTKRP from ``naive_mttkrp``.
+    MTTKRP from ``naive_mttkrp``'s throwaway tree, not in ``tree_partial_calls``.
     With ``nes``, row i's error is that of the model iteration i returns,
     and ``nes_accepted[i-1]`` tells whether its extrapolation was accepted;
     the list is empty for the other rules.  ``inner_steps[n]`` is the
@@ -394,8 +394,9 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
     """One worker's program, on every grid shape; a sequential run is the
     1-worker grid.
     Each error pairs a mode's MTTKRP, taken before the Reduce-Scatter, with
-    that mode's slice rows: iteration 1's mode 1 (or ``naive_mttkrp``'s) for
-    the initial model, and the last mode's, after its update, for a sweep.
+    that mode's slice rows: iteration 1's mode 1, taken before its mode
+    loop, for the initial model (``naive_mttkrp``'s without iterations), and
+    the last mode's, after its update, for a sweep.
     The scan of X for ||X||^2 runs behind that first MTTKRP
     (``_scan_behind``), so X is checked before any update rule runs."""
     order = len(global_dims)
@@ -413,8 +414,8 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
     report.split_mode = tree.split
 
     # initial model error from iteration 1's mode-1 MTTKRP, or from the
-    # same mode's GEMM MTTKRP when there is no iteration; alpha comes from
-    # the scan that runs behind whichever of the two is taken
+    # same MTTKRP of a throwaway tree when there is no iteration; alpha
+    # comes from the scan that runs behind whichever of the two is taken
     errors = report.errors
     if cfg.max_iters == 0:
         mbar0, alpha = _scan_behind(rt, cfg, lambda: naive_mttkrp(rt.x_local, shared, 0))
@@ -432,16 +433,15 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
             # the sweep replaces factor arrays and never writes into them
             prev_shared, prev_lam = list(shared), lam
         modes = tree.sweep(rt.x_local, shared)
+        if it == 1:
+            # the initial model's error, from the mode-1 MTTKRP the loop reuses
+            mbar, alpha = _scan_behind(rt, cfg, partial(next, modes))
+            errors.append(_error(rt, alpha, 0, mbar, shared, lam, grams))
+            modes = chain([mbar], modes)
         for n in range(order):
             with _clock(rt.report, "MTTKRP"):
-                if it == 1 and n == 0:
-                    mbar, alpha = _scan_behind(rt, cfg, partial(next, modes))
-                else:
-                    mbar = next(modes)
+                mbar = next(modes)
                 m_owned = rt.scatter_to_owned(n, mbar)
-            if it == 1 and n == 0:
-                # mbar, grams and lam still describe the initial model
-                errors.append(_error(rt, alpha, 0, mbar, shared, lam, grams))
             with _clock(rt.report, "Gram"):
                 s_n = hadamard_grams_excluding(grams, n)
             with _clock(rt.report, "NNLS"):

@@ -70,28 +70,27 @@ class CommCounters:
 
 class Group:
     """Ordered set of global ranks and their slot exchange: post, wait,
-    read, wait, go."""
+    read, wait, go.  Both waits are on one cyclic barrier."""
 
     def __init__(self, ranks):
         self.ranks = tuple(sorted(ranks))
         self.index = {r: k for k, r in enumerate(self.ranks)}
         self.size = len(self.ranks)
         self.slots = [None] * self.size
-        self._enter = threading.Barrier(self.size)
-        self._leave = threading.Barrier(self.size)
+        self._barrier = threading.Barrier(self.size)
 
     def exchange(self, index: int, value):
         """Post ``value`` in slot ``index``; once every member has posted,
-        return all the posts in slot order."""
+        return all the posts in slot order.  The second wait keeps every
+        post in place until all members have read it."""
         self.slots[index] = value
-        self._enter.wait()
+        self._barrier.wait()
         view = list(self.slots)
-        self._leave.wait()
+        self._barrier.wait()
         return view
 
     def abort(self):
-        self._enter.abort()
-        self._leave.abort()
+        self._barrier.abort()
 
 
 def grid_shape(shape) -> tuple:

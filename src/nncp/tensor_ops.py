@@ -213,43 +213,6 @@ def choose_split_mode(dims) -> int:
     return n - 1
 
 
-def naive_mttkrp(x: DenseTensor, factors, mode: int) -> np.ndarray:
-    """MTTKRP in ``mode``: M(i, r) = sum over i_1..i_N (i_mode = i) of
-    X(i_1..i_N) * prod of the other factors' (i_m, r) entries.
-
-    One GEMM on the zero-copy matricization at the root split S of
-    ``choose_split_mode`` contracts the side not holding ``mode`` against
-    its Khatri-Rao product, so X is never copied; one batched matvec per
-    side of ``mode`` contracts the other retained modes.  It keeps no
-    dimension-tree state and counts no partial MTTKRP.  The driver calls
-    it only for the mode-1 initial error of a zero-iteration run.
-    """
-    hs = list(factors.factors) if isinstance(factors, FactorSet) else list(factors)
-    n = x.order
-    if len(hs) != n:
-        raise ValueError("factor count does not match tensor order")
-    for m, h in enumerate(hs):
-        if m != mode and h.shape[0] != x.dims[m]:
-            raise ValueError(
-                f"factor {m} has {h.shape[0]} rows, tensor dim is {x.dims[m]}"
-            )
-    s = choose_split_mode(x.dims)
-    mat = x.unfold_leading(s)
-    # (R, retained) C order: the first retained mode varies fastest
-    if mode < s:
-        lo, hi, t = 0, s, khatri_rao(hs[s:]).T @ mat.T
-    else:
-        lo, hi, t = s, n, khatri_rao(hs[:s]).T @ mat
-    rank, dim = t.shape[0], x.dims[mode]
-    if mode > lo:
-        lead = math.prod(x.dims[lo:mode])
-        t = t.reshape(rank, -1, lead) @ khatri_rao(hs[lo:mode]).T[:, :, None]
-    t = t.reshape(rank, -1, dim)
-    if mode < hi - 1:
-        t = khatri_rao(hs[mode + 1 : hi]).T[:, None, :] @ t
-    return np.ascontiguousarray(t.reshape(rank, dim).T)
-
-
 def reconstruct(model: FactorSet) -> DenseTensor:
     """Dense tensor of the model: entry = sum_r lam_r * prod_n H_n(i_n, r).
 

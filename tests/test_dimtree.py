@@ -10,9 +10,9 @@ from nncp import (
     choose_split_mode,
     khatri_rao,
     multi_ttv,
-    naive_mttkrp,
     partial_mttkrp,
 )
+from test_tensor_ops import einsum_mttkrp
 
 
 class TestChooseSplitMode:
@@ -80,7 +80,7 @@ class TestPartialMttkrp:
         with pytest.raises(ValueError):
             partial_mttkrp(x, np.ones((3, 1)), "right", split)
 
-    def test_both_sides_match_naive_mttkrp(self):
+    def test_both_sides_match_einsum_mttkrp(self):
         # with one retained mode, the temporary is that mode's MTTKRP
         rng = np.random.default_rng(11)
         dims, r = (5, 3, 4, 6), 3
@@ -89,7 +89,7 @@ class TestPartialMttkrp:
         left = partial_mttkrp(x, khatri_rao(hs[1:]), "left", 1)
         right = partial_mttkrp(x, khatri_rao(hs[:3]), "right", 3)
         for temp, mode in ((left, 0), (right, 3)):
-            want = naive_mttkrp(x, hs, mode)
+            want = einsum_mttkrp(x, hs, mode)
             assert np.allclose(temp, want, rtol=0, atol=1e-12)
 
 
@@ -226,7 +226,7 @@ class TestWorkspace:
             assert a.flags.c_contiguous
             # a later sweep leaves earlier results alone
             assert np.array_equal(a, b)
-            assert np.allclose(a, naive_mttkrp(x, hs, mode), rtol=0, atol=1e-12)
+            assert np.allclose(a, einsum_mttkrp(x, hs, mode), rtol=0, atol=1e-12)
 
     def test_cut_short_sweep_reuses_the_workspace(self):
         rng = np.random.default_rng(31)
@@ -276,7 +276,7 @@ class TestDimTreeMttkrp:
             hs = [rng.standard_normal((d, r)) for d in dims]
             _, results = tree_all_modes(x, hs)
             for mode in range(order):
-                oracle = naive_mttkrp(x, hs, mode)
+                oracle = einsum_mttkrp(x, hs, mode)
                 scale = max(np.abs(oracle).max(), 1e-30)
                 assert np.abs(results[mode] - oracle).max() <= 1e-12 * scale
 
@@ -289,7 +289,7 @@ class TestDimTreeMttkrp:
         hs = [rng.standard_normal((d, r)) for d in dims]
         tree = DimTree(split)
         for mode, got in enumerate(tree.sweep(x, hs)):
-            assert np.allclose(got, naive_mttkrp(x, hs, mode), rtol=0, atol=1e-12)
+            assert np.allclose(got, einsum_mttkrp(x, hs, mode), rtol=0, atol=1e-12)
         assert mode == 4
         assert tree.partial_calls == 2
 
@@ -314,7 +314,7 @@ class TestDimTreeMttkrp:
         modes = DimTree(choose_split_mode(dims)).sweep(x, hs)
         for mode in range(4):
             got = next(modes)
-            want = naive_mttkrp(x, hs, mode)
+            want = einsum_mttkrp(x, hs, mode)
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
             hs[mode] = rng.standard_normal(hs[mode].shape)  # the "update"
 
@@ -367,7 +367,7 @@ class TestDimTreeMttkrp:
         modes = DimTree(s).sweep(x, hs)
         for mode in range(len(dims)):
             got = next(modes)
-            want = naive_mttkrp(x, hs, mode)
+            want = einsum_mttkrp(x, hs, mode)
             assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
         assert calls == [("left", s), ("right", c)]
         if s > 1:
@@ -384,7 +384,7 @@ class TestDimTreeMttkrp:
             ttvs.clear()
             # a sweep cut short after mode 1, as the NES acceptance test runs
             got = next(tree.sweep(x, hs))
-            want = naive_mttkrp(x, hs, 0)
+            want = einsum_mttkrp(x, hs, 0)
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
             assert tree.partial_calls == 1
             # one left partial, plus one trailing TTV when S > 1

@@ -223,6 +223,17 @@ class TestNaiveMttkrp:
         with pytest.raises(ValueError):
             naive_mttkrp(x, hs, 0)
 
+    def test_factor_of_the_mode_is_never_read(self):
+        rng = np.random.default_rng(8)
+        dims, rank = (4, 3, 5, 2), 3
+        x = DenseTensor(dims, rng.random(int(np.prod(dims))))
+        hs = [rng.random((d, rank)) for d in dims]
+        for mode in range(len(dims)):
+            want = naive_mttkrp(x, hs, mode)
+            blank = list(hs)
+            blank[mode] = np.full((7, rank), np.nan)
+            assert np.array_equal(naive_mttkrp(x, blank, mode), want)
+
     def test_against_loop_oracle(self):
         rng = np.random.default_rng(3)
         for dims in [(3, 2), (2, 3, 4), (2, 2, 3, 2)]:
