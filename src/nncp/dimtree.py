@@ -2,11 +2,13 @@
 
 The root of the tree splits the modes into a leading block {1..S} and a
 trailing block {S+1..N}, with S from ``choose_split_mode``.  Each block is
-produced by a single partial MTTKRP (one GEMM against the zero-copy
+produced by a single partial MTTKRP (a GEMM against the zero-copy
 matricization), and the per-mode MTTKRP results are then peeled off the
 block temporaries by multi-TTV steps, each one batched matmul over the R
 rank blocks.  Only two partial MTTKRPs run per sweep, no matter how many
-modes the tensor has.
+modes the tensor has.  The right one runs its GEMM as a stack of column
+blocks small enough that OpenBLAS multiplies them without packing the
+tensor first (see ``partial_mttkrp``).
 
 Both GEMMs retain the larger block and contract the smaller one, so the
 Khatri-Rao product each one builds is the small one.  The left GEMM cuts at
@@ -43,6 +45,9 @@ import numpy as np
 
 from .tensor_ops import DenseTensor, FactorSet, choose_split_mode, khatri_rao
 
+# M * N * K up to which OpenBLAS's small-matrix kernel takes a GEMM
+_SMALL_GEMM = 100**3
+
 
 def partial_mttkrp(
     x: DenseTensor, krp: np.ndarray, side: str, split: int, out: np.ndarray = None
@@ -51,17 +56,28 @@ def partial_mttkrp(
 
     ``side='left'`` retains modes 1..split and contracts the trailing modes;
     ``side='right'`` retains modes split+1..N and contracts the leading ones.
-    Both sides run the one GEMM ``krp.T @ matricization``, whose C-order
-    ``(R, retained)`` buffer already is the ``(retained..., R)`` F-order
-    result, so neither side copies it.  With OpenBLAS 0.3.31 on 1 thread,
-    the right side at R = 16 ran faster this way than as
-    ``(matricization.T @ krp).T`` plus its re-layout copy, on every shape
-    tried: 77 against 83 ms for a 100000x400 matricization, 83 against
-    120 ms for 400x100000 and 31 against 34 ms for 4096x4096.
+    Both sides compute ``krp.T @ matricization`` into a C-order
+    ``(R, retained)`` buffer, which already is the ``(retained..., R)``
+    F-order result, so neither side copies it.
+
+    The left side is one GEMM.  The right side's contracted modes are
+    contiguous in memory, so it runs as one stacked matmul over column
+    blocks of width nb, each written into its own column block of the
+    buffer, plus one plain GEMM for the tail; every operand is a view.  nb
+    is the largest power of two with nb * R * K <= 100^3, K the contracted
+    length: OpenBLAS 0.3.31 (SkylakeX) hands GEMMs that small to its
+    small-matrix kernel, which does not pack its operands.  With nb < 16 or
+    fewer than 2 blocks the tail is the whole matricization.  On 1 thread at
+    384^3, R = 16 (K = 384, nb = 128), the right side took 69-73 ms (min of
+    7, two runs) this way against 91-97 ms as one GEMM, which packs all of X
+    first.  nb = 192, past the bound, took 138-141 ms against 114 ms, so the
+    gain is the kernel, not the blocking.  As blocks of 128 the left side,
+    whose contracted index is strided, took 272-317 against 78-80 ms.
+    Another BLAS runs each block as an ordinary GEMM.
 
     ``out``, a flat float64 buffer of at least R * prod(retained) entries,
-    receives the GEMM, and the result is a view of its head; without it
-    the GEMM allocates.  It is the same GEMM call either way.
+    receives the result, and the result is a view of its head; without it
+    the buffer is allocated.  It is the same arithmetic either way.
     """
     mat = x.unfold_leading(split)
     if side == "left":
@@ -73,9 +89,24 @@ def partial_mttkrp(
     if krp.shape[0] != mat.shape[0]:
         raise ValueError(f"krp has {krp.shape[0]} rows, contracted side has {mat.shape[0]}")
     rank = krp.shape[1]
-    if out is not None:
-        out = out[: rank * mat.shape[1]].reshape(rank, -1)
-    out = np.matmul(krp.T, mat, out=out)
+    k, cols = mat.shape
+    if out is None:
+        out = np.empty((rank, cols))
+    else:
+        out = out[: rank * cols].reshape(rank, cols)
+    done = 0
+    if side == "right":
+        fit = _SMALL_GEMM // max(rank * k, 1)
+        width = 1 << (fit.bit_length() - 1) if fit else 0
+        blocks = cols // width if width >= 16 else 0
+        if blocks >= 2:
+            done = blocks * width
+            np.matmul(
+                krp.T,
+                mat.T[:done].reshape(blocks, width, k).transpose(0, 2, 1),
+                out=out[:, :done].reshape(rank, blocks, width).transpose(1, 0, 2),
+            )
+    np.matmul(krp.T, mat[:, done:], out=out[:, done:])
     return out.ravel().reshape(retained + (rank,), order="F")
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ import nncp.dimtree as dimtree_mod
 from nncp import (
     DenseTensor,
     DimTree,
+    RunConfig,
     choose_split_mode,
     khatri_rao,
     multi_ttv,
+    nncp_parallel,
     partial_mttkrp,
 )
 from test_tensor_ops import einsum_mttkrp
@@ -239,6 +242,98 @@ class TestWorkspace:
         got = next(tree.sweep(x, hs))
         assert tree.workspace is work and not np.shares_memory(got, work)
         assert np.array_equal(got, full[0])
+
+
+def spy_matmul(monkeypatch):
+    """Record the operand shapes of every ``np.matmul`` call."""
+    shapes = []
+    real = np.matmul
+
+    def spied(a, b, **kwargs):
+        shapes.append((a.shape, b.shape))
+        return real(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spied)
+    return shapes
+
+
+class TestRightBlockStack:
+    """The right partial MTTKRP runs column blocks of width nb, the largest
+    power of two with nb * R * K <= 100^3, as one stacked matmul, and the
+    rest as one plain GEMM; fewer than 2 blocks or nb < 16 leave it all to
+    the plain GEMM.  Each case retains the last mode only, so the result is
+    that mode's MTTKRP."""
+
+    # dims, R, (blocks, width, tail); K = prod(dims[:-1])
+    CASES = [
+        ((100, 10, 130), 20, (4, 32, 2)),  # blocks plus a tail
+        ((10, 10, 2048), 10, (4, 512, 0)),  # blocks divide the columns
+        ((25, 25, 40), 100, (2, 16, 8)),  # the narrowest block
+        ((100, 10, 50), 20, (0, 32, 50)),  # a single block: all tail
+        ((40, 100, 40), 20, (0, 8, 40)),  # K * R over the bound: all tail
+    ]
+
+    @pytest.mark.parametrize("dims, r, plan", CASES)
+    @pytest.mark.parametrize("with_out", [False, True])
+    def test_matches_einsum_mttkrp(self, monkeypatch, dims, r, plan, with_out):
+        # nonnegative, as nncp's inputs are: no entry cancels to near zero
+        rng = np.random.default_rng(sum(dims) + r)
+        x = DenseTensor(dims, rng.random(math.prod(dims)))
+        hs = [rng.random((d, r)) for d in dims]
+        krp = khatri_rao(hs[:-1])
+        split, cols = len(dims) - 1, dims[-1]
+        work = np.full(r * cols + 7, np.nan) if with_out else None
+        shapes = spy_matmul(monkeypatch)
+        got = partial_mttkrp(x, krp, "right", split, out=work)
+        monkeypatch.undo()
+        blocks, width, tail = plan
+        k = krp.shape[0]
+        stack = [((r, k), (blocks, k, width))] if blocks else []
+        assert shapes == stack + [((r, k), (k, tail))]
+        want = einsum_mttkrp(x, hs, split)
+        assert got.shape == (cols, r) and got.flags.f_contiguous
+        assert np.allclose(got, want, rtol=1e-13, atol=0)
+        if with_out:
+            assert np.shares_memory(got, work[: r * cols])
+            assert np.isnan(work[r * cols :]).all()
+
+    def test_stack_copies_nothing(self):
+        # a reshape that cannot be a view copies silently; here it would
+        # copy the whole matricization
+        rng = np.random.default_rng(40)
+        dims, r = (100, 10, 1300), 20  # K = 1000: 40 blocks of 32, tail 20
+        x = DenseTensor(dims, rng.random(math.prod(dims)))
+        krp = khatri_rao([rng.random((d, r)) for d in dims[:-1]])
+        work = np.empty(r * dims[-1])
+        tracemalloc.start()
+        try:
+            partial_mttkrp(x, krp, "right", 2, out=work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * x.data.nbytes
+
+    def test_grid_run_with_a_tail_on_every_worker(self, monkeypatch):
+        # sequential (200, 10, 130) and each (100, 10, 130) block of the
+        # (2,1,1) grid cut the right side at c = 1: K = 200 gives 10 blocks
+        # of 128 and K = 100 gives 5 blocks of 256, each with a tail of 20
+        rng = np.random.default_rng(41)
+        dims, r = (200, 10, 130), 20
+        x = DenseTensor(dims, rng.random(math.prod(dims)))
+        cfg = dict(rank=r, algorithm="hals", max_iters=3, tol=0.0, seed=2)
+        shapes = spy_matmul(monkeypatch)
+        seq = nncp_parallel(x, RunConfig(**cfg))
+        seq_stacks = {b for _, b in shapes if len(b) == 3}
+        shapes.clear()
+        par = nncp_parallel(x, RunConfig(grid=(2, 1, 1), **cfg))
+        par_stacks = {b for _, b in shapes if len(b) == 3}
+        monkeypatch.undo()
+        assert seq_stacks == {(10, 200, 128)} and par_stacks == {(5, 100, 256)}
+        again = nncp_parallel(x, RunConfig(grid=(2, 1, 1), **cfg))
+        assert np.abs(np.array(seq.errors) - np.array(par.errors)).max() <= 1e-10
+        assert par.errors == again.errors
+        for a, b in zip(par.model.factors, again.model.factors):
+            assert np.array_equal(a, b)
 
 
 def tree_all_modes(x, hs):
