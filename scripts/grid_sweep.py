@@ -17,7 +17,14 @@ import sys
 
 import numpy as np
 
-from nncp import RunConfig, SyntheticSpec, generate_synthetic, nncp_parallel, nncp_sequential
+from nncp import (
+    ALGORITHMS,
+    RunConfig,
+    SyntheticSpec,
+    generate_synthetic,
+    nncp_parallel,
+    nncp_sequential,
+)
 from nncp.driver import CATEGORIES
 
 
@@ -27,7 +34,7 @@ def main():
     ap.add_argument("--rank", type=int, default=8)
     ap.add_argument("--iters", type=int, default=10)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--algo", default="bpp")
+    ap.add_argument("--algo", choices=ALGORITHMS, default="bpp")
     ap.add_argument("--grids", nargs="+", default=["1,1,1", "2,2,2", "4,2,1", "8,1,1"])
     args = ap.parse_args()
 

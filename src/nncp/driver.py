@@ -20,6 +20,9 @@ columns never overlap.  The dimension tree and each grid worker take it as
 their ``clock``, so every KRP, partial MTTKRP, multi-TTV and exchanging
 collective is booked through it.  Each sweep is one ``DimTree.sweep`` generator; the
 driver asks it for mode n+1 only after replacing factor n.
+
+Each update rule is one row of the table ``_RULES``: the driver reads what
+a rule does from the row's fields and never compares rule names.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import partial, reduce
 from itertools import chain
+from typing import Callable
 
 import numpy as np
 
@@ -48,12 +52,18 @@ from .tensor_ops import (
     residual_norm_squared,
 )
 from .updaters import (
+    ADMM_INNER_CAP,
+    HALS_INNER_STEPS,
+    MU_INNER_STEPS,
+    NESTEROV_INNER_CAP,
     UpdateInputs,
     UpdaterState,
     admm_update,
     bpp_update,
+    budgeted_steps,
+    hals_sweep_flops,
     hals_update,
-    inner_steps,
+    mu_step_flops,
     mu_update,
     nesterov_update,
     ucp_update,
@@ -81,7 +91,35 @@ CATEGORIES = (
     "Error",
 )
 
-ALGORITHMS = ("ucp", "mu", "hals", "bpp", "admm", "nes")
+
+@dataclass(frozen=True)
+class _Rule:
+    """One row of the rule table.  ``update(inputs, steps, state)`` returns
+    a mode's new rows from its inner step count and ``UpdaterState``; it
+    calls the update function through this module's name, so a wrapper
+    installed on that name sees every call.  ``steps(dims, rank)`` gives
+    the per-mode counts from the global dims.  A ``nonnegative`` rule needs
+    a nonnegative start, and the scan of X finds min(X) for it; one that
+    ``extrapolates`` runs ``_nes_accelerate`` after each sweep."""
+
+    update: Callable
+    steps: Callable = lambda dims, rank: []
+    nonnegative: bool = True
+    extrapolates: bool = False
+
+
+_RULES = {
+    "ucp": _Rule(lambda inp, k, st: ucp_update(inp), nonnegative=False),
+    "mu": _Rule(lambda inp, k, st: mu_update(inp, k),
+                partial(budgeted_steps, mu_step_flops, MU_INNER_STEPS)),
+    "hals": _Rule(lambda inp, k, st: hals_update(inp, k),
+                  partial(budgeted_steps, hals_sweep_flops, HALS_INNER_STEPS)),
+    "bpp": _Rule(lambda inp, k, st: bpp_update(inp)),
+    "admm": _Rule(lambda inp, k, st: admm_update(inp, st), lambda d, r: [ADMM_INNER_CAP] * len(d)),
+    "nes": _Rule(lambda inp, k, st: nesterov_update(inp, st),
+                 lambda d, r: [NESTEROV_INNER_CAP] * len(d), extrapolates=True),
+}
+ALGORITHMS = tuple(_RULES)
 
 
 @dataclass
@@ -110,46 +148,36 @@ class RunConfig:
             raise ValueError(f"seed must be nonnegative and below 2**64, got {self.seed}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
+        # a tuple test compares, so None or a list gets this error, not a TypeError
         if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+            raise ValueError(f"unknown algorithm {self.algorithm!r}, not one of {ALGORITHMS}")
         if self.grid is not None:
             if len(self.grid) != order:
-                raise ValueError(
-                    f"grid order {len(self.grid)} does not match tensor order {order}"
-                )
+                raise ValueError(f"grid order {len(self.grid)} does not match tensor order {order}")
             for n, (i, p) in enumerate(zip(dims, grid_shape(self.grid))):
                 if p > i:
                     raise ValueError(
                         f"grid dim {p} exceeds tensor dim {i} in mode {n + 1}; "
                         "every worker must hold a nonempty tensor block"
                     )
-        if self.initial_factors is not None:
-            if self.initial_factors.rank != self.rank:
+        init = self.initial_factors
+        if init is not None:
+            if init.rank != self.rank:
                 raise ValueError("initial factors disagree with configured rank")
-            if self.initial_factors.order != order:
-                raise ValueError(
-                    f"{self.initial_factors.order} initial factors for a tensor "
-                    f"of order {order}"
-                )
-            for n, (h, i) in enumerate(zip(self.initial_factors.factors, dims)):
+            if init.order != order:
+                raise ValueError(f"{init.order} initial factors for a tensor of order {order}")
+            named = [(f"initial factor of mode {n + 1}", h) for n, h in enumerate(init.factors)]
+            for (name, h), i in zip(named, dims):
                 if h.shape[0] != i:
-                    raise ValueError(
-                        f"initial factor of mode {n + 1} has {h.shape[0]} rows, "
-                        f"tensor dim is {i}"
-                    )
+                    raise ValueError(f"{name} has {h.shape[0]} rows, tensor dim is {i}")
             # MU keeps the sign it starts from, and a NaN surfaces only in
             # the first error, so a bad start is rejected here
-            named = [
-                (f"initial factor of mode {n + 1}", h)
-                for n, h in enumerate(self.initial_factors.factors)
-            ]
-            for name, a in named + [("initial weight vector", self.initial_factors.lam)]:
+            for name, a in named + [("initial weight vector", init.lam)]:
                 if not np.isfinite(a).all():
                     raise ValueError(f"{name} has a non-finite entry")
-                if self.algorithm != "ucp" and (a < 0).any():
+                if _RULES[self.algorithm].nonnegative and (a < 0).any():
                     raise ValueError(
-                        f"{name} has a negative entry; {self.algorithm} "
-                        "needs a nonnegative start"
+                        f"{name} has a negative entry; {self.algorithm} needs a nonnegative start"
                     )
 
 
@@ -167,11 +195,11 @@ class RunReport:
     the All-Reduce of ||X||^2, and row 0's ``_error`` call with its scalar
     All-Reduce; a 0-iteration run books them in row 0, with the mode-1
     MTTKRP from ``naive_mttkrp``'s throwaway tree, not in ``tree_partial_calls``.
-    With ``nes``, row i's error is that of the model iteration i returns,
-    and ``nes_accepted[i-1]`` tells whether its extrapolation was accepted;
-    the list is empty for the other rules.  ``inner_steps[n]`` is the
-    inner step count of every mode-n update of mu, hals, admm and nes
-    (``updaters.inner_steps`` of the global dims); empty for ucp and bpp.
+    With a rule that extrapolates (nes), row i's error is that of the
+    model iteration i returns, and ``nes_accepted[i-1]`` tells whether its
+    extrapolation was accepted; the list is empty for the other rules.
+    ``inner_steps[n]`` is the inner step count of every mode-n update, the
+    rule row's ``steps`` of the global dims; empty for ucp and bpp.
     ``booked`` is the running sum of the current row's categories, kept by
     ``begin_row`` and ``record`` so that a clock reads it without summing
     the row.
@@ -203,30 +231,6 @@ class RunReport:
             raise ValueError(f"unknown category {category!r}")
         self.rows[-1][category] += elapsed
         self.booked += elapsed
-
-
-def _make_updater(cfg: RunConfig, global_dims):
-    """Per-run update dispatcher holding one UpdaterState per mode, and the
-    per-mode inner step counts it runs, computed from the global dims so
-    every worker runs the same steps."""
-    states = [UpdaterState() for _ in global_dims]
-    algo = cfg.algorithm
-    steps = inner_steps(algo, global_dims, cfg.rank)
-
-    def update(mode: int, inputs: UpdateInputs):
-        if algo == "ucp":
-            return ucp_update(inputs)
-        if algo == "mu":
-            return mu_update(inputs, steps[mode])
-        if algo == "hals":
-            return hals_update(inputs, steps[mode])
-        if algo == "bpp":
-            return bpp_update(inputs)
-        if algo == "admm":
-            return admm_update(inputs, states[mode])
-        return nesterov_update(inputs, states[mode])
-
-    return update, steps
 
 
 class _WorkerRuntime:
@@ -340,11 +344,11 @@ def _model_error(rt, tree, shared, lam, alpha):
     return _error(rt, alpha, 0, mbar, shared, lam, grams), grams
 
 
-def _scan_behind(rt, cfg: RunConfig, first_mttkrp):
+def _scan_behind(rt, rule: _Rule, first_mttkrp):
     """Run ``first_mttkrp()``, the run's first mode-1 MTTKRP, while one
     helper thread makes the one pass over this worker's tensor block that
-    gives ||X||^2 and, for the rules that fit a nonnegative model, min(X);
-    ucp needs no minimum and keeps one dot.  The GEMM, ``np.dot`` and
+    gives ||X||^2 and, for a ``nonnegative`` rule, min(X); another rule
+    needs no minimum and keeps one dot.  The GEMM, ``np.dot`` and
     ``ndarray.min`` release the GIL, so the two passes overlap.  The helper
     is joined on every path and its exception re-raised in the caller; the
     join wait is booked to Error.  Then ``alpha`` = ||X||^2 is All-Reduced
@@ -354,7 +358,7 @@ def _scan_behind(rt, cfg: RunConfig, first_mttkrp):
     def scan():
         try:
             found.append(
-                (x.norm_squared(), 0.0) if cfg.algorithm == "ucp" else x.norm_squared_and_min()
+                x.norm_squared_and_min() if rule.nonnegative else (x.norm_squared(), 0.0)
             )
         except BaseException as exc:  # re-raised in the caller after the join
             found.append(exc)
@@ -401,7 +405,10 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
     (``_scan_behind``), so X is checked before any update rule runs."""
     order = len(global_dims)
     report = rt.report
-    update, report.inner_steps = _make_updater(cfg, global_dims)
+    rule = _RULES[cfg.algorithm]
+    # global dims give every worker the same counts; ucp and bpp run none
+    report.inner_steps = rule.steps(global_dims, cfg.rank)
+    steps, states = report.inner_steps or [0] * order, [UpdaterState() for _ in global_dims]
 
     # -- initialization ----------------------------------------------------
     report.begin_row()
@@ -418,7 +425,7 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
     # comes from the scan that runs behind whichever of the two is taken
     errors = report.errors
     if cfg.max_iters == 0:
-        mbar0, alpha = _scan_behind(rt, cfg, lambda: naive_mttkrp(rt.x_local, shared, 0))
+        mbar0, alpha = _scan_behind(rt, rule, lambda: naive_mttkrp(rt.x_local, shared, 0))
         errors.append(_error(rt, alpha, 0, mbar0, shared, lam, grams))
     report.row_wall[-1] = time.perf_counter() - wall0
     words_done = report.row_words[-1] = report.counters.total_words()
@@ -429,13 +436,13 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
     for it in range(1, cfg.max_iters + 1):
         report.begin_row()
         wall0 = time.perf_counter()
-        if cfg.algorithm == "nes":
+        if rule.extrapolates:
             # the sweep replaces factor arrays and never writes into them
             prev_shared, prev_lam = list(shared), lam
         modes = tree.sweep(rt.x_local, shared)
         if it == 1:
             # the initial model's error, from the mode-1 MTTKRP the loop reuses
-            mbar, alpha = _scan_behind(rt, cfg, partial(next, modes))
+            mbar, alpha = _scan_behind(rt, rule, partial(next, modes))
             errors.append(_error(rt, alpha, 0, mbar, shared, lam, grams))
             modes = chain([mbar], modes)
         for n in range(order):
@@ -447,7 +454,7 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
             with _clock(rt.report, "NNLS"):
                 try:
                     own = shared[n][rt.owned[n]]
-                    hhat = update(n, UpdateInputs(s_n, m_owned, own * lam))
+                    hhat = rule.update(UpdateInputs(s_n, m_owned, own * lam), steps[n], states[n])
                 except Exception as exc:
                     raise RuntimeError(
                         f"NNLS update failed at iteration {it}, mode {n + 1}"
@@ -460,7 +467,7 @@ def _run_spmd(rt, cfg: RunConfig, global_dims):
         del modes
         eps = _error(rt, alpha, order - 1, mbar, shared, lam, grams)
 
-        if cfg.algorithm == "nes":
+        if rule.extrapolates:
             step = _nes_accelerate(
                 rt, tree, it, eps, alpha, grams, shared, lam, prev_shared, prev_lam
             )

@@ -14,8 +14,8 @@ least squares only when S is not positive definite.  ADMM inverts S + rho I
 once per call, so each of its steps is one GEMM.  All three form their
 inverse the same way, from numpy's Cholesky factor, so the package runs on
 numpy alone.  MU and HALS repeat their step on the same M and S,
-which cost far more than one step, and ``inner_steps`` sizes their counts
-to that cost: more steps where the MTTKRP dwarfs one step.
+which cost far more than one step, and ``budgeted_steps`` sizes their
+counts to that cost: more steps where the MTTKRP dwarfs one step.
 
 Every rule is row-local: MU, HALS, ADMM and Nesterov run a step count fixed
 before the run starts, so no update communicates.
@@ -33,7 +33,7 @@ from numpy.linalg import LinAlgError
 
 ADMM_INNER_CAP = 5
 NESTEROV_INNER_CAP = 20
-# fewest MU steps and HALS sweeps per update; ``inner_steps`` adds more
+# fewest MU steps and HALS sweeps per update; ``budgeted_steps`` adds more
 MU_INNER_STEPS = 10
 HALS_INNER_STEPS = 2
 # flops of MU or HALS steps an update may spend per flop of its mode's
@@ -77,8 +77,9 @@ class UpdaterState:
 
     ``admm_dual`` is the scaled dual matrix U (zero at the first call);
     ``nesterov_prev`` is this factor's iterate from the previous outer
-    iteration, used as the proximal center.  ``last_inner_iters`` reports
-    how many inner steps the most recent call ran: always its rule's cap.
+    iteration, used as the proximal center.  ``last_inner_iters``, the
+    inner steps of the latest call (its rule's cap), stays only because
+    the benchmark's tracer reads it; ``RunReport.inner_steps`` has them.
     """
 
     admm_dual: np.ndarray = None
@@ -86,35 +87,25 @@ class UpdaterState:
     last_inner_iters: int = 0
 
 
-def inner_steps(rule: str, dims, rank: int) -> list:
-    """Per-mode inner step counts of ``rule`` on a tensor of global ``dims``.
-
-    MU steps and HALS sweeps are sized to the MTTKRP they reuse.  Mode n's
-    share of a sweep's two partial-MTTKRP GEMMs is 4 |X| R / N flops.  One
-    MU step on I_n x R rows costs 2 I_n R^2 + 3 I_n R flops in 4 numpy
-    calls; one HALS sweep costs R column steps of 4 I_n R + I_n flops in 2
-    calls each; every call adds CALL_FLOPS.  The count is INNER_STEP_BUDGET
-    times the MTTKRP share over one step's cost, and never below the floor,
-    MU_INNER_STEPS or HALS_INNER_STEPS.  ADMM and Nesterov run their caps;
-    UCP and BPP run no inner steps, so their list is empty.  Only global
-    dims enter, so every worker of every grid runs the same steps.
+def budgeted_steps(step_flops, floor: int, dims, rank: int) -> list:
+    """Per-mode counts of a step that reuses its mode's MTTKRP, on a tensor
+    of global ``dims``: INNER_STEP_BUDGET times mode n's share of a sweep's
+    two partial-MTTKRP GEMMs, 4 |X| R / N flops, over one step's cost on
+    I_n x R rows, ``step_flops(I_n, R)``, and never below ``floor``.  Only
+    global dims enter, so every worker of every grid runs the same steps.
     """
-    order, r = len(dims), rank
-    if rule == "admm":
-        return [ADMM_INNER_CAP] * order
-    if rule == "nes":
-        return [NESTEROV_INNER_CAP] * order
-    if rule not in ("mu", "hals"):
-        return []
-    share = 4.0 * math.prod(dims) * r / order
+    share = 4.0 * math.prod(dims) * rank / len(dims)
+    return [max(floor, int(INNER_STEP_BUDGET * share / step_flops(i, rank))) for i in dims]
 
-    def step(i):
-        if rule == "mu":
-            return 2 * i * r * r + 3 * i * r + 4 * CALL_FLOPS
-        return r * (4 * i * r + i + 2 * CALL_FLOPS)
 
-    floor = MU_INNER_STEPS if rule == "mu" else HALS_INNER_STEPS
-    return [max(floor, int(INNER_STEP_BUDGET * share / step(i))) for i in dims]
+def mu_step_flops(rows: int, r: int) -> int:
+    """One MU step: 2 I R^2 + 3 I R flops in 4 numpy calls."""
+    return 2 * rows * r * r + 3 * rows * r + 4 * CALL_FLOPS
+
+
+def hals_sweep_flops(rows: int, r: int) -> int:
+    """One HALS sweep: R column steps of 4 I R + I flops in 2 calls each."""
+    return r * (4 * rows * r + rows + 2 * CALL_FLOPS)
 
 
 class BppCyclingError(RuntimeError):
@@ -160,10 +151,10 @@ def mu_update(inp: UpdateInputs, steps: int = MU_INNER_STEPS) -> np.ndarray:
     elementwise.
 
     M and S cost far more than one step, so every step reuses them (the
-    accelerated MU of Gillis & Glineur 2012), and the driver takes
-    ``steps`` from ``inner_steps``.  Each step writes into two buffers
-    allocated once per call, rounding as the expression above does.  Each
-    step is row-local and never increases the objective; a fixed count
+    accelerated MU of Gillis & Glineur 2012), and the driver's rule row
+    takes ``steps`` from ``budgeted_steps``.  Each step writes into two
+    buffers allocated once per call, rounding as the expression above does.
+    Each step is row-local and never increases the objective; a fixed count
     needs no global reduction, so grid runs add no collective.
     """
     s, m = inp.gram, inp.mttkrp_rows
@@ -186,15 +177,15 @@ def hals_update(inp: UpdateInputs, steps: int = HALS_INNER_STEPS) -> np.ndarray:
     (S_rj/S_rr) h_j, HALS_FLOOR); the positive floor keeps each Gram
     diagonal nonzero, so a collapsed column can come back (Gillis & Glineur
     2012).  M and S cost far more than a sweep, so every sweep reuses them,
-    as MU's steps do, and the driver takes ``steps`` from ``inner_steps``.
-    Once per call, the factor is stacked transposed on top of
-    (M/diag(S))^T, and each column gets one weight row (-S_rj/S_rr on the
-    factor, 1 on its own M row), so a column step is one dot product and
-    one floor written straight into the factor's contiguous row.  A column
-    with S_rr = 0 warns once and comes back exactly as passed in.  Every
-    step is row-local, so grid runs add no collective.  The returned matrix
-    is the raw sweep result; rescaling into unit columns happens in the
-    driver's normalization step.
+    as MU's steps do, and the driver's rule row takes ``steps`` from
+    ``budgeted_steps``.  Once per call, the factor is stacked transposed on
+    top of (M/diag(S))^T, and each column gets one weight row (-S_rj/S_rr
+    on the factor, 1 on its own M row), so a column step is one dot product
+    and one floor written straight into the factor's contiguous row.  A
+    column with S_rr = 0 warns once and comes back exactly as passed in.
+    Every step is row-local, so grid runs add no collective.  The returned
+    matrix is the raw sweep result; rescaling into unit columns happens in
+    the driver's normalization step.
     """
     s, m = inp.gram, inp.mttkrp_rows
     r = s.shape[0]

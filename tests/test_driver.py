@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import sys
 import threading
@@ -428,6 +429,15 @@ class TestSequentialDriver:
         start = FactorSet(factors, np.array([1.0, -1.0]))
         cfg = RunConfig(rank=2, algorithm="ucp", max_iters=1, tol=0.0, initial_factors=start)
         assert np.isfinite(nncp_sequential(x, cfg).errors).all()
+
+    @pytest.mark.parametrize("algorithm", ["sgd", "BPP", None, ["bpp"]])
+    def test_unknown_algorithm_names_the_valid_rules(self, algorithm):
+        # a list is unhashable: a dict lookup would raise TypeError instead
+        x = DenseTensor((3, 3), np.ones(9))
+        cfg = RunConfig(rank=1, max_iters=1, algorithm=algorithm)
+        with pytest.raises(ValueError, match="unknown algorithm") as info:
+            nncp_sequential(x, cfg)
+        assert all(repr(rule) in str(info.value) for rule in ALGORITHMS)
 
 
 class TestParallelDriver:
@@ -973,18 +983,19 @@ class TestInnerSteps:
         x, _ = generate_synthetic(SyntheticSpec(dims, rank, seed=5))
         floor = {"mu": updaters_mod.MU_INNER_STEPS, "hals": updaters_mod.HALS_INNER_STEPS}
         monkeypatch.setattr(updaters_mod, "INNER_STEP_BUDGET", 50.0)
-        steps = updaters_mod.inner_steps(algo, dims, rank)
+        row = driver_mod._RULES[algo]
+        steps = row.steps(dims, rank)
         assert min(steps) > 2 * floor[algo]
         # a worker of the (2,1,1) grid holds 12 x 16 x 12, which would give
         # mode 1 another count
-        assert updaters_mod.inner_steps(algo, (12, 16, 12), rank)[0] != steps[0]
+        assert row.steps((12, 16, 12), rank)[0] != steps[0]
         seen = []
 
-        def spied(rule, global_dims, r):
+        def spied(global_dims, r):
             seen.append(tuple(global_dims))
-            return updaters_mod.inner_steps(rule, global_dims, r)
+            return row.steps(global_dims, r)
 
-        monkeypatch.setattr(driver_mod, "inner_steps", spied)
+        monkeypatch.setitem(driver_mod._RULES, algo, dataclasses.replace(row, steps=spied))
         seq = solve(x, rank=rank, algorithm=algo, max_iters=8)
         par = solve(x, (2, 1, 1), rank=rank, algorithm=algo, max_iters=8)
         again = solve(x, (2, 1, 1), rank=rank, algorithm=algo, max_iters=8)
@@ -1002,6 +1013,33 @@ class TestInnerSteps:
         floors = solve(x, rank=rank, algorithm=algo, max_iters=2)
         assert floors.inner_steps == [floor[algo]] * 3
         assert seq.errors[2] < floors.errors[-1]
+
+
+class TestRuleTable:
+    """A run takes what its rule does from the rule's row of the table, on
+    every grid."""
+
+    @pytest.mark.parametrize("name", ALGORITHMS)
+    @pytest.mark.parametrize("grid", [None, (2, 1, 1)])
+    def test_row_fields_decide_the_run(self, name, grid):
+        row = driver_mod._RULES[name]
+        dims, rank, iters = (6, 5, 4), 2, 3
+        x, _ = generate_synthetic(SyntheticSpec(dims, rank, seed=8))
+        factors = [init_factor(0, n, d, rank) for n, d in enumerate(dims)]
+        factors[1][2, 0] = -0.05
+        negative = RunConfig(rank=rank, algorithm=name, max_iters=1, grid=grid,
+                             initial_factors=FactorSet(factors))
+        if row.nonnegative:
+            with pytest.raises(ValueError, match="negative entry"):
+                nncp_parallel(x, negative)
+        else:
+            assert np.isfinite(nncp_parallel(x, negative).errors).all()
+        rep = solve(x, grid, rank=rank, algorithm=name, max_iters=iters)
+        assert len(rep.errors) == iters + 1
+        assert len(rep.nes_accepted) == (iters if row.extrapolates else 0)
+        assert rep.inner_steps == row.steps(dims, rank)
+        # two partial MTTKRPs per sweep, and one per extrapolation test
+        assert rep.tree_partial_calls == (3 if row.extrapolates else 2) * iters
 
 
 def noisy_nes_instance():

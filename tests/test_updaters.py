@@ -40,9 +40,14 @@ from nncp.updaters import (
     MU_INNER_STEPS,
     NESTEROV_INNER_CAP,
     default_admm_rho,
-    inner_steps,
     nesterov_hyperparams,
 )
+
+
+def row_steps(rule, dims, rank):
+    """Per-mode inner step counts of ``rule``: its row of the driver's rule
+    table, on global ``dims``."""
+    return driver_mod._RULES[rule].steps(dims, rank)
 
 
 def inputs(s, m, x0=None):
@@ -335,35 +340,35 @@ class TestInnerSteps:
 
     @pytest.mark.parametrize("dims, rank", FLOOR_SHAPES)
     def test_floors_on_test_shapes(self, dims, rank):
-        assert inner_steps("mu", dims, rank) == [MU_INNER_STEPS] * len(dims)
-        assert inner_steps("hals", dims, rank) == [HALS_INNER_STEPS] * len(dims)
+        assert row_steps("mu", dims, rank) == [MU_INNER_STEPS] * len(dims)
+        assert row_steps("hals", dims, rank) == [HALS_INNER_STEPS] * len(dims)
 
     def test_cube384_r16(self):
         # the MTTKRP streams 453 MB per mode; one step reads a few dozen KB
-        assert inner_steps("mu", (384,) * 3, 16) == [27] * 3
-        assert inner_steps("hals", (384,) * 3, 16) == [10] * 3
+        assert row_steps("mu", (384,) * 3, 16) == [27] * 3
+        assert row_steps("hals", (384,) * 3, 16) == [10] * 3
 
     def test_call_cost_keeps_short_rows_below_the_cube(self, monkeypatch):
         # 64^4 R8 has fewer flops per HALS sweep than the cube, but a sweep
         # of 64 x 8 rows costs mostly its 16 numpy calls
         cube, short = ((384,) * 3, 16), ((64,) * 4, 8)
-        assert inner_steps("hals", *short)[0] < inner_steps("hals", *cube)[0]
-        assert inner_steps("mu", *short)[0] < inner_steps("mu", *cube)[0]
+        assert row_steps("hals", *short)[0] < row_steps("hals", *cube)[0]
+        assert row_steps("mu", *short)[0] < row_steps("mu", *cube)[0]
         monkeypatch.setattr(updaters_mod, "CALL_FLOPS", 0)
-        assert inner_steps("hals", *short)[0] > inner_steps("hals", *cube)[0]
+        assert row_steps("hals", *short)[0] > row_steps("hals", *cube)[0]
 
     def test_each_mode_sized_by_its_own_rows(self):
         # equal MTTKRP shares, so the mode with the fewest rows steps most
         for rule in ("mu", "hals"):
-            steps = inner_steps(rule, (1536, 384, 96), 16)
+            steps = row_steps(rule, (1536, 384, 96), 16)
             assert steps[0] < steps[1] < steps[2]
 
     def test_other_rules(self):
         for dims in ((384,) * 3, (6, 5, 4, 3)):
             n = len(dims)
-            assert inner_steps("admm", dims, 16) == [ADMM_INNER_CAP] * n
-            assert inner_steps("nes", dims, 16) == [NESTEROV_INNER_CAP] * n
-            assert inner_steps("ucp", dims, 16) == [] == inner_steps("bpp", dims, 16)
+            assert row_steps("admm", dims, 16) == [ADMM_INNER_CAP] * n
+            assert row_steps("nes", dims, 16) == [NESTEROV_INNER_CAP] * n
+            assert row_steps("ucp", dims, 16) == [] == row_steps("bpp", dims, 16)
 
 
 def enumerate_nnls(s, m):
