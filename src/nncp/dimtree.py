@@ -43,7 +43,7 @@ from itertools import islice
 
 import numpy as np
 
-from .tensor_ops import DenseTensor, FactorSet, choose_split_mode, khatri_rao
+from .tensor_ops import DenseTensor, FactorSet, as_int, choose_split_mode, khatri_rao
 
 # M * N * K up to which OpenBLAS's small-matrix kernel takes a GEMM
 _SMALL_GEMM = 100**3
@@ -214,6 +214,9 @@ def naive_mttkrp(x: DenseTensor, factors, mode: int) -> np.ndarray:
     earlier results see zeros in its place.  The driver calls it only for
     the mode-1 initial error of a zero-iteration run.
     """
+    mode = as_int(f"mode in [0, {x.order})", mode)
+    if not 0 <= mode < x.order:
+        raise ValueError(f"mode must be in [0, {x.order}), got {mode}")
     hs = list(factors.factors) if isinstance(factors, FactorSet) else list(factors)
     if len(hs) != x.order:
         raise ValueError("factor count does not match tensor order")

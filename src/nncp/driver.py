@@ -2,10 +2,10 @@
 
 ``nncp_parallel``, also bound as ``nncp_sequential``, runs ``_run_spmd`` on
 the workers of the N-dimensional grid ``RunConfig.grid`` (block Cartesian
-tensor partition, block row factor partition, Reduce-Scatter / All-Gather
-on mode slices, All-Reduce for Gram matrices).  Without a grid the run is
-the 1-worker grid, run in the caller's thread, whose one-member
-collectives return their inputs and move no words.
+tensor and block row factor partitions from ``Worker.blocks``, Reduce-Scatter
+/ All-Gather on mode slices, All-Reduce for Gram matrices).  Without a grid
+the run is the 1-worker grid, run in the caller's thread, whose
+one-member collectives return their inputs and move no words.
 Factors stay column-normalized with the scale in the weight vector; an
 update's column norms come from the diagonal of its summed Gram, a mode's
 only All-Reduce.  Every reported error comes from ``_error``, which pairs
@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .dimtree import DimTree, naive_mttkrp
-from .grid import CommCounters, Grid, Worker, block_partition, grid_shape
+from .grid import CommCounters, Grid, Worker, grid_shape
 from .tensor_ops import (
     DenseTensor,
     FactorSet,
@@ -152,9 +152,10 @@ class RunConfig:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}, not one of {ALGORITHMS}")
         if self.grid is not None:
-            if len(self.grid) != order:
-                raise ValueError(f"grid order {len(self.grid)} does not match tensor order {order}")
-            for n, (i, p) in enumerate(zip(dims, grid_shape(self.grid))):
+            shape = grid_shape(self.grid)
+            if len(shape) != order:
+                raise ValueError(f"grid order {len(shape)} does not match tensor order {order}")
+            for n, (i, p) in enumerate(zip(dims, shape)):
                 if p > i:
                     raise ValueError(
                         f"grid dim {p} exceeds tensor dim {i} in mode {n + 1}; "
@@ -234,43 +235,27 @@ class RunReport:
 
 
 class _WorkerRuntime:
-    """Per-worker execution over the block-distributed tensor."""
+    """One worker's run: its report, its tensor block ``x_local``, the
+    distribution ``Worker.blocks`` gives (``slice_rows``, ``owned``) and
+    the program's three collectives on the worker's groups."""
 
     def __init__(self, worker: Worker, x: DenseTensor):
         self.worker = worker
         self.report = RunReport(counters=worker.counters)
         # the clock holds the report, not this runtime: no reference cycle
         worker.clock = partial(_clock, self.report)
-        grid = worker.grid
-        self.groups = [
-            grid.slice_group(n, worker.coord[n]) for n in range(len(grid.shape))
-        ]
-        # tensor block: the mode-n range is fixed by the n-th coordinate
-        self.slice_rows = [
-            block_partition(i, p)[c] for i, p, c in zip(x.dims, grid.shape, worker.coord)
-        ]
-        self.x_local = DenseTensor.from_array(x.as_array()[tuple(self.slice_rows)])
+        self.slice_rows, self.owned = worker.blocks(x.dims)
+        self.x_local = DenseTensor.from_array(x.as_array()[self.slice_rows])
         self.dims = self.x_local.dims
-        # owned factor rows: sub-partition of the slice block among the
-        # slice group, in ascending rank order
-        self.owned_parts = [
-            block_partition(s.stop - s.start, g.size)
-            for s, g in zip(self.slice_rows, self.groups)
-        ]
-        self.owned = [
-            parts[g.index[worker.rank]] for parts, g in zip(self.owned_parts, self.groups)
-        ]
 
     def all_reduce(self, value, op="sum"):
         return self.worker.all_reduce(self.worker.grid.all_procs, value, op)
 
     def scatter_to_owned(self, mode, marr):
-        return self.worker.reduce_scatter(
-            self.groups[mode], marr, self.owned_parts[mode]
-        )
+        return self.worker.reduce_scatter(self.worker.groups[mode], marr)
 
     def gather_to_slice(self, mode, h_owned):
-        return self.worker.all_gather(self.groups[mode], h_owned)
+        return self.worker.all_gather(self.worker.groups[mode], h_owned)
 
 
 class _clock:

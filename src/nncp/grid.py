@@ -2,34 +2,35 @@
 
 Workers are threads running the same program (SPMD) and interacting only
 through blocking collectives -- All-Reduce, All-Gather, Reduce-Scatter.
-A 1-worker grid runs its program inline in the caller's thread.  Each
-collective goes through its ``Group``'s slot exchange: every member posts
-its array, then reads all of them.  Reductions always combine
-contributions in ascending rank order, so results are bitwise
-deterministic regardless of scheduling.  Word counters track the
-communication volume of every collective; no latency model is simulated.
-A collective over a one-member group returns its input and counts the
-call with 0 words, as the collective cost model charges it.  A worker
-times each exchanging collective through its ``clock``, which the driver
-sets to its own self-time clock.
+A 1-worker grid runs its program inline in the caller's thread.  Every
+collective takes one path, ``Worker._exchange``: a one-member group
+returns its input and counts the call with 0 words, as the collective
+cost model charges it; a larger group runs its ``Group``'s slot exchange
+(every member posts its array, then reads all of them), combines the
+posts in ascending rank order, so results are bitwise deterministic, and
+counts the words posted and returned.  No latency model is simulated.
 
 Rank linearization follows the tensor layout: rank = p_1 + P_1 p_2 + ...
 with the mode-1 coordinate varying fastest.  The mode-n slice of a worker
 is the set of workers sharing its n-th coordinate (P/P_n of them).
+``Worker.blocks`` alone decides which tensor block and factor rows each
+worker holds.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .tensor_ops import as_int
 
-_REDUCTIONS = {"sum": np.add, "min": np.minimum, "max": np.maximum}
+_REDUCTIONS = {"sum": np.add, "max": np.maximum}
 
 
 def block_partition(length: int, parts: int):
@@ -94,8 +95,10 @@ class Group:
 
 
 def grid_shape(shape) -> tuple:
-    """``shape`` as a tuple of ints, each at least 1; a non-integer dim is
-    rejected, never truncated."""
+    """``shape``, a sequence of ints, as a tuple, each at least 1; a
+    non-integer dim is rejected, never truncated."""
+    if isinstance(shape, (str, bytes)) or not isinstance(shape, (Sequence, np.ndarray)):
+        raise ValueError(f"grid shape must be a sequence of ints, got {shape!r}")
     shape = tuple(as_int(f"grid dim {n + 1}", p) for n, p in enumerate(shape))
     if any(p < 1 for p in shape):
         raise ValueError(f"grid dims must be positive, got {shape}")
@@ -172,80 +175,79 @@ class Grid:
 
 
 class Worker:
-    """Execution context of one rank: coordinates, counters, collectives.
+    """Execution context of one rank: coordinates, slice groups, data
+    distribution, counters, collectives.
 
-    ``clock(category)`` returns a context manager that times each
-    collective under its own name; the default times nothing.  A
-    collective over a one-member group checks its arguments, then returns
-    its input untimed and counts the call with 0 words.
+    ``groups[n]`` is the worker's mode-n slice group.  ``clock(category)``
+    returns a context manager that times each exchanging collective under
+    its own name; the default times nothing, and the driver sets its
+    self-time clock.  A collective over a one-member group checks only its
+    ``op``, then returns its input untimed and counts the call with 0 words.
     """
 
     def __init__(self, rank: int, grid: Grid):
         self.rank = rank
         self.grid = grid
         self.coord = grid.coord_of(rank)
+        self.groups = [grid.slice_group(n, c) for n, c in enumerate(self.coord)]
         self.counters = CommCounters()
         self.clock = nullcontext
 
-    def _alone(self, name: str, local):
-        """A one-member collective moves no words: count it, return ``local``."""
-        self.counters.record(name, 0, 0)
-        return local
+    def blocks(self, dims):
+        """The block distribution of a tensor of ``dims``: (rows, owned),
+        one slice per mode in each.  ``rows[n]`` is the worker's mode-n
+        tensor-block range, ``block_partition(I_n, P_n)`` at its n-th
+        coordinate, and its mode-n factor slice block.  ``owned[n]``, a
+        range within that block, holds the factor rows it updates: the
+        block's split over the slice group, in ascending rank order."""
+        rows = tuple(block_partition(i, p)[c] for i, p, c in zip(dims, self.grid.shape, self.coord))
+        owned = tuple(
+            block_partition(s.stop - s.start, g.size)[g.index[self.rank]]
+            for s, g in zip(rows, self.groups)
+        )
+        return rows, owned
+
+    def _exchange(self, name: str, group: Group, local, combine):
+        """The path of every collective.  One member: return ``local`` and
+        count 0 words.  Otherwise post ``local`` as float64 and return
+        ``combine(posts, index)`` of all the posts in rank order and this
+        member's index, timed, counting the words posted and returned."""
+        if group.size == 1:
+            self.counters.record(name, 0, 0)
+            return local
+        with self.clock(name):
+            arr = np.asarray(local, dtype=np.float64)
+            index = group.index[self.rank]
+            out = combine(group.exchange(index, arr), index)
+        self.counters.record(name, arr.size, np.size(out))
+        return out
 
     def all_reduce(self, group: Group, local, op: str = "sum"):
-        """Elementwise reduction in ascending rank order, same result for
-        every member."""
+        """Elementwise ``op`` ("sum" or "max") in ascending rank order, the
+        same result for every member; a scalar comes back as a float."""
         fn = _REDUCTIONS.get(op)
         if fn is None:
-            raise ValueError(f"unknown reduction {op!r}")
-        if group.size == 1:
-            return self._alone("AllReduce", local)
-        with self.clock("AllReduce"):
-            scalar = np.ndim(local) == 0
-            arr = np.atleast_1d(np.asarray(local, dtype=np.float64))
-            slots = group.exchange(group.index[self.rank], arr)
-            if any(s.shape != slots[0].shape for s in slots):
-                raise ValueError("all_reduce length mismatch across group")
-            out = slots[0].copy()
-            for s in slots[1:]:
-                fn(out, s, out=out)
-        self.counters.record("AllReduce", arr.size, arr.size)
-        return float(out[0]) if scalar else out
+            raise ValueError(f"unknown reduction {op!r}, not one of {tuple(_REDUCTIONS)}")
+        return self._exchange("AllReduce", group, local, lambda posts, k: _fold(fn, posts))
 
     def all_gather(self, group: Group, local: np.ndarray) -> np.ndarray:
         """Concatenation of the members' arrays in ascending rank order."""
-        if group.size == 1:
-            return self._alone("AllGather", local)
-        with self.clock("AllGather"):
-            arr = np.asarray(local, dtype=np.float64)
-            slots = group.exchange(group.index[self.rank], arr)
-            out = np.concatenate(slots, axis=0)
-        self.counters.record("AllGather", arr.size, out.size)
-        return out
+        return self._exchange("AllGather", group, local, lambda posts, k: np.concatenate(posts))
 
-    def reduce_scatter(self, group: Group, local: np.ndarray, parts: tuple) -> np.ndarray:
-        """Rank-ordered elementwise sum of this member's row block.
+    def reduce_scatter(self, group: Group, local: np.ndarray) -> np.ndarray:
+        """Rank-ordered elementwise sum of this member's row block, its
+        part of ``block_partition(rows, group.size)``."""
+        return self._exchange("ReduceScatter", group, local, partial(_fold, np.add))
 
-        ``parts`` holds one contiguous row slice per member, in rank order,
-        as ``block_partition`` returns them.
-        """
-        arr = np.asarray(local, dtype=np.float64)
-        if len(parts) != group.size:
-            raise ValueError(f"partition has {len(parts)} blocks for a group of {group.size}")
-        if parts[-1].stop != arr.shape[0]:
-            raise ValueError(
-                f"partition covers {parts[-1].stop} rows, local array has {arr.shape[0]}"
-            )
-        if group.size == 1:
-            return self._alone("ReduceScatter", local)
-        with self.clock("ReduceScatter"):
-            index = group.index[self.rank]
-            slots = group.exchange(index, arr)
-            if any(s.shape != slots[0].shape for s in slots):
-                raise ValueError("reduce_scatter length mismatch across group")
-            own = parts[index]
-            out = slots[0][own].copy()
-            for s in slots[1:]:
-                out += s[own]
-        self.counters.record("ReduceScatter", arr.size, out.size)
-        return out
+
+def _fold(fn, posts, member=None):
+    """``fn`` over the posts in ascending rank order: of all of each post,
+    a 0-d result as a float, or of member ``member``'s part of
+    ``block_partition(rows, len(posts))``.  The posts must share a shape."""
+    if any(p.shape != posts[0].shape for p in posts):
+        raise ValueError(f"group members posted shapes {[p.shape for p in posts]}")
+    rows = ... if member is None else block_partition(len(posts[0]), len(posts))[member]
+    out = posts[0][rows].copy()
+    for p in posts[1:]:
+        fn(out, p[rows], out=out)
+    return float(out) if out.ndim == 0 else out

@@ -126,6 +126,8 @@ class FactorSet:
 
     def __post_init__(self):
         self.factors = [np.asarray(h, dtype=np.float64) for h in self.factors]
+        if not self.factors:
+            raise ValueError("a factor set needs at least one factor")
         ranks = {h.shape[1] for h in self.factors}
         if len(ranks) != 1:
             raise ValueError(f"factors disagree on rank: {sorted(ranks)}")

@@ -439,6 +439,25 @@ class TestSequentialDriver:
             nncp_sequential(x, cfg)
         assert all(repr(rule) in str(info.value) for rule in ALGORITHMS)
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            (2, "grid shape must be a sequence of ints, got 2"),
+            ("2,1", "grid shape must be a sequence of ints, got '2,1'"),
+            ((2.0, 1), "grid dim 1 must be an integer, got 2.0"),
+            ((2, 1, 1), "grid order 3 does not match tensor order 2"),
+        ],
+    )
+    def test_grid_not_a_sequence_of_ints_is_named(self, grid, message):
+        # an int used to fail on len() and a string to report its length
+        x = DenseTensor((3, 3), np.ones(9))
+        with pytest.raises(ValueError, match=message):
+            nncp_sequential(x, RunConfig(rank=1, max_iters=1, grid=grid))
+
+    def test_empty_factor_set_is_named(self):
+        with pytest.raises(ValueError, match="needs at least one factor"):
+            FactorSet([])
+
 
 class TestParallelDriver:
     def test_trivial_grid_bitwise_identical(self):

@@ -1,5 +1,6 @@
 import sys
 import threading
+from collections import Counter
 from contextlib import nullcontext
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nncp.grid as grid_mod
 from nncp import (
+    ALGORITHMS,
     Grid,
     RunConfig,
     SyntheticSpec,
@@ -63,7 +66,7 @@ class TestSliceGroups:
             out = []
             for k in range(steps):
                 local = np.full(4, float(w.rank + k))
-                s = w.reduce_scatter(w.grid.slice_group(1, 0), local, block_partition(4, 4))
+                s = w.reduce_scatter(w.grid.slice_group(1, 0), local)
                 t = w.all_reduce(w.grid.all_procs, float(w.rank * k))
                 u = w.all_gather(w.grid.slice_group(2, 0), s)
                 out.append((float(s[0]), t, u.tolist()))
@@ -135,6 +138,83 @@ class TestBlockPartition:
             block_partition(4, 0)
 
 
+@st.composite
+def dims_and_grid(draw):
+    order = draw(st.integers(1, 4))
+    dims = draw(st.lists(st.integers(1, 9), min_size=order, max_size=order))
+    return tuple(dims), tuple(draw(st.integers(1, min(i, 3))) for i in dims)
+
+
+class TestBlocks:
+    """``Worker.blocks``: the one owner of the data distribution."""
+
+    @given(dims_and_grid())
+    @settings(max_examples=80, deadline=None)
+    def test_slice_blocks_and_owned_rows_tile(self, case):
+        dims, shape = case
+        g = Grid(shape)
+        workers = [grid_mod.Worker(r, g) for r in range(g.total)]
+        blocks = [w.blocks(dims) for w in workers]
+        for n, (i, pn) in enumerate(zip(dims, shape)):
+            # the mode-n slice blocks, one per coordinate, tile [0, I_n)
+            by_coord = {w.coord[n]: rows[n] for w, (rows, _) in zip(workers, blocks)}
+            slices = [by_coord[c] for c in range(pn)]
+            assert slices[0].start == 0 and slices[-1].stop == i
+            assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
+            for c, grp in enumerate(g.slice_groups[n]):
+                # every member holds the same slice block, and the owned
+                # blocks tile it in ascending rank order
+                assert all(blocks[r][0][n] == slices[c] for r in grp.ranks)
+                owned = [blocks[r][1][n] for r in grp.ranks]
+                assert owned[0].start == 0
+                assert owned[-1].stop == slices[c].stop - slices[c].start
+                assert all(a.stop == b.start for a, b in zip(owned, owned[1:]))
+                assert all(w.groups[n] is grp for w in workers if w.rank in grp.ranks)
+
+
+class TestOneExchangePath:
+    """Every collective on a group of 2 or more runs ``Group.exchange``
+    exactly once, and no other call does."""
+
+    @pytest.mark.parametrize("shape", [(2, 2, 1), (2, 1, 1), None])
+    @pytest.mark.parametrize("rule", ALGORITHMS)
+    def test_exchange_counts_multi_member_collectives(self, monkeypatch, rule, shape):
+        lock = threading.Lock()
+        exchanged, collectives = Counter(), Counter()
+        real_exchange = grid_mod.Group.exchange
+
+        def exchange(group, index, value):
+            with lock:
+                exchanged[group.ranks] += 1
+            return real_exchange(group, index, value)
+
+        def counting(real):
+            def collective(w, group, *args, **kwargs):
+                assert group is w.grid.all_procs or group in w.groups
+                if group.size >= 2:
+                    with lock:
+                        collectives[group.ranks] += 1
+                return real(w, group, *args, **kwargs)
+
+            return collective
+
+        monkeypatch.setattr(grid_mod.Group, "exchange", exchange)
+        for name in ("all_reduce", "all_gather", "reduce_scatter"):
+            monkeypatch.setattr(grid_mod.Worker, name, counting(getattr(grid_mod.Worker, name)))
+        x, _ = generate_synthetic(SyntheticSpec((6, 5, 4), 2, seed=3))
+        rep = nncp_parallel(x, RunConfig(rank=2, algorithm=rule, max_iters=2, grid=shape))
+        assert exchanged == collectives
+        if shape is None:
+            assert not exchanged
+        elif shape == (2, 2, 1):
+            # every slice group has 2 or more members: each call exchanges
+            assert sum(exchanged.values()) == sum(rep.counters.calls.values()) > 0
+        else:
+            # mode 1's slices are one worker each: its two collectives per
+            # update exchange nothing
+            assert 0 < sum(exchanged.values()) < sum(rep.counters.calls.values())
+
+
 class TestCollectives:
     def run_on(self, shape, fn):
         return Grid(shape).run(fn)
@@ -156,24 +236,20 @@ class TestCollectives:
         assert np.array_equal(out[0], [4.0, 6.0])
         assert np.array_equal(out[1], [4.0, 6.0])
 
-    def test_all_reduce_min_max(self):
+    def test_all_reduce_max(self):
         def fn(w):
             local = np.array([float(w.rank), -float(w.rank)])
-            return (
-                w.all_reduce(w.grid.all_procs, local, "min"),
-                w.all_reduce(w.grid.all_procs, local.copy(), "max"),
-            )
+            return w.all_reduce(w.grid.all_procs, local, "max")
 
         out = self.run_on((4,), fn)
-        lo, hi = out[0]
-        assert np.array_equal(lo, [0.0, -3.0])
-        assert np.array_equal(hi, [3.0, 0.0])
+        assert np.array_equal(out[0], [3.0, 0.0])
 
-    def test_all_reduce_unknown_op(self):
+    @pytest.mark.parametrize("op", ["prod", "min"])
+    def test_all_reduce_unknown_op(self, op):
         def fn(w):
-            return w.all_reduce(w.grid.all_procs, np.ones(2), "prod")
+            return w.all_reduce(w.grid.all_procs, np.ones(2), op)
 
-        with pytest.raises(ValueError, match="unknown reduction 'prod'"):
+        with pytest.raises(ValueError, match=f"unknown reduction '{op}'"):
             self.run_on((2,), fn)
 
     def test_all_reduce_length_mismatch(self):
@@ -213,9 +289,7 @@ class TestCollectives:
 
     def test_reduce_scatter_two_members(self):
         def fn(w):
-            return w.reduce_scatter(
-                w.grid.all_procs, np.array([1.0, 2.0]), block_partition(2, 2)
-            )
+            return w.reduce_scatter(w.grid.all_procs, np.array([1.0, 2.0]))
 
         out = self.run_on((2,), fn)
         assert np.array_equal(out[0], [2.0])
@@ -223,45 +297,37 @@ class TestCollectives:
 
     def test_reduce_scatter_singleton(self):
         def fn(w):
-            return w.reduce_scatter(
-                w.grid.all_procs, np.array([5.0, 6.0]), (slice(0, 2),)
-            )
+            return w.reduce_scatter(w.grid.all_procs, np.array([5.0, 6.0]))
 
         out = self.run_on((1,), fn)
         assert np.array_equal(out[0], [5.0, 6.0])
 
     def test_reduce_scatter_uneven_parts(self):
+        # 5 rows over 3 members: blocks of block_partition(5, 3), (2, 2, 1)
         def fn(w):
-            return w.reduce_scatter(
-                w.grid.all_procs, np.ones(3), (slice(0, 2), slice(2, 3), slice(3, 3))
-            )
+            return w.reduce_scatter(w.grid.all_procs, np.arange(5.0) + w.rank)
 
         out = self.run_on((3,), fn)
-        assert np.array_equal(out[0], [3.0, 3.0])
-        assert np.array_equal(out[1], [3.0])
-        assert out[2].size == 0
+        assert tuple(len(o) for o in out) == lengths(block_partition(5, 3)) == (2, 2, 1)
+        assert np.array_equal(np.concatenate(out), 3 * np.arange(5.0) + 3)
 
     def test_reduce_scatter_matrix_rows(self):
         def fn(w):
             local = np.arange(6.0).reshape(3, 2) + w.rank
-            return w.reduce_scatter(w.grid.all_procs, local, block_partition(3, 2))
+            return w.reduce_scatter(w.grid.all_procs, local)
 
         out = self.run_on((2,), fn)
         assert out[0].shape == (2, 2) and out[1].shape == (1, 2)
         assert np.array_equal(out[0], np.array([[1.0, 3.0], [5.0, 7.0]]))
 
-    def test_reduce_scatter_errors(self):
-        def bad_parts(w):
-            return w.reduce_scatter(w.grid.all_procs, np.ones(3), block_partition(3, 3))
+    @pytest.mark.parametrize("grid", [(2,), (3,)])
+    def test_reduce_scatter_row_count_mismatch(self, grid):
+        # one member posts one row more than the others
+        def fn(w):
+            return w.reduce_scatter(w.grid.all_procs, np.ones((3 + (w.rank == 1), 2)))
 
-        with pytest.raises(ValueError):
-            self.run_on((2,), bad_parts)
-
-        def bad_total(w):
-            return w.reduce_scatter(w.grid.all_procs, np.ones(3), block_partition(2, 2))
-
-        with pytest.raises(ValueError):
-            self.run_on((2,), bad_total)
+        with pytest.raises(ValueError, match="group members posted shapes"):
+            self.run_on(grid, fn)
 
     def test_slice_group_collective(self):
         def fn(w):
@@ -288,7 +354,7 @@ class TestCollectives:
         def fn(w):
             w.all_reduce(w.grid.all_procs, np.ones(5))
             w.all_gather(w.grid.all_procs, np.ones(2))
-            w.reduce_scatter(w.grid.all_procs, np.ones(4), block_partition(4, 2))
+            w.reduce_scatter(w.grid.all_procs, np.ones(4))
             return w.counters
 
         out = self.run_on((2,), fn)
@@ -315,14 +381,14 @@ class TestFailurePropagation:
 
 class TestOneMemberGroup:
     """A collective over one member returns its input, untimed, and counts
-    the call with 0 words; its argument checks still run."""
+    the call with 0 words; All-Reduce's ``op`` check still runs."""
 
     @pytest.mark.parametrize(
         "name, call",
         [
             ("AllReduce", lambda w, a: w.all_reduce(w.grid.all_procs, a)),
             ("AllGather", lambda w, a: w.all_gather(w.grid.all_procs, a)),
-            ("ReduceScatter", lambda w, a: w.reduce_scatter(w.grid.all_procs, a, (slice(0, 3),))),
+            ("ReduceScatter", lambda w, a: w.reduce_scatter(w.grid.all_procs, a)),
         ],
     )
     def test_returns_input_and_moves_no_words(self, name, call):
@@ -342,19 +408,6 @@ class TestOneMemberGroup:
     def test_unknown_op_rejected(self):
         with pytest.raises(ValueError, match="unknown reduction 'prod'"):
             Grid((1,)).run(lambda w: w.all_reduce(w.grid.all_procs, np.ones(2), "prod"))
-
-    def test_bad_partition_rejected(self):
-        def too_many(w):
-            return w.reduce_scatter(w.grid.all_procs, np.ones(2), block_partition(2, 2))
-
-        with pytest.raises(ValueError, match="partition has 2 blocks for a group of 1"):
-            Grid((1,)).run(too_many)
-
-        def short(w):
-            return w.reduce_scatter(w.grid.all_procs, np.ones(3), (slice(0, 2),))
-
-        with pytest.raises(ValueError, match="partition covers 2 rows, local array has 3"):
-            Grid((1,)).run(short)
 
 
 class TestRunThreads:

@@ -223,6 +223,15 @@ class TestNaiveMttkrp:
         with pytest.raises(ValueError):
             naive_mttkrp(x, hs, 0)
 
+    @pytest.mark.parametrize("mode", [3, -1, 1.0, True])
+    def test_mode_outside_the_tensor_rejected(self, mode):
+        # an out-of-range or non-integer mode used to surface as IndexError,
+        # an islice message or a TypeError
+        x = DenseTensor((4, 5, 6))
+        hs = [np.ones((d, 2)) for d in x.dims]
+        with pytest.raises(ValueError, match=r"mode .*in \[0, 3\)"):
+            naive_mttkrp(x, hs, mode)
+
     def test_factor_of_the_mode_is_never_read(self):
         rng = np.random.default_rng(8)
         dims, rank = (4, 3, 5, 2), 3
