@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import os
 import subprocess
 import sys
@@ -751,6 +752,87 @@ class TestBpp:
         for i in range(rows):
             alone = bpp_update(UpdateInputs(s, m[i : i + 1], np.zeros((1, r))))[0]
             assert np.abs(alone - out[i]).max() <= 1e-12 * max(1.0, np.abs(out[i]).max())
+
+
+def bpp_regime_instance(case, seed):
+    """(S, M) of 16 rows at R = 48 in ``order5_r48``'s regime: columns 5, 17
+    and 40 dead, as after a first update there.
+
+    "positive": M > 0 on every live column, so round one passes every live
+    column and the zero-set rounds reach k of about 10 to 14; "mixed": one
+    entry in 20 of M negated, so round one already has zero sets; "ill": a
+    live block of condition number 1e7, below BPP_RCOND_FLOOR, so every
+    round is a stacked LU.
+    """
+    rng = np.random.default_rng(seed)
+    r, dead = 48, [5, 17, 40]
+    if case == "ill":
+        s = spd_spectrum(rng, r, 1e-7)
+        m = rng.standard_normal((16, r)) * 1e-4
+    else:
+        a = rng.random((96, r))
+        s = a.T @ a
+        h = rng.random((16, r)) * (rng.random((16, r)) > 0.2)
+        m = (h @ a.T + 0.2 * rng.random((16, 96))) @ a
+        if case == "mixed":
+            m[rng.random(m.shape) < 0.05] *= -0.5
+    s[dead, :] = 0.0
+    s[:, dead] = 0.0
+    m[:, dead] = -np.abs(m[:, dead])
+    return s, m
+
+
+class TestBppBitwise:
+    """bpp_update's results and rounds, recorded on OpenBLAS x86-64 before
+    its rounds were restructured: the restructuring moved no bit.
+
+    Each pin is (sha256 prefix of the result's bytes, float.hex of its
+    largest entry and of its smallest positive entry, zero count, rounds
+    as count_row_solves records them, run-length coded as (rows, path,
+    repeats)).  "positive" takes one backup exchange and "ill" 57 backup
+    and 161 single exchanges.
+    """
+
+    PINNED = {
+        "positive": (
+            "9f40eb18cd410ad5",
+            "0x1.398191b92db0dp+0",
+            "0x1.5997e05572880p-11",
+            125,
+            [(16, "inverse", 1), (16, "zero_sets", 1), (10, "zero_sets", 1)],
+        ),
+        "mixed": (
+            "589061edcc4e15a2",
+            "0x1.3d5895af385c0p+0",
+            "0x1.1426670700000p-14",
+            157,
+            [(16, "zero_sets", 2), (7, "zero_sets", 1), (1, "zero_sets", 1)],
+        ),
+        "ill": (
+            "8739eea0aa7842ca",
+            "0x1.24b61126008c5p+1",
+            "0x1.061221fb26f2ap-13",
+            407,
+            [(16, "lu", 7), (14, "lu", 1), (13, "lu", 2), (9, "lu", 1), (7, "lu", 1),
+             (6, "lu", 5), (5, "lu", 3), (4, "lu", 6), (3, "lu", 3), (2, "lu", 10),
+             (1, "lu", 41)],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", ["positive", "mixed", "ill"])
+    def test_results_and_rounds_pinned(self, monkeypatch, case):
+        s, m = bpp_regime_instance(case, 0)
+        rounds = count_row_solves(monkeypatch)
+        got = bpp_update(UpdateInputs(s, m, np.zeros_like(m)))
+        digest, big, small, zeros, want_rounds = self.PINNED[case]
+        assert hashlib.sha256(got.tobytes()).hexdigest()[:16] == digest
+        assert got.max().hex() == big
+        assert got[got > 0.0].min().hex() == small
+        assert np.count_nonzero(got == 0.0) == zeros
+        assert rounds == [(n, path) for n, path, k in want_rounds for _ in range(k)]
+        # the same operands whatever the inputs' memory layout
+        for s2, m2 in ((np.asfortranarray(s), np.asfortranarray(m)), (s.T, np.repeat(m, 2, axis=1)[:, ::2])):
+            assert np.array_equal(got, bpp_update(UpdateInputs(s2, m2, np.zeros_like(m))))
 
 
 def admm_steps(s, m, x, u, steps=ADMM_INNER_CAP):
