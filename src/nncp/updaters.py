@@ -226,16 +226,23 @@ def _live_inverse(s: np.ndarray, m: np.ndarray):
     when a zero-set solve on them would not be exact.
 
     Some column must be live.  A dead column must have an all-zero row of S
-    and no positive entry of M, so that its optimum is exactly 0.  S_LL must
-    be positive definite, and its reciprocal 1-norm condition number
+    and no positive entry of M, so that its optimum is exactly 0; when every
+    column is live there is nothing to check.  S_LL must be positive
+    definite, and its reciprocal 1-norm condition number
     1 / (||S_LL||_1 ||S_LL^{-1}||_1), read exactly off the inverse formed
     here, at least BPP_RCOND_FLOOR.  LAPACK's ``dpocon`` estimate can only
     under-estimate ||S_LL^{-1}||_1, so this test is never less strict.
     """
-    live = np.diag(s) > 0.0
-    if not live.any() or s[~live].any() or (m[:, ~live] > 0.0).any():
+    live = s.diagonal() > 0.0
+    nlive = np.count_nonzero(live)
+    # S_LL column-major, as s[live][:, live] makes it: the layout fixes the
+    # order in which its 1-norm sums each column
+    if nlive == live.size:
+        sl = np.asfortranarray(s)
+    elif not nlive or s[~live].any() or (m[:, ~live] > 0.0).any():
         return None
-    sl = s[live][:, live]
+    else:
+        sl = s[live][:, live]
     try:
         z = _cho_inverse(sl)
     except LinAlgError:
@@ -250,21 +257,26 @@ def _solve_zero_sets(z: np.ndarray, w: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Rows x with x_P = S_PP^{-1} m_P and 0 off P, from Z = S^{-1} and W = M Z.
 
     For a row's zero set C = ~P, Z_CC lam = w_C gives x = w - Z[:, C] lam.
-    All rows share one (n, k, k) solve, k the largest |C|, each padded with
-    the identity; no solve when every C is empty.
+    All rows share one (n, k, k) solve, k the largest |C|: row i's zero-set
+    columns come first, in order, and its first k - |C_i| passive columns
+    pad it, with the identity in Z_CC and 0 in w_C.  No solve when every C
+    is empty.
     """
+    if p.all():
+        return w.copy()
     c = ~p
-    k = int(c.sum(axis=1).max())
-    x = w.copy()
-    if k:
-        # each row's zero-set columns first, then padding
-        idx = np.argsort(p, axis=1, kind="stable")[:, :k]
-        valid = np.take_along_axis(c, idx, axis=1)
-        zcc = z[idx[:, :, None], idx[:, None, :]]
-        zcc = np.where(valid[:, :, None] & valid[:, None, :], zcc, np.eye(k))
-        wc = np.where(valid, np.take_along_axis(w, idx, axis=1), 0.0)
-        lam = np.linalg.solve(zcc, wc[..., None])
-        x -= (lam.transpose(0, 2, 1) @ z[idx])[:, 0]
+    size = c.sum(axis=1)
+    k = size.max()
+    n, r = p.shape
+    # each row's zero-set columns, then its passive ones: exactly r per row
+    idx = np.concatenate((c, p), axis=1).ravel().nonzero()[0].reshape(n, r)[:, :k] % r
+    ar = np.arange(k)
+    valid = ar < size[:, None]
+    pair = valid[:, :, None] & valid[:, None, :]
+    zcc = np.where(pair, z[idx[:, :, None], idx[:, None, :]], ar[:, None] == ar)
+    wc = np.where(valid, w[np.arange(n)[:, None], idx], 0.0)
+    lam = np.linalg.solve(zcc, wc[..., None])
+    x = w - (lam.transpose(0, 2, 1) @ z.take(idx, axis=0))[:, 0]
     x[c] = 0.0
     return x
 
@@ -273,67 +285,98 @@ def bpp_update(inp: UpdateInputs) -> np.ndarray:
     """Exact NNLS of every factor row by block principal pivoting.
 
     Row i solves min_{x>=0} 0.5 x^T S x - m_i^T x (Kim & Park 2011); all
-    rows pivot together.  Each round checks KKT on every row and exchanges
-    the violating variables of each unfinished row: all of them while the
-    violation count improves and for BPP_BACKUP_TRIES non-improving rounds
-    after that.  A row that runs out of those tries exchanges only its
-    largest violating index for the rest of the call (Murty's rule, which
-    terminates on a positive definite S).  The unfinished rows are then
-    re-solved together (no row is gathered while every row is unfinished,
-    and no exchange rule is tracked when every one improved).  Once per call
-    ``_live_inverse`` factors the live block of S; when that succeeds, rows
-    pivot on the live columns alone (a dead column's y = -m >= 0 never
-    violates) and each round is ``_solve_zero_sets`` on Z = S^{-1} and
-    W = M Z, which needs no solve at all while every row's passive set
-    holds all live columns (as in the first round when every row of M is
-    positive), and dead columns stay exactly 0.  Otherwise each round is
-    ``_solve_passive``, one stacked LU.  A row still violating at its
-    5R+1st check raises BppCyclingError with the lowest such row.
+    rows pivot together.  Each round checks KKT on every unfinished row and
+    exchanges its violating variables: all of them while the violation
+    count improves and for BPP_BACKUP_TRIES non-improving rounds after that.
+    A row that runs out of those tries exchanges only its largest violating
+    index for the rest of the call (Murty's rule, which terminates on a
+    positive definite S).  The unfinished rows are then re-solved together.
+
+    Once per call ``_live_inverse`` factors the live block of S.  When that
+    succeeds, rows pivot on the live columns alone (a dead column's
+    y = -m >= 0 never violates, and dead columns stay exactly 0), and each
+    round is ``_solve_zero_sets`` on Z = S^{-1} and W = M Z.  Otherwise
+    each round is ``_solve_passive``, one stacked LU.
+
+    Round one starts from x = 0, y = -m, so its check is m > 0 and its
+    passive sets are the entries where m > 0.  A round in which every row
+    holds every column passive has y = 0 and takes no product x S (on the
+    inverse path it needs no solve either: its rows are W's).  The
+    working arrays hold the unfinished rows only, updated in place, and
+    shrink when rows finish; a row still violating at its 5R+1st check
+    raises BppCyclingError with the lowest such row.
     """
     s, m = inp.gram, inp.mttkrp_rows
     n, r = m.shape
     inverse = _live_inverse(s, m)
-    live, z = inverse if inverse is not None else (slice(None), None)
-    if z is not None:
-        s, m = s[np.ix_(live, live)], m[:, live]
-        w = m @ z
-    passive = np.zeros(m.shape, dtype=bool)
-    x = np.zeros(m.shape)
-    y = -m
-    lowest = np.full(n, r + 1)
-    backup = np.full(n, BPP_BACKUP_TRIES)
-    for _ in range(5 * r + 1):
-        viol = np.where(passive, x, y) < 0
-        nviol = np.count_nonzero(viol, axis=1)
-        todo = np.flatnonzero(nviol)
-        if todo.size == 0:
-            out = np.zeros((n, r))
-            out[:, live] = x
-            return out
-        rows = todo if todo.size < n else slice(None)
-        flip, count = viol[rows], nviol[rows]
-        improved = count < lowest[rows]
-        if improved.all():
-            lowest[rows], backup[rows] = count, BPP_BACKUP_TRIES
+    live = None
+    if inverse is None:
+        solve, a, b = _solve_passive, s, m
+    else:
+        live, z = inverse
+        # M_L column-major and S_LL row-major whether or not a column is
+        # dead: OpenBLAS picks its GEMM kernel by layout, and the kernels
+        # round differently
+        if len(z) == r:
+            live = None
+            s, m = np.ascontiguousarray(s), np.asfortranarray(m)
         else:
-            retry = ~improved & (backup[todo] > 0)
-            single = np.flatnonzero(~improved & ~retry)
-            lowest[todo[improved]] = count[improved]
-            backup[todo[improved]] = BPP_BACKUP_TRIES
-            backup[todo[retry]] -= 1
-            # no count improves on 0, so these rows keep the single exchange
-            lowest[todo[single]] = 0
-            last = flip.shape[1] - 1 - np.argmax(flip[single, ::-1], axis=1)
-            flip[single] = False
-            flip[single, last] = True
-        passive[rows] = p = passive[rows] ^ flip
-        mt = m[rows]
-        xt = _solve_passive(s, mt, p) if z is None else _solve_zero_sets(z, w[rows], p)
-        yt = xt @ s - mt
-        yt[p] = 0.0
-        x[rows] = xt
-        y[rows] = yt
-    raise BppCyclingError(int(todo[0]))
+            s, m = s.compress(live, axis=0).compress(live, axis=1), m[:, live]
+        solve, a, b = _solve_zero_sets, z, m @ z
+    if not n:
+        return np.zeros((n, r))
+    out = np.zeros(m.shape)
+    # the unfinished rows and their backup tries; None while that is every
+    # row, and while every row has all BPP_BACKUP_TRIES left
+    rows = backup = None
+    # round one checks x = 0, y = -m, and every row improves on r + 1
+    viol = m > 0.0
+    p = None
+    for _ in range(5 * r + 1):
+        count = viol.sum(axis=1)
+        if not count.all():
+            keep = np.flatnonzero(count)
+            if not keep.size:
+                break
+            rows = keep if rows is None else rows[keep]
+            viol, count, m, b = viol[keep], count[keep], m[keep], b[keep]
+            if p is not None:
+                p, lowest = p[keep], lowest[keep]
+            if backup is not None:
+                backup = backup[keep]
+        if p is None:
+            p, lowest = viol, count
+        else:
+            improved = count < lowest
+            if improved.all():
+                lowest, backup = count, None
+            else:
+                if backup is None:
+                    backup = np.full(count.size, BPP_BACKUP_TRIES)
+                retry = ~improved & (backup > 0)
+                single = np.flatnonzero(~improved & ~retry)
+                lowest[improved] = count[improved]
+                backup[improved] = BPP_BACKUP_TRIES
+                backup[retry] -= 1
+                # no count improves on 0, so these rows keep the single exchange
+                lowest[single] = 0
+                last = viol.shape[1] - 1 - np.argmax(viol[single, ::-1], axis=1)
+                viol[single] = False
+                viol[single, last] = True
+            p ^= viol
+        x = solve(a, b, p)
+        if rows is None:
+            out = x
+        else:
+            out[rows] = x
+        viol = (x if p.all() else np.where(p, x, x @ s - m)) < 0.0
+    else:
+        raise BppCyclingError(0 if rows is None else int(rows[0]))
+    if live is None:
+        return out
+    full = np.zeros((n, r))
+    full[:, live] = out
+    return full
 
 
 def default_admm_rho(gram: np.ndarray) -> float:
