@@ -9,13 +9,16 @@ row of H, and every rule solves all rows of one update together.  BPP
 factors the live block of S (the columns with a positive diagonal) once per
 call and, when it is well conditioned, pivots on the live columns and
 solves each round from S^{-1} on the rows' zero sets only; otherwise each
-round takes one stacked LU.  UCP multiplies M by S^{-1} and falls back to
-least squares only when S is not positive definite.  ADMM inverts S + rho I
-once per call, so each of its steps is one GEMM.  All three form their
-inverse the same way, from numpy's Cholesky factor, so the package runs on
-numpy alone.  MU and HALS repeat their step on the same M and S,
-which cost far more than one step, and ``budgeted_steps`` sizes their
-counts to that cost: more steps where the MTTKRP dwarfs one step.
+round takes one stacked LU.  Its rounds make only the numpy calls their
+LAPACK and BLAS work needs: round one starts from M > 0, later rounds hold
+the unfinished rows only, and no round gathers what it does not solve.  UCP
+multiplies M by S^{-1} and falls back to least squares only when S is not
+positive definite.  ADMM inverts S + rho I once per call, so each of its
+steps is one GEMM.  All three form their inverse the same way, from numpy's
+Cholesky factor, so the package runs on numpy alone.  MU and HALS repeat
+their step on the same M and S, which cost far more than one step, and
+``budgeted_steps`` sizes their counts to that cost: more steps where the
+MTTKRP dwarfs one step.
 
 Every rule is row-local: MU, HALS, ADMM and Nesterov run a step count fixed
 before the run starts, so no update communicates.
@@ -234,12 +237,11 @@ def _live_inverse(s: np.ndarray, m: np.ndarray):
     under-estimate ||S_LL^{-1}||_1, so this test is never less strict.
     """
     live = s.diagonal() > 0.0
-    nlive = np.count_nonzero(live)
     # S_LL column-major, as s[live][:, live] makes it: the layout fixes the
     # order in which its 1-norm sums each column
-    if nlive == live.size:
+    if live.all():
         sl = np.asfortranarray(s)
-    elif not nlive or s[~live].any() or (m[:, ~live] > 0.0).any():
+    elif not live.any() or s[~live].any() or (m[:, ~live] > 0.0).any():
         return None
     else:
         sl = s[live][:, live]
@@ -326,12 +328,11 @@ def bpp_update(inp: UpdateInputs) -> np.ndarray:
     if not n:
         return np.zeros((n, r))
     out = np.zeros(m.shape)
-    # the unfinished rows and their backup tries; None while that is every
-    # row, and while every row has all BPP_BACKUP_TRIES left
-    rows = backup = None
-    # round one checks x = 0, y = -m, and every row improves on r + 1
+    backup = np.full(n, BPP_BACKUP_TRIES)
+    # the unfinished rows, None while that is every row; round one checks
+    # x = 0, y = -m, and every row improves on r + 1 violations
+    rows = p = None
     viol = m > 0.0
-    p = None
     for _ in range(5 * r + 1):
         count = viol.sum(axis=1)
         if not count.all():
@@ -339,20 +340,17 @@ def bpp_update(inp: UpdateInputs) -> np.ndarray:
             if not keep.size:
                 break
             rows = keep if rows is None else rows[keep]
-            viol, count, m, b = viol[keep], count[keep], m[keep], b[keep]
+            viol, count, m, b, backup = viol[keep], count[keep], m[keep], b[keep], backup[keep]
             if p is not None:
                 p, lowest = p[keep], lowest[keep]
-            if backup is not None:
-                backup = backup[keep]
         if p is None:
             p, lowest = viol, count
         else:
             improved = count < lowest
             if improved.all():
-                lowest, backup = count, None
+                lowest = count
+                backup[:] = BPP_BACKUP_TRIES
             else:
-                if backup is None:
-                    backup = np.full(count.size, BPP_BACKUP_TRIES)
                 retry = ~improved & (backup > 0)
                 single = np.flatnonzero(~improved & ~retry)
                 lowest[improved] = count[improved]

@@ -35,6 +35,10 @@ class TestChooseSplitMode:
     def test_cap_when_never_dominant(self):
         assert choose_split_mode([2, 2, 100]) == 2
 
+    def test_one_mode_rejected(self):
+        with pytest.raises(ValueError, match="^need at least 2 modes$"):
+            choose_split_mode([5])
+
 
 class TestPlan:
     def test_buffer_sizes(self):
@@ -82,6 +86,11 @@ class TestPartialMttkrp:
             partial_mttkrp(x, np.ones((3, 1)), "left", split)
         with pytest.raises(ValueError):
             partial_mttkrp(x, np.ones((3, 1)), "right", split)
+
+    def test_unknown_side_rejected(self):
+        x = DenseTensor((2, 2, 2))
+        with pytest.raises(ValueError, match="^side must be 'left' or 'right', got 'middle'$"):
+            partial_mttkrp(x, np.ones((4, 1)), "middle", 1)
 
     def test_both_sides_match_einsum_mttkrp(self):
         # with one retained mode, the temporary is that mode's MTTKRP

@@ -337,6 +337,17 @@ class TestSequentialDriver:
         with pytest.raises(ValueError):
             nncp_parallel(x, RunConfig(rank=1, grid=(2, 2, 2)))
 
+    def test_config_rejects_negative_max_iters(self):
+        x = DenseTensor((3, 3), np.ones(9))
+        with pytest.raises(ValueError, match="^max_iters must be nonnegative$"):
+            nncp_sequential(x, RunConfig(rank=1, max_iters=-1))
+
+    def test_config_rejects_initial_factors_of_another_rank(self):
+        x = DenseTensor((3, 3), np.ones(9))
+        start = FactorSet([np.ones((3, 1)), np.ones((3, 1))])
+        with pytest.raises(ValueError, match="^initial factors disagree with configured rank$"):
+            nncp_sequential(x, RunConfig(rank=2, max_iters=1, initial_factors=start))
+
     @pytest.mark.parametrize(
         "field, value", [("seed", -1), ("seed", 2**64), ("tol", float("nan")), ("tol", -1e-3)]
     )

@@ -76,6 +76,21 @@ class TestTensorFile:
         with pytest.raises(TruncatedFileError):
             read_tensor(path)
 
+    def test_truncated_dims_block(self, tmp_path):
+        # the header promises three dims; the file ends inside the second
+        path = tmp_path / "dims.bin"
+        path.write_bytes(struct.pack("<4sHH", MAGIC, 1, 3) + struct.pack("<Q", 4) + bytes(4))
+        want = f"^{re.escape(str(path))}: file ends inside the dims block$"
+        with pytest.raises(TruncatedFileError, match=want):
+            read_tensor(path)
+
+    def test_read_matrix_rejects_other_orders(self, tmp_path):
+        path = tmp_path / "cube.bin"
+        write_tensor(path, DenseTensor((2, 2, 2), np.arange(8.0)))
+        want = f"^{re.escape(str(path))}: expected an order-2 file, got order 3$"
+        with pytest.raises(TensorFileError, match=want):
+            read_matrix(path)
+
     @pytest.mark.parametrize("dims", [(), (3,), (0, 3)])
     def test_header_of_no_tensor_names_the_path(self, tmp_path, dims):
         # the payload matches the header, so only the dims can fail
@@ -332,6 +347,22 @@ class TestCli:
         with pytest.raises(SystemExit) as info:
             self.run(tmp_path, "--dims", "4,4", "--rank", "2")
         assert info.value.code == 2
+
+    def test_input_with_synthetic_rank_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            self.run(tmp_path, "--input", "x.bin", "--synthetic-rank", "2", "--rank", "2")
+        assert info.value.code == 2
+        assert "error: --synthetic-rank only applies to --dims" in capsys.readouterr().err
+
+    def test_grid_of_non_integers_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            self.run(
+                tmp_path,
+                "--dims", "4,4,4", "--synthetic-rank", "2", "--rank", "2", "--grid", "2,x",
+            )
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --grid: expected comma-separated integers, got '2,x'" in err
 
     def test_missing_input_file_fails_cleanly(self, tmp_path):
         code, _ = self.run(tmp_path, "--input", str(tmp_path / "nope.bin"), "--rank", "2")

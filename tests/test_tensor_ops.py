@@ -116,6 +116,12 @@ class TestDenseTensor:
         m2 = x.unfold_leading(2)
         assert m2[1 + 2 * 1, 1] == x.as_array()[1, 1, 1]
 
+    @pytest.mark.parametrize("split", [0, 3])
+    def test_unfold_split_out_of_range(self, split):
+        x = DenseTensor((2, 2, 2), np.arange(1.0, 9.0))
+        with pytest.raises(ValueError, match=f"^split must be in \\[1, 2\\], got {split}$"):
+            x.unfold_leading(split)
+
 
 class TestKhatriRao:
     def test_single_factor_identity(self):
@@ -202,6 +208,11 @@ class TestNaiveMttkrp:
         x = DenseTensor((2, 3, 2))
         hs = [np.ones((2, 2)), np.ones((3, 2)), np.ones((2, 2))]
         assert np.array_equal(naive_mttkrp(x, hs, 0), np.zeros((2, 2)))
+
+    def test_factor_count_must_match_order(self):
+        x = DenseTensor((2, 3, 2))
+        with pytest.raises(ValueError, match="^factor count does not match tensor order$"):
+            naive_mttkrp(x, [np.ones((2, 2)), np.ones((3, 2))], 0)
 
     def test_rank_one_identity(self):
         h1 = np.array([[1.0], [2.0]])
@@ -349,6 +360,16 @@ class TestNormsAndInnerProducts:
         assert matrix_inner_product(a, b) == 70.0
         with pytest.raises(ValueError):
             matrix_inner_product(a, np.zeros((3, 2)))
+
+
+class TestFactorSet:
+    def test_factors_of_different_ranks_rejected(self):
+        with pytest.raises(ValueError, match="^factors disagree on rank: \\[2, 3\\]$"):
+            FactorSet([np.ones((4, 2)), np.ones((5, 3))])
+
+    def test_weights_of_another_length_rejected(self):
+        with pytest.raises(ValueError, match="^lambda length must equal the rank$"):
+            FactorSet([np.ones((4, 2)), np.ones((5, 2))], np.ones(3))
 
 
 class TestReconstruct:

@@ -782,9 +782,106 @@ def bpp_regime_instance(case, seed):
     return s, m
 
 
+def _reference_zero_sets(z, w, p):
+    """_solve_zero_sets through argsort and take_along_axis."""
+    c = ~p
+    k = int(c.sum(axis=1).max())
+    x = w.copy()
+    if k:
+        idx = np.argsort(p, axis=1, kind="stable")[:, :k]
+        valid = np.take_along_axis(c, idx, axis=1)
+        zcc = z[idx[:, :, None], idx[:, None, :]]
+        zcc = np.where(valid[:, :, None] & valid[:, None, :], zcc, np.eye(k))
+        wc = np.where(valid, np.take_along_axis(w, idx, axis=1), 0.0)
+        lam = np.linalg.solve(zcc, wc[..., None])
+        x -= (lam.transpose(0, 2, 1) @ z[idx])[:, 0]
+    x[c] = 0.0
+    return x
+
+
+def bpp_reference(s, m):
+    """bpp_update with full-size x, y and passive arrays, each updated
+    through fancy-indexed copies of its unfinished rows every round: the
+    bitwise reference for bpp_update, whose rounds must make the same
+    LAPACK and BLAS calls on the same operands, layouts included.
+    """
+    n, r = m.shape
+    live = np.diag(s) > 0.0
+    z = None
+    if live.any() and not s[~live].any() and not (m[:, ~live] > 0.0).any():
+        sl = s[live][:, live]
+        try:
+            zl = updaters_mod._cho_inverse(sl)
+        except np.linalg.LinAlgError:
+            zl = None
+        if zl is not None:
+            rcond = 1.0 / (np.abs(sl).sum(axis=0).max() * np.abs(zl).sum(axis=0).max())
+            z = zl if rcond >= updaters_mod.BPP_RCOND_FLOOR else None
+    if z is None:
+        live = slice(None)
+    else:
+        s, m = s[np.ix_(live, live)], m[:, live]
+        w = m @ z
+    passive = np.zeros(m.shape, dtype=bool)
+    x = np.zeros(m.shape)
+    y = -m
+    lowest = np.full(n, r + 1)
+    backup = np.full(n, BPP_BACKUP_TRIES)
+    for _ in range(5 * r + 1):
+        viol = np.where(passive, x, y) < 0
+        nviol = np.count_nonzero(viol, axis=1)
+        todo = np.flatnonzero(nviol)
+        if todo.size == 0:
+            out = np.zeros((n, r))
+            out[:, live] = x
+            return out
+        rows = todo if todo.size < n else slice(None)
+        flip, count = viol[rows], nviol[rows]
+        improved = count < lowest[rows]
+        if improved.all():
+            lowest[rows], backup[rows] = count, BPP_BACKUP_TRIES
+        else:
+            retry = ~improved & (backup[todo] > 0)
+            single = np.flatnonzero(~improved & ~retry)
+            lowest[todo[improved]] = count[improved]
+            backup[todo[improved]] = BPP_BACKUP_TRIES
+            backup[todo[retry]] -= 1
+            lowest[todo[single]] = 0
+            last = flip.shape[1] - 1 - np.argmax(flip[single, ::-1], axis=1)
+            flip[single] = False
+            flip[single, last] = True
+        passive[rows] = p = passive[rows] ^ flip
+        mt = m[rows]
+        if z is None:
+            xt = updaters_mod._solve_passive(s, mt, p)
+        else:
+            xt = _reference_zero_sets(z, w[rows], p)
+        yt = xt @ s - mt
+        yt[p] = 0.0
+        x[rows] = xt
+        y[rows] = yt
+    raise BppCyclingError(int(todo[0]))
+
+
+def assert_bitwise_reference(s, m):
+    """bpp_update equals bpp_reference bit for bit, or both raise
+    BppCyclingError on the same row."""
+    try:
+        want = bpp_reference(s, m)
+    except BppCyclingError as exc:
+        with pytest.raises(BppCyclingError) as info:
+            bpp_update(UpdateInputs(s, m, np.zeros_like(m)))
+        assert info.value.row == exc.row
+        return
+    got = bpp_update(UpdateInputs(s, m, np.zeros_like(m)))
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestBppBitwise:
-    """bpp_update's results and rounds, recorded on OpenBLAS x86-64 before
-    its rounds were restructured: the restructuring moved no bit.
+    """bpp_update's results and rounds, pinned bit for bit (OpenBLAS,
+    x86-64): its rounds may change the numpy calls around their LAPACK and
+    BLAS work, never a bit of what they return.
 
     Each pin is (sha256 prefix of the result's bytes, float.hex of its
     largest entry and of its smallest positive entry, zero count, rounds
@@ -830,9 +927,42 @@ class TestBppBitwise:
         assert got[got > 0.0].min().hex() == small
         assert np.count_nonzero(got == 0.0) == zeros
         assert rounds == [(n, path) for n, path, k in want_rounds for _ in range(k)]
-        # the same operands whatever the inputs' memory layout
-        for s2, m2 in ((np.asfortranarray(s), np.asfortranarray(m)), (s.T, np.repeat(m, 2, axis=1)[:, ::2])):
-            assert np.array_equal(got, bpp_update(UpdateInputs(s2, m2, np.zeros_like(m))))
+        # the same operands whatever M's memory layout
+        for m2 in (np.asfortranarray(m), np.repeat(m, 2, axis=1)[:, ::2]):
+            assert np.array_equal(got, bpp_update(UpdateInputs(s, m2, np.zeros_like(m))))
+        assert_bitwise_reference(s, m)
+
+    @given(
+        st.integers(1, 48),
+        st.integers(0, 20),
+        st.floats(0.0, 0.3),
+        st.sampled_from(["positive", "mixed", "signed"]),
+        st.floats(0.0, 8.0),
+        st.integers(0, 10**6),
+    )
+    @example(r=35, rows=13, dead=0.0, sign="positive", decay=1.0, seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_bitwise(self, r, rows, dead, sign, decay, seed):
+        # a Gram of nonnegative factors with dead columns, or a spectrum
+        # falling to 10^-decay, which past 1e4 takes the stacked LU
+        rng = np.random.default_rng(seed)
+        if sign == "signed":
+            s = spd_spectrum(rng, r, 10.0**-decay)
+            m = rng.standard_normal((rows, r)) * 10.0**-decay
+        else:
+            a = rng.random((2 * r + 8, r))
+            s = a.T @ a
+            h = rng.random((rows, r)) * (rng.random((rows, r)) > 0.2)
+            m = (h @ a.T + 0.2 * rng.random((rows, a.shape[0]))) @ a
+            if sign == "mixed":
+                m[rng.random(m.shape) < 0.05] *= -0.5
+        out = rng.random(r) < dead
+        s[out, :] = s[:, out] = 0.0
+        m[:, out] = -np.abs(m[:, out])
+        assert_bitwise_reference(s, m)
+        # a column-major and a strided M
+        assert_bitwise_reference(s, np.asfortranarray(m))
+        assert_bitwise_reference(s, np.repeat(m, 2, axis=1)[:, ::2])
 
 
 def admm_steps(s, m, x, u, steps=ADMM_INNER_CAP):
@@ -1010,6 +1140,10 @@ class TestNesterov:
         assert q >= 1e-6 - 1e-12
         assert alpha == pytest.approx(1.0 / (1.0 + lam))
 
+    def test_hyperparameters_of_a_zero_gram(self):
+        # every eigenvalue is 0, so the proximal weight alone conditions it
+        assert nesterov_hyperparams(np.zeros((3, 3))) == (1.0, 1.0, 0.0)
+
     def test_reduces_to_projected_gradient_on_scalars(self, monkeypatch):
         # with mu == L the schedule gives lam=0, beta=0, alpha=1/L: plain PGD
         monkeypatch.setattr(updaters_mod, "NESTEROV_INNER_CAP", 7)
@@ -1169,6 +1303,38 @@ def test_non_finite_gram_raises(name, entry):
     inp = inputs(s, np.ones((2, 3)))
     with pytest.raises(ValueError, match="infs or NaNs"):
         ucp_update(inp) if name == "ucp" else admm_update(inp, UpdaterState())
+
+
+@pytest.mark.parametrize(
+    "gram, rows, current, message",
+    [
+        ((2, 3), (4, 3), (4, 3), "gram must be square"),
+        ((3, 3), (4, 2), (4, 3), "rank mismatch between gram and factor rows"),
+        ((3, 3), (4, 3), (4, 2), "rank mismatch between gram and factor rows"),
+        ((3, 3), (4, 3), (5, 3), "mttkrp_rows and current must have equal row counts"),
+    ],
+)
+def test_update_inputs_reject_mismatched_shapes(gram, rows, current, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        UpdateInputs(np.zeros(gram), np.zeros(rows), np.zeros(current))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=RuntimeError,
+    reason="rank 12 on a 6x6x6 rank-2 tensor leaves 10 of 12 columns live with "
+    "a singular live block of S (smallest eigenvalue -2.1e-16), so _live_inverse "
+    "returns None and the stacked LU pivots on singular systems whose outcome "
+    "depends on rounding: the sequential run cycles on row 0 at iteration 5, "
+    "mode 2, while the (2,1,1) grid completes",
+)
+def test_bpp_with_rank_above_the_data_completes_like_the_grid():
+    x, _ = generate_synthetic(SyntheticSpec((6, 6, 6), 2, seed=1))
+    cfg = dict(rank=12, algorithm="bpp", max_iters=8, tol=0.0, seed=1)
+    par = nncp_parallel(x, RunConfig(grid=(2, 1, 1), **cfg))
+    assert len(par.errors) == 9
+    seq = nncp_sequential(x, RunConfig(**cfg))
+    assert np.abs(np.array(seq.errors) - np.array(par.errors)).max() <= 1e-10
 
 
 @pytest.mark.parametrize("name", ["mu", "hals", "bpp", "admm", "nes"])
