@@ -311,9 +311,8 @@ def bpp_update(inp: UpdateInputs) -> np.ndarray:
     s, m = inp.gram, inp.mttkrp_rows
     n, r = m.shape
     inverse = _live_inverse(s, m)
-    live = None
     if inverse is None:
-        solve, a, b = _solve_passive, s, m
+        live, solve, a, b = None, _solve_passive, s, m
     else:
         live, z = inverse
         # M_L column-major and S_LL row-major whether or not a column is
