@@ -229,22 +229,18 @@ def _live_inverse(s: np.ndarray, m: np.ndarray):
     when a zero-set solve on them would not be exact.
 
     Some column must be live.  A dead column must have an all-zero row of S
-    and no positive entry of M, so that its optimum is exactly 0; when every
-    column is live there is nothing to check.  S_LL must be positive
-    definite, and its reciprocal 1-norm condition number
+    and no positive entry of M, so that its optimum is exactly 0.  S_LL must
+    be positive definite, and its reciprocal 1-norm condition number
     1 / (||S_LL||_1 ||S_LL^{-1}||_1), read exactly off the inverse formed
     here, at least BPP_RCOND_FLOOR.  LAPACK's ``dpocon`` estimate can only
     under-estimate ||S_LL^{-1}||_1, so this test is never less strict.
     """
     live = s.diagonal() > 0.0
-    # S_LL column-major, as s[live][:, live] makes it: the layout fixes the
-    # order in which its 1-norm sums each column
-    if live.all():
-        sl = np.asfortranarray(s)
-    elif not live.any() or s[~live].any() or (m[:, ~live] > 0.0).any():
+    if not live.any() or s[~live].any() or (m[:, ~live] > 0.0).any():
         return None
-    else:
-        sl = s[live][:, live]
+    # column-major: the layout fixes the order in which its 1-norm sums
+    # each column
+    sl = s[live][:, live]
     try:
         z = _cho_inverse(sl)
     except LinAlgError:
@@ -315,14 +311,10 @@ def bpp_update(inp: UpdateInputs) -> np.ndarray:
         live, solve, a, b = None, _solve_passive, s, m
     else:
         live, z = inverse
-        # M_L column-major and S_LL row-major whether or not a column is
-        # dead: OpenBLAS picks its GEMM kernel by layout, and the kernels
-        # round differently
-        if len(z) == r:
-            live = None
-            s, m = np.ascontiguousarray(s), np.asfortranarray(m)
-        else:
-            s, m = s.compress(live, axis=0).compress(live, axis=1), m[:, live]
+        # M_L column-major and S_LL row-major, whatever the inputs' layouts:
+        # OpenBLAS picks its GEMM kernel by layout, and the kernels round
+        # differently
+        s, m = s.compress(live, axis=0).compress(live, axis=1), m[:, live]
         solve, a, b = _solve_zero_sets, z, m @ z
     if not n:
         return np.zeros((n, r))
