@@ -191,11 +191,9 @@ class DimTree:
                     with clock("MultiTTV"):
                         temp = multi_ttv(temp, factors[mode - 1], "leading")
                 if mode == hi - 1:
-                    if np.may_share_memory(temp, work):
-                        # no multi-TTV ran on this side: copy the root block
-                        # out, even where it already is C-ordered
-                        temp = temp.copy(order="C")
-                    yield np.ascontiguousarray(temp)
+                    # a fresh C-ordered array, also where no multi-TTV ran on
+                    # this side and temp is the workspace's root block
+                    yield temp.copy(order="C")
                     continue
                 with clock("KRP"):
                     krp = khatri_rao(factors[mode + 1 : hi])

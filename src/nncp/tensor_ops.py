@@ -24,9 +24,13 @@ import numpy as np
 
 # doubles per block of a one-pass scan: 512 KiB, which stays in L2
 SCAN_BLOCK = 1 << 16
-# an error radicand below this many units of rounding of ||X||^2 has no
-# correct digits left, so relative_error computes it directly
-EXACT_FIT_ULPS = 64
+# an error radicand below this many units of rounding u of alpha = ||X||^2
+# is computed directly by relative_error.  For a nonnegative model the
+# identity's radicand alpha - 2 beta + gamma is off by a few u alpha, so
+# err = sqrt(radicand / alpha) is off by about u / err.  Below 2^19 u alpha,
+# that is below err = 2^-16.5, about 1.1e-5, where u / err would pass 2e-11,
+# the direct residual keeps sequential and grid errors well within 1e-10
+EXACT_FIT_ULPS = 1 << 19
 
 
 def as_int(name, value) -> int:

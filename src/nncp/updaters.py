@@ -8,10 +8,10 @@ the textbook column problem min_{x>=0} ||A x - b|| appears here once per
 row of H, and every rule solves all rows of one update together.  BPP
 factors the live block of S (the columns with a positive diagonal) once per
 call and, when it is well conditioned, pivots on the live columns and
-solves each round from S^{-1} on the rows' zero sets only; otherwise each
-round takes one stacked LU.  Its rounds make only the numpy calls their
-LAPACK and BLAS work needs: round one starts from M > 0, later rounds hold
-the unfinished rows only, and no round gathers what it does not solve.  UCP
+solves each round from S^{-1} on the rows' zero sets only; otherwise it
+pivots on every column and each round takes one stacked LU.  Every round,
+the first from empty passive sets included, runs the same code on the
+unfinished rows only, and no round gathers what it does not solve.  UCP
 multiplies M by S^{-1} and falls back to least squares only when S is not
 positive definite.  ADMM inverts S + rho I once per call, so each of its
 steps is one GEMM.  All three form their inverse the same way, from numpy's
@@ -294,12 +294,14 @@ def bpp_update(inp: UpdateInputs) -> np.ndarray:
     succeeds, rows pivot on the live columns alone (a dead column's
     y = -m >= 0 never violates, and dead columns stay exactly 0), and each
     round is ``_solve_zero_sets`` on Z = S^{-1} and W = M Z.  Otherwise
-    each round is ``_solve_passive``, one stacked LU.
+    rows pivot on every column, and each round is ``_solve_passive``, one
+    stacked LU.
 
-    Round one starts from x = 0, y = -m, so its check is m > 0 and its
-    passive sets are the entries where m > 0.  A round in which every row
-    holds every column passive has y = 0 and takes no product x S (on the
-    inverse path it needs no solve either: its rows are W's).  The
+    Round one is an ordinary round from empty passive sets: x = 0, y = -m,
+    so its check is m > 0, every row improves on R + 1 violations, and its
+    passive sets become the entries where m > 0.  A round in which every
+    row holds every column passive has y = 0 and takes no product x S (on
+    the inverse path it needs no solve either: its rows are W's).  The
     working arrays hold the unfinished rows only, updated in place, and
     shrink when rows finish; a row still violating at its 5R+1st check
     raises BppCyclingError with the lowest such row.
@@ -308,7 +310,7 @@ def bpp_update(inp: UpdateInputs) -> np.ndarray:
     n, r = m.shape
     inverse = _live_inverse(s, m)
     if inverse is None:
-        live, solve, a, b = None, _solve_passive, s, m
+        live, solve, a, b = np.ones(r, bool), _solve_passive, s, m
     else:
         live, z = inverse
         # M_L column-major and S_LL row-major, whatever the inputs' layouts:
@@ -319,10 +321,10 @@ def bpp_update(inp: UpdateInputs) -> np.ndarray:
     if not n:
         return np.zeros((n, r))
     out = np.zeros(m.shape)
-    backup = np.full(n, BPP_BACKUP_TRIES)
-    # the unfinished rows, None while that is every row; round one checks
-    # x = 0, y = -m, and every row improves on r + 1 violations
-    rows = p = None
+    # the unfinished rows and their state; round one checks x = 0, y = -m
+    # from empty passive sets, and every row improves on r + 1 violations
+    rows, p = np.arange(n), np.zeros(m.shape, bool)
+    lowest, backup = np.full(n, r + 1), np.full(n, BPP_BACKUP_TRIES)
     viol = m > 0.0
     for _ in range(5 * r + 1):
         count = viol.sum(axis=1)
@@ -330,39 +332,29 @@ def bpp_update(inp: UpdateInputs) -> np.ndarray:
             keep = np.flatnonzero(count)
             if not keep.size:
                 break
-            rows = keep if rows is None else rows[keep]
-            viol, count, m, b, backup = viol[keep], count[keep], m[keep], b[keep], backup[keep]
-            if p is not None:
-                p, lowest = p[keep], lowest[keep]
-        if p is None:
-            p, lowest = viol, count
+            rows, viol, count, m, b = rows[keep], viol[keep], count[keep], m[keep], b[keep]
+            p, lowest, backup = p[keep], lowest[keep], backup[keep]
+        improved = count < lowest
+        if improved.all():
+            lowest = count
+            backup[:] = BPP_BACKUP_TRIES
         else:
-            improved = count < lowest
-            if improved.all():
-                lowest = count
-                backup[:] = BPP_BACKUP_TRIES
-            else:
-                retry = ~improved & (backup > 0)
-                single = np.flatnonzero(~improved & ~retry)
-                lowest[improved] = count[improved]
-                backup[improved] = BPP_BACKUP_TRIES
-                backup[retry] -= 1
-                # no count improves on 0, so these rows keep the single exchange
-                lowest[single] = 0
-                last = viol.shape[1] - 1 - np.argmax(viol[single, ::-1], axis=1)
-                viol[single] = False
-                viol[single, last] = True
-            p ^= viol
+            retry = ~improved & (backup > 0)
+            single = np.flatnonzero(~improved & ~retry)
+            lowest[improved] = count[improved]
+            backup[improved] = BPP_BACKUP_TRIES
+            backup[retry] -= 1
+            # no count improves on 0, so these rows keep the single exchange
+            lowest[single] = 0
+            last = viol.shape[1] - 1 - np.argmax(viol[single, ::-1], axis=1)
+            viol[single] = False
+            viol[single, last] = True
+        p ^= viol
         x = solve(a, b, p)
-        if rows is None:
-            out = x
-        else:
-            out[rows] = x
+        out[rows] = x
         viol = (x if p.all() else np.where(p, x, x @ s - m)) < 0.0
     else:
-        raise BppCyclingError(0 if rows is None else int(rows[0]))
-    if live is None:
-        return out
+        raise BppCyclingError(int(rows[0]))
     full = np.zeros((n, r))
     full[:, live] = out
     return full

@@ -9,6 +9,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nncp.dimtree as dimtree_mod
 import nncp.driver as driver_mod
@@ -58,6 +60,46 @@ def identity_error_inputs(x, model):
     grams = [gram(h) for h in model.factors]
     s_n = hadamard_grams_excluding(grams, last)
     return x.norm_squared(), m_n, hhat, s_n, grams[last]
+
+
+def with_noise(x, level, seed):
+    """``x`` plus Gaussian noise of norm ``level`` ||X||."""
+    noise = np.random.default_rng(seed).standard_normal(x.size)
+    noise *= level * np.linalg.norm(x.data) / np.linalg.norm(noise)
+    return DenseTensor(x.dims, x.data + noise)
+
+
+def seq_grid_gap(x, grid, **cfg):
+    """Largest gap between the K=6 error sequences of a sequential and a
+    grid run: 0 when both fail loudly, inf when only one does."""
+    cfg = dict(max_iters=6, tol=0.0, **cfg)
+    runs = []
+    for g in (None, grid):
+        try:
+            runs.append(np.array(nncp_parallel(x, RunConfig(grid=g, **cfg)).errors))
+        except RuntimeError:
+            runs.append(None)
+    seq, par = runs
+    if seq is None or par is None:
+        return 0.0 if seq is par else np.inf
+    return np.abs(seq - par).max()
+
+
+def near_fit_case(seed):
+    """(X, rank, grid, init seed) drawn from ``seed``: an exact rank-R
+    tensor of order 2 to 4, dims 3 to 12 and R at most 4 and the smallest
+    dim, plus Gaussian noise at 1e-9 to 1e-4 of its norm (log-uniform), and
+    a grid of at most 3 workers per mode and 8 in all."""
+    rng = np.random.default_rng(seed)
+    dims = tuple(int(i) for i in rng.integers(3, 13, rng.integers(2, 5)))
+    rank = int(rng.integers(1, min(4, *dims) + 1))
+    grid, workers = [], 1
+    for i in dims:
+        grid.append(int(rng.integers(1, min(i, 3, 8 // workers) + 1)))
+        workers *= grid[-1]
+    data_seed, noise_seed, init_seed = (int(v) for v in rng.integers(0, 10**6, 3))
+    x, _ = generate_synthetic(SyntheticSpec(dims, rank, data_seed))
+    return with_noise(x, 10.0 ** rng.uniform(-9, -4), noise_seed), rank, tuple(grid), init_seed
 
 
 class TestRelativeError:
@@ -119,23 +161,60 @@ class TestRelativeError:
         assert len(seq) == len(par)
         assert np.abs(np.array(seq) - np.array(par)).max() <= 1e-10
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 3: just above EXACT_FIT_ULPS the identity's cancellation "
-        "leaves an absolute error near 1e-9, so sequential and grid errors differ",
-    )
     def test_near_fit_agrees_between_sequential_and_grid(self):
-        # the two final models' direct errors agree to 1.5e-17, yet the
-        # identity's errors differ by 1.6e-9 at iteration 2
-        x, _ = generate_synthetic(SyntheticSpec((5, 40), 4, seed=4))
-        noise = np.random.default_rng(1).standard_normal(x.size)
-        noise *= 1e-6 * np.linalg.norm(x.data) / np.linalg.norm(noise)
-        x = DenseTensor(x.dims, x.data + noise)
+        # the two final models' direct errors agree to 1.5e-17; with a
+        # threshold of 64 units of rounding the identity's errors differed
+        # by 1.6e-9 at iteration 2, and 2^13 is the smallest power of two
+        # that closes the gap
+        x = with_noise(generate_synthetic(SyntheticSpec((5, 40), 4, seed=4))[0], 1e-6, 1)
         cfg = dict(rank=4, algorithm="ucp", max_iters=6, tol=0.0, seed=1)
         seq = nncp_sequential(x, RunConfig(**cfg))
         par = nncp_parallel(x, RunConfig(grid=(1, 2), **cfg))
         assert abs(direct_error(x, seq.model) - direct_error(x, par.model)) <= 1e-16
         assert np.abs(np.array(seq.errors) - np.array(par.errors)).max() <= 1e-10
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=25, deadline=None)
+    def test_near_fit_agrees_between_sequential_and_grid_for_nonnegative_rules(self, seed):
+        """Noise at 1e-9 to 1e-4 of ||X|| on an exact low-rank tensor puts
+        the errors on both sides of the direct-residual threshold, and the
+        sequential and grid errors of mu, hals, bpp and nes agree to 1e-10.
+
+        Two rules break the contract for other reasons, each pinned by a
+        strict xfail below: ucp's identity is off by far more than u / err
+        above the threshold, and admm can revive a dead column on one side
+        only.  BPP can cycle near a rank equal to a dim, as on (3, 3) R3;
+        a run that fails loudly on both sides agrees.  The rank is at most
+        the smallest dim: above it an order-2 Gram is singular, and BPP's
+        stacked LU can then fail sequentially while a grid run completes.
+        """
+        x, rank, grid, init_seed = near_fit_case(seed)
+        for rule in ("mu", "hals", "bpp", "nes"):
+            assert seq_grid_gap(x, grid, rank=rank, algorithm=rule, seed=init_seed) <= 1e-10, rule
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ucp's factors are signed: gamma's terms sum to 2036 alpha in absolute "
+        "value, so at error 1.66e-5, above the direct-residual threshold, the identity "
+        "is off by up to 1e-8 while the two models' direct errors agree",
+    )
+    def test_ucp_near_fit_agrees_between_sequential_and_grid(self):
+        # iteration 1 reads 1.66467e-5 sequentially and 1.66572e-5 on the
+        # grid; both models' direct errors are 1.664847e-5, 4e-14 apart
+        x = with_noise(generate_synthetic(SyntheticSpec((5, 40), 4, seed=18))[0], 1e-6, 1)
+        assert seq_grid_gap(x, (1, 2), rank=4, algorithm="ucp", seed=1) <= 1e-10
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="admm revives a dead column on the grid only: after iteration 1 column 2 "
+        "is 0 on both sides, then the grid's update returns entries near 1e-17 in it, "
+        "rounding noise of the stale dual, which normalization makes a unit column",
+    )
+    def test_admm_near_fit_agrees_between_sequential_and_grid(self):
+        # iteration 2 reads 8.6261e-2 sequentially and 8.6448e-2 on the grid,
+        # and the gap grows to 1.6e-2 at iteration 6
+        x = with_noise(generate_synthetic(SyntheticSpec((8, 5, 4), 4, seed=29))[0], 1e-6, 1)
+        assert seq_grid_gap(x, (3, 2, 1), rank=4, algorithm="admm", seed=1) <= 1e-10
 
 
 class TestRecordCategory:
