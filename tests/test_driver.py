@@ -162,10 +162,9 @@ class TestRelativeError:
         assert np.abs(np.array(seq) - np.array(par)).max() <= 1e-10
 
     def test_near_fit_agrees_between_sequential_and_grid(self):
-        # the two final models' direct errors agree to 1.5e-17; with a
-        # threshold of 64 units of rounding the identity's errors differed
-        # by 1.6e-9 at iteration 2, and 2^13 is the smallest power of two
-        # that closes the gap
+        # the two final models' direct errors agree to 1.5e-17; below 2^13
+        # units of rounding the threshold leaves the identity's errors up to
+        # 1.6e-9 apart at iteration 2
         x = with_noise(generate_synthetic(SyntheticSpec((5, 40), 4, seed=4))[0], 1e-6, 1)
         cfg = dict(rank=4, algorithm="ucp", max_iters=6, tol=0.0, seed=1)
         seq = nncp_sequential(x, RunConfig(**cfg))
