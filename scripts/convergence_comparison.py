@@ -18,7 +18,7 @@ import argparse
 import csv
 import sys
 
-from nncp import ALGORITHMS, RunConfig, SyntheticSpec, generate_synthetic, nncp_sequential
+from nncp import ALGORITHMS, RunConfig, SyntheticSpec, generate_synthetic, nncp_parallel
 
 
 def main():
@@ -39,7 +39,7 @@ def main():
     for algo in algos:
         cfg = RunConfig(rank=args.rank, algorithm=algo, max_iters=args.iters,
                         tol=0.0, seed=0)
-        rep = nncp_sequential(x, cfg)
+        rep = nncp_parallel(x, cfg)
         curves[algo] = rep.errors
         nnls = sum(r["NNLS"] for r in rep.rows)
         mttkrp = sum(r["MTTKRP"] for r in rep.rows)

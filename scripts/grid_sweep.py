@@ -17,14 +17,7 @@ import sys
 
 import numpy as np
 
-from nncp import (
-    ALGORITHMS,
-    RunConfig,
-    SyntheticSpec,
-    generate_synthetic,
-    nncp_parallel,
-    nncp_sequential,
-)
+from nncp import ALGORITHMS, RunConfig, SyntheticSpec, generate_synthetic, nncp_parallel
 from nncp.driver import CATEGORIES
 
 
@@ -42,7 +35,8 @@ def main():
     x, _ = generate_synthetic(SyntheticSpec(dims, args.rank, seed=args.seed))
     base = dict(rank=args.rank, algorithm=args.algo, max_iters=args.iters,
                 tol=0.0, seed=args.seed)
-    ref = nncp_sequential(x, RunConfig(**base))
+    # the reference run has no grid: the 1-worker run, inline
+    ref = nncp_parallel(x, RunConfig(**base))
 
     labels = {"ReduceScatter": "RedScat", "AllGather": "AllGath", "AllReduce": "AllRed",
               "MultiTTV": "MulTTV"}

@@ -248,8 +248,8 @@ class _WorkerRuntime:
         self.x_local = DenseTensor.from_array(x.as_array()[self.slice_rows])
         self.dims = self.x_local.dims
 
-    def all_reduce(self, value, op="sum"):
-        return self.worker.all_reduce(self.worker.grid.all_procs, value, op)
+    def all_reduce(self, value):
+        return self.worker.all_reduce(self.worker.grid.all_procs, value)
 
     def scatter_to_owned(self, mode, marr):
         return self.worker.reduce_scatter(self.worker.groups[mode], marr)
@@ -337,7 +337,9 @@ def _scan_behind(rt, rule: _Rule, first_mttkrp):
     ``ndarray.min`` release the GIL, so the two passes overlap.  The helper
     is joined on every path and its exception re-raised in the caller; the
     join wait is booked to Error.  Then ``alpha`` = ||X||^2 is All-Reduced
-    and X checked.  Returns (mbar, alpha)."""
+    and X checked.  A zero ``alpha`` costs one more scalar All-Reduce, the
+    count of workers whose block has a nonzero entry, which tells a zero
+    tensor from one whose squared norm underflows.  Returns (mbar, alpha)."""
     x, found = rt.x_local, []
 
     def scan():
@@ -372,8 +374,7 @@ def _scan_behind(rt, rule: _Rule, first_mttkrp):
         )
     if alpha == 0.0:
         # every worker sees alpha == 0 together, so the reduce is collective-safe
-        d = x.data
-        if rt.all_reduce(max(float(d.max()), -float(d.min())), "max") > 0.0:
+        if rt.all_reduce(float(x.data.any())) > 0.0:
             raise ValueError("tensor is nonzero but its squared norm underflows float64")
         raise ValueError("zero tensor has no relative error")
     return mbar, alpha

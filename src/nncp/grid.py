@@ -24,13 +24,10 @@ import threading
 from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .tensor_ops import as_int
-
-_REDUCTIONS = {"sum": np.add, "max": np.maximum}
 
 
 def block_partition(length: int, parts: int):
@@ -129,9 +126,6 @@ class Grid:
             coord.append(c)
         return tuple(coord)
 
-    def slice_group(self, mode: int, coord: int) -> Group:
-        return self.slice_groups[mode][coord]
-
     def _abort_all(self):
         self.all_procs.abort()
         for groups in self.slice_groups:
@@ -181,15 +175,15 @@ class Worker:
     ``groups[n]`` is the worker's mode-n slice group.  ``clock(category)``
     returns a context manager that times each exchanging collective under
     its own name; the default times nothing, and the driver sets its
-    self-time clock.  A collective over a one-member group checks only its
-    ``op``, then returns its input untimed and counts the call with 0 words.
+    self-time clock.  A collective over a one-member group returns its input
+    untimed and counts the call with 0 words.
     """
 
     def __init__(self, rank: int, grid: Grid):
         self.rank = rank
         self.grid = grid
         self.coord = grid.coord_of(rank)
-        self.groups = [grid.slice_group(n, c) for n, c in enumerate(self.coord)]
+        self.groups = [grid.slice_groups[n][c] for n, c in enumerate(self.coord)]
         self.counters = CommCounters()
         self.clock = nullcontext
 
@@ -222,13 +216,10 @@ class Worker:
         self.counters.record(name, arr.size, np.size(out))
         return out
 
-    def all_reduce(self, group: Group, local, op: str = "sum"):
-        """Elementwise ``op`` ("sum" or "max") in ascending rank order, the
-        same result for every member; a scalar comes back as a float."""
-        fn = _REDUCTIONS.get(op)
-        if fn is None:
-            raise ValueError(f"unknown reduction {op!r}, not one of {tuple(_REDUCTIONS)}")
-        return self._exchange("AllReduce", group, local, lambda posts, k: _fold(fn, posts))
+    def all_reduce(self, group: Group, local):
+        """Elementwise sum in ascending rank order, the same result for every
+        member; a scalar comes back as a float."""
+        return self._exchange("AllReduce", group, local, lambda posts, k: _fold(posts))
 
     def all_gather(self, group: Group, local: np.ndarray) -> np.ndarray:
         """Concatenation of the members' arrays in ascending rank order."""
@@ -237,17 +228,17 @@ class Worker:
     def reduce_scatter(self, group: Group, local: np.ndarray) -> np.ndarray:
         """Rank-ordered elementwise sum of this member's row block, its
         part of ``block_partition(rows, group.size)``."""
-        return self._exchange("ReduceScatter", group, local, partial(_fold, np.add))
+        return self._exchange("ReduceScatter", group, local, _fold)
 
 
-def _fold(fn, posts, member=None):
-    """``fn`` over the posts in ascending rank order: of all of each post,
-    a 0-d result as a float, or of member ``member``'s part of
+def _fold(posts, member=None):
+    """Elementwise sum of the posts in ascending rank order: of all of each
+    post, a 0-d result as a float, or of member ``member``'s part of
     ``block_partition(rows, len(posts))``.  The posts must share a shape."""
     if any(p.shape != posts[0].shape for p in posts):
         raise ValueError(f"group members posted shapes {[p.shape for p in posts]}")
     rows = ... if member is None else block_partition(len(posts[0]), len(posts))[member]
     out = posts[0][rows].copy()
     for p in posts[1:]:
-        fn(out, p[rows], out=out)
+        out += p[rows]
     return float(out) if out.ndim == 0 else out

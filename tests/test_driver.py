@@ -174,6 +174,7 @@ class TestRelativeError:
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
+    @pytest.mark.filterwarnings("ignore:tensor has negative entries")
     def test_near_fit_agrees_between_sequential_and_grid_for_nonnegative_rules(self, seed):
         """Noise at 1e-9 to 1e-4 of ||X|| on an exact low-rank tensor puts
         the errors on both sides of the direct-residual threshold, and the

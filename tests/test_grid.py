@@ -66,9 +66,9 @@ class TestSliceGroups:
             out = []
             for k in range(steps):
                 local = np.full(4, float(w.rank + k))
-                s = w.reduce_scatter(w.grid.slice_group(1, 0), local)
+                s = w.reduce_scatter(w.grid.slice_groups[1][0], local)
                 t = w.all_reduce(w.grid.all_procs, float(w.rank * k))
-                u = w.all_gather(w.grid.slice_group(2, 0), s)
+                u = w.all_gather(w.grid.slice_groups[2][0], s)
                 out.append((float(s[0]), t, u.tolist()))
             return out
 
@@ -236,22 +236,6 @@ class TestCollectives:
         assert np.array_equal(out[0], [4.0, 6.0])
         assert np.array_equal(out[1], [4.0, 6.0])
 
-    def test_all_reduce_max(self):
-        def fn(w):
-            local = np.array([float(w.rank), -float(w.rank)])
-            return w.all_reduce(w.grid.all_procs, local, "max")
-
-        out = self.run_on((4,), fn)
-        assert np.array_equal(out[0], [3.0, 0.0])
-
-    @pytest.mark.parametrize("op", ["prod", "min"])
-    def test_all_reduce_unknown_op(self, op):
-        def fn(w):
-            return w.all_reduce(w.grid.all_procs, np.ones(2), op)
-
-        with pytest.raises(ValueError, match=f"unknown reduction '{op}'"):
-            self.run_on((2,), fn)
-
     def test_all_reduce_length_mismatch(self):
         def fn(w):
             return w.all_reduce(w.grid.all_procs, np.ones(w.rank + 1))
@@ -331,8 +315,7 @@ class TestCollectives:
 
     def test_slice_group_collective(self):
         def fn(w):
-            grp = w.grid.slice_group(1, w.coord[1])
-            return w.all_reduce(grp, float(w.rank))
+            return w.all_reduce(w.groups[1], float(w.rank))
 
         out = self.run_on((2, 2), fn)
         # mode-2 slices: {0,1} and {2,3}
@@ -381,7 +364,7 @@ class TestFailurePropagation:
 
 class TestOneMemberGroup:
     """A collective over one member returns its input, untimed, and counts
-    the call with 0 words; All-Reduce's ``op`` check still runs."""
+    the call with 0 words."""
 
     @pytest.mark.parametrize(
         "name, call",
@@ -404,10 +387,6 @@ class TestOneMemberGroup:
         assert counters.calls == {name: 1}
         assert counters.words_in == counters.words_out == {name: 0}
         assert timed == []
-
-    def test_unknown_op_rejected(self):
-        with pytest.raises(ValueError, match="unknown reduction 'prod'"):
-            Grid((1,)).run(lambda w: w.all_reduce(w.grid.all_procs, np.ones(2), "prod"))
 
 
 class TestRunThreads:
