@@ -1049,6 +1049,16 @@ class TestExtremeScales:
         with pytest.raises(ValueError, match="underflows float64"):
             solve(tiny, grid, rank=2, algorithm="ucp", max_iters=2)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("grid", [(2, 1, 1), (1, 2, 2)])
+    def test_underflow_on_one_worker_named_on_every_worker(self, grid, sign):
+        # one entry of +-2^-600 at (0, 0, 0), in worker 0's block; every
+        # other worker's block is zero, yet the run is not a zero tensor
+        data = np.zeros(6 * 5 * 4)
+        data[0] = sign * 2.0**-600
+        with pytest.raises(ValueError, match="underflows float64"):
+            solve(DenseTensor((6, 5, 4), data), grid, rank=2, algorithm="ucp", max_iters=2)
+
     @pytest.mark.parametrize("grid", [None, (2, 1, 1)])
     def test_overflowing_norm_rejected_without_warning(self, grid):
         huge = self.scaled(600)

@@ -313,6 +313,19 @@ class TestCollectives:
         with pytest.raises(ValueError, match="group members posted shapes"):
             self.run_on(grid, fn)
 
+    @pytest.mark.parametrize("name", ["all_reduce", "reduce_scatter"])
+    def test_sum_runs_in_ascending_rank_order(self, name):
+        # 1e16 + 1 rounds to 1e16: the left fold ((1e16 + 1) - 1e16) + 1 over
+        # ranks 0..3 gives 1, where a pairwise or descending sum gives 0
+        posts = [1e16, 1.0, -1e16, 1.0]
+
+        def fn(w):
+            return getattr(w, name)(w.grid.all_procs, np.full(4, posts[w.rank]))
+
+        out = self.run_on((4,), fn)
+        for arr in out:
+            assert np.array_equal(arr, np.ones_like(arr))
+
     def test_slice_group_collective(self):
         def fn(w):
             return w.all_reduce(w.groups[1], float(w.rank))
